@@ -90,6 +90,11 @@ def _fail(messages, code: int) -> int:
     return code
 
 
+def _finite_or_none(x: float) -> float | None:
+    """JSON-safe diagnostic: non-finite values are written as null."""
+    return x if x < float("inf") else None
+
+
 def _run_dynamics(cfg, geom, out_dir: Path):
     import numpy as np
 
@@ -98,11 +103,12 @@ def _run_dynamics(cfg, geom, out_dir: Path):
     h = hamiltonian.effective(hamiltonian.assemble(geom), cfg.hermitian_only)
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
-    series = dynamics.evolve(state, h, geom, times, deadband=cfg.helicity_deadband)
+    prop = dynamics.Propagator(h)
+    series = dynamics.evolve(state, h, geom, times, deadband=cfg.helicity_deadband,
+                             propagator=prop)
     output.write_timeseries_csv(out_dir / "timeseries.csv", series)
     outputs = ["timeseries.csv"]
 
-    prop = dynamics.Propagator(h)
     for t in cfg.snapshot_times:
         per_site = np.zeros((geom.n_sites, 2))
         for w, a0 in zip(state.weights, state.amplitudes):
@@ -115,6 +121,7 @@ def _run_dynamics(cfg, geom, out_dir: Path):
     arrival = dynamics.arrival_time(series, geom)
     diagnostics = {
         "propagator_fallback": prop.use_stepper,
+        "propagator_condition": _finite_or_none(prop.condition),
         "arrival_time": arrival,
         "final_trace": float(series.trace[-1]),
         "helicity_defined_fraction": float(np.mean(~np.isnan(series.eta))),
@@ -254,6 +261,7 @@ def _run_field(cfg, geom, out_dir: Path):
     outputs.append("field_meta.json")
     diagnostics = {
         "propagator_fallback": prop.use_stepper,
+        "propagator_condition": _finite_or_none(prop.condition),
         "n_masked_near_field": frames[0]["n_masked"] if frames else 0,
     }
     return outputs, diagnostics

@@ -4,8 +4,24 @@ A mixed initial state is stored as weighted pure-state branches; each branch
 amplitude vector a (length 2N) evolves as a(t) = exp(-i H_eff t) a(0), which
 is equivalent to the no-jump master equation
 rho_dot = -i (H_eff rho - rho H_eff^dag).  The propagator uses a spectral
-decomposition of H_eff (exact in t); if the eigenvector matrix is too ill
-conditioned it falls back to fixed-step 4th-order Runge-Kutta integration.
+decomposition of H_eff (exact in t), built once per run with a single eig.
+
+The left eigenvectors of the non-Hermitian H_eff come from a symmetry rather
+than from inverting the eigenvector matrix V: with S the permutation that
+swaps the two spins of every site, H_eff^T = S H_eff S, so S v_i is a right
+eigenvector of H_eff^T and the rows of V^-1 are (S v_i)^T / (v_i^T S v_i)
+(the c-product of complex-symmetric problems; Moiseyev, Non-Hermitian
+Quantum Mechanics, CUP 2011).  This costs O(n^2) instead of O(n^3).  It fails
+under exact spin degeneracy (v_i^T S v_i = 0 within a degenerate pair), so an
+O(n^2) probe ||V^-1 (V x) - x|| >= 1e-6 ||x|| with a fixed-seed x falls back
+to np.linalg.inv; a NaN probe counts as failed.  Expansion coefficients get
+one refinement step c += V^-1 (a0 - V c).
+
+If the eigenvector matrix is too ill conditioned, propagation falls back to
+fixed-step 4th-order Runge-Kutta integration.  The criterion is
+||V||_F ||V^-1||_F > COND_LIMIT; the Frobenius product bounds the 2-norm
+condition number from above, so it trips at least as early as an SVD-based
+test would, and costs no SVD.
 
 Observables follow the transport picture: per-spin populations P_up/P_down,
 per-site populations, <S_z> = P_up - P_down, the surviving-excitation center
@@ -64,8 +80,31 @@ def initial_state(n_sites: int, site: int, p_up: float) -> ExcitationState:
     return ExcitationState(tuple(weights), tuple(amps))
 
 
+def _spin_swap_inverse(vecs: np.ndarray):
+    """V^-1 from H^T = S H S: rows (S v_i)^T / (v_i^T S v_i), or None.
+
+    None means the probe ||V^-1 (V x) - x|| < 1e-6 ||x|| failed (or gave
+    NaN), as it does under exact spin degeneracy.
+    """
+    swapped = vecs[np.arange(len(vecs)) ^ 1]          # S V, site-major basis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = swapped.T / np.sum(vecs * swapped, axis=0)[:, None]
+        x = np.random.default_rng(0).standard_normal(len(vecs)).astype(complex)
+        err = np.linalg.norm(inv @ (vecs @ x) - x)
+    return inv if err < 1e-6 * np.linalg.norm(x) else None
+
+
 class Propagator:
-    """Exact-in-time propagation a(t) = exp(-i H t) a(0) via diagonalization."""
+    """Exact-in-time propagation a(t) = exp(-i H t) a(0) via diagonalization.
+
+    Attributes set at construction: evals, vecs (right eigenvectors V),
+    vecs_inv (V^-1; None when V is singular), use_stepper (RK4 fallback
+    taken) and condition, the upper bound ||V||_F ||V^-1||_F on the
+    eigenvector condition number compared against cond_limit (exactly 1 for
+    the Hermitian branch, whose eigenvectors are unitary).  The
+    non-Hermitian V^-1 comes from the spin-swap symmetry H^T = S H S, with a
+    probe that falls back to np.linalg.inv (see the module docstring).
+    """
 
     def __init__(self, h_eff: EffectiveHamiltonian, cond_limit: float = COND_LIMIT):
         self.h = h_eff.matrix
@@ -74,14 +113,20 @@ class Propagator:
         if self.hermitian:
             self.evals, self.vecs = np.linalg.eigh(self.h)
             self.vecs_inv = self.vecs.conj().T
-        else:
-            self.evals, self.vecs = np.linalg.eig(self.h)
-            cond = np.linalg.cond(self.vecs)
-            if cond > cond_limit:
-                # near-defective spectrum: spectral reconstruction unreliable
-                self.use_stepper = True
-            else:
+            self.condition = 1.0
+            return
+        self.evals, self.vecs = np.linalg.eig(self.h)
+        self.vecs_inv = _spin_swap_inverse(self.vecs)
+        if self.vecs_inv is None:
+            try:
                 self.vecs_inv = np.linalg.inv(self.vecs)
+            except np.linalg.LinAlgError:
+                pass
+        with np.errstate(over="ignore"):   # defective spectrum: ||V^-1|| overflows
+            self.condition = (np.inf if self.vecs_inv is None else
+                              float(np.linalg.norm(self.vecs) * np.linalg.norm(self.vecs_inv)))
+        # near-defective spectrum: spectral reconstruction unreliable
+        self.use_stepper = not self.condition <= cond_limit
 
     def propagate(self, a0: np.ndarray, times) -> np.ndarray:
         """Amplitudes at the requested times, shape (len(times), 2N)."""
@@ -89,6 +134,8 @@ class Propagator:
         if self.use_stepper:
             return self._propagate_rk4(a0, times)
         coef = self.vecs_inv @ a0
+        if not self.hermitian:
+            coef += self.vecs_inv @ (a0 - self.vecs @ coef)
         phases = np.exp(-1j * np.outer(times, self.evals))
         return phases * coef @ self.vecs.T
 
@@ -144,12 +191,22 @@ def helicity(sz: np.ndarray, z_com: np.ndarray, times: np.ndarray,
 
 def evolve(state: ExcitationState, h_eff: EffectiveHamiltonian,
            geom: EmitterGeometry, times,
-           deadband: float = HELICITY_DEADBAND) -> ObservableSeries:
-    """Propagate all branches and assemble the observable series."""
+           deadband: float = HELICITY_DEADBAND,
+           propagator: Propagator | None = None) -> ObservableSeries:
+    """Propagate all branches and assemble the observable series.
+
+    propagator: an already-built Propagator of h_eff to reuse; by default
+    one is built here.
+    """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("output times must be sorted and non-negative")
-    prop = Propagator(h_eff)
+    if propagator is None:
+        prop = Propagator(h_eff)
+    elif propagator.h is h_eff.matrix:
+        prop = propagator
+    else:
+        raise ValueError("propagator was built from a different Hamiltonian")
     n = state.n_sites
     per_site = np.zeros((len(times), n, 2))
     branch_amps = []

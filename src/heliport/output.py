@@ -60,9 +60,10 @@ def write_zak_json(path, records: list[dict]) -> None:
         fh.write("\n")
 
 
-def write_field_csv(path, fmap: FieldMap, spin: int) -> None:
+def write_field_csv(path, fmap: FieldMap, spin: str) -> None:
+    """One polarization map; spin is "up" or "down"."""
     labels = fmap.plane.axis_labels
-    grid = fmap.i_up if spin == 0 else fmap.i_down
+    grid = {"up": fmap.i_up, "down": fmap.i_down}[spin]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([labels[0], labels[1], "intensity"])

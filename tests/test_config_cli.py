@@ -207,6 +207,26 @@ def test_cli_bands_and_field_outputs(tmp_path):
     assert meta["frames"][0]["time"] == 0.5
 
 
+def test_cli_field_csvs_hold_their_own_polarization(tmp_path):
+    field_cfg = write_config(tmp_path, {
+        "mode": "field",
+        "geometry": {"helix": dict(HELIX)},
+        "initial_state": {"site": 0, "p_up": 1.0},
+        "field": {"times": [0.5], "n_u": 7, "n_v": 9, "normalize": "none"},
+    }, "field.json")
+    out = tmp_path / "field_out"
+    assert run_cli(["field", "--config", field_cfg, "--out", out]) == 0
+    frame = json.loads((out / "field_meta.json").read_text())["frames"][0]
+    for spin in ("up", "down"):
+        data = np.genfromtxt(out / frame["files"][spin], delimiter=",",
+                             skip_header=1)
+        assert np.nanmax(data[:, 2]) == pytest.approx(frame["norm_max"][spin],
+                                                      rel=1e-12)
+    assert frame["norm_max"]["up"] != pytest.approx(frame["norm_max"]["down"])
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["propagator_condition"] >= 1.0
+
+
 def test_cli_check_mode_passes(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "check",

@@ -1,12 +1,18 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
+
+from heliport import cli, dynamics
 
 from heliport.dynamics import (Propagator, arrival_time, evolve, helicity,
                                initial_state, master_equation_check)
 from heliport.geometry import (EmitterGeometry, HelixParams, build_helix,
                                mirror_xz)
 from heliport.greens import GAMMA0
-from heliport.hamiltonian import assemble, effective
+from heliport.hamiltonian import EffectiveHamiltonian, assemble, effective
 
 
 def test_initial_state_branches():
@@ -131,3 +137,98 @@ def test_master_equation_size_guard(reference_helix):
     st = initial_state(reference_helix.n_sites, 0, 0.5)
     with pytest.raises(ValueError):
         master_equation_check(st, assemble(reference_helix), 1.0)
+
+
+# ------------------------------------------------- propagator construction
+
+def _expm_reference(h, a0, times):
+    return np.array([expm(-1j * h.matrix * t) @ a0 for t in times])
+
+
+def _count_inv(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        calls.append(1)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    return calls
+
+
+def test_spin_swap_left_eigenvectors_match_expm(monkeypatch):
+    geom = build_helix(HelixParams(0.05, 0.175, 3, 10, 1))   # N = 30
+    h = effective(assemble(geom))
+    inv_calls = _count_inv(monkeypatch)
+    prop = Propagator(h)
+    assert not inv_calls and not prop.use_stepper
+    assert 1.0 <= prop.condition < 1e4
+    a0 = initial_state(geom.n_sites, 4, 1.0).amplitudes[0]
+    times = np.array([0.0, 0.3, 2.5, 7.9])
+    assert np.abs(prop.propagate(a0, times)
+                  - _expm_reference(h, a0, times)).max() < 1e-12
+
+
+@pytest.mark.parametrize("geom", [
+    EmitterGeometry(np.zeros((1, 3)), label="single emitter"),
+    build_helix(HelixParams(0.05, 0.175, 1, 12, 1)),          # straight chain
+], ids=["single_emitter", "straight_chain"])
+def test_spin_degenerate_spectra_fall_back_to_inv(geom, monkeypatch):
+    h = effective(assemble(geom))
+    inv_calls = _count_inv(monkeypatch)
+    a0 = initial_state(geom.n_sites, 0, 0.5).amplitudes[0]
+    times = np.array([0.0, 0.8, 3.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prop = Propagator(h)
+        amps = prop.propagate(a0, times)
+    assert len(inv_calls) == 1 and not prop.use_stepper
+    assert np.abs(amps - _expm_reference(h, a0, times)).max() < 1e-12
+
+
+def test_cli_dynamics_builds_one_propagator(tmp_path, monkeypatch):
+    built = []
+
+    class Counting(Propagator):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "Propagator", Counting)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "mode": "dynamics",
+        "geometry": {"helix": {"radius": 0.05, "pitch": 0.175,
+                               "sites_per_turn": 3, "turns": 2,
+                               "handedness": 1}},
+        "initial_state": {"site": 0, "p_up": 0.5},
+        "times": {"t_max": 2.0, "n_times": 20},
+        "snapshot_times": [0.5, 1.0],
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(built) == 1
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["propagator_fallback"] is False
+    assert 1.0 <= diag["propagator_condition"] < dynamics.COND_LIMIT
+
+
+def test_evolve_rejects_foreign_propagator(small_helix):
+    h = effective(assemble(small_helix))
+    other = Propagator(effective(assemble(small_helix), hermitian_only=True))
+    with pytest.raises(ValueError):
+        evolve(initial_state(small_helix.n_sites, 0, 0.5), h, small_helix,
+               np.linspace(0.0, 1.0, 5), propagator=other)
+
+
+def test_defective_spectrum_takes_rk4_without_warnings():
+    h = EffectiveHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]], complex),
+                             False)                       # 2x2 Jordan block
+    a0 = np.array([1.0, 1.0], complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prop = Propagator(h)
+        amps = prop.propagate(a0, np.array([0.0, 1.0]))
+    assert prop.use_stepper
+    assert np.abs(amps - _expm_reference(h, a0, [0.0, 1.0])).max() < 1e-10
