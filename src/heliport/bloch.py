@@ -12,7 +12,8 @@ close with the identity.  The lattice sum is truncated symmetrically; the
 1/r-oscillatory tail makes modes near the light cone |k| = k0 converge
 slowest (error roughly ~ 1/M_cut there), and a Cauchy convergence estimate
 (max-norm difference between the M_cut and M_cut/2 sums) is always
-reported.
+reported.  The estimate reuses the full sum that H(k) already needed and
+adds only the half-window sum, so each grid pays for one full sum.
 
 Band quantities per mode: energy = Re(eigenvalue), decay Gamma = -2 Im
 (eigenvalue), spin texture <S_z> from right eigenvectors, group velocity by
@@ -112,14 +113,15 @@ def _fourier_sum(c: np.ndarray, k_grid: np.ndarray, pitch: float) -> np.ndarray:
     return h
 
 
-def _convergence_estimate(c: np.ndarray, k_grid: np.ndarray, pitch: float) -> float:
-    """Max-norm Cauchy difference between the full and half-window sums."""
+def _convergence_estimate(c: np.ndarray, k_grid: np.ndarray, pitch: float,
+                          h_full: np.ndarray) -> float:
+    """Max-norm Cauchy difference between the full sum h_full (already
+    computed from c over k_grid) and the half-window sum."""
     m_cut = (len(c) - 1) // 2
     half = m_cut // 2
     if half < 1:
         return np.inf
     sl = slice(m_cut - half, m_cut + half + 1)
-    h_full = _fourier_sum(c, k_grid, pitch)
     h_half = _fourier_sum(c[sl], k_grid, pitch)
     return float(np.abs(h_full - h_half).max())
 
@@ -129,9 +131,9 @@ def bloch_hamiltonian(params: HelixParams, k: float, m_cut: int,
     """H(k) at a single quasimomentum, with its convergence estimate."""
     c = cell_couplings(params, m_cut, hermitian_only)
     kk = np.array([k], dtype=float)
-    h = _fourier_sum(c, kk, params.pitch)[0]
-    conv = _convergence_estimate(c, kk, params.pitch)
-    return BlochHamiltonian(float(k), h, m_cut, hermitian_only, conv)
+    h = _fourier_sum(c, kk, params.pitch)
+    conv = _convergence_estimate(c, kk, params.pitch, h)
+    return BlochHamiltonian(float(k), h[0], m_cut, hermitian_only, conv)
 
 
 def brillouin_grid(pitch: float, n_k: int = 401, include_edges: bool = True) -> np.ndarray:
@@ -164,7 +166,7 @@ def band_structure(params: HelixParams, k_grid, m_cut: int = 2000,
     k_grid = np.asarray(k_grid, dtype=float)
     c = cell_couplings(params, m_cut, hermitian_only)
     h_all = _fourier_sum(c, k_grid, params.pitch)
-    conv = _convergence_estimate(c, k_grid, params.pitch)
+    conv = _convergence_estimate(c, k_grid, params.pitch, h_all)
 
     n_k = len(k_grid)
     dim = h_all.shape[1]

@@ -17,7 +17,6 @@ failed self-checks.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -126,10 +125,10 @@ def _run_dynamics(cfg, geom, out_dir: Path):
         "final_trace": float(series.trace[-1]),
         "helicity_defined_fraction": float(np.mean(~np.isnan(series.eta))),
     }
-    return outputs, diagnostics
+    return outputs, diagnostics, 0
 
 
-def _run_bands(cfg, out_dir: Path):
+def _run_bands(cfg, _geom, out_dir: Path):
     import numpy as np
 
     from . import bloch, output
@@ -145,10 +144,10 @@ def _run_bands(cfg, out_dir: Path):
         "min_gamma": float(bands.gammas.min()),
         "max_gamma": float(bands.gammas.max()),
     }
-    return ["bands.csv"], diagnostics
+    return ["bands.csv"], diagnostics, 0
 
 
-def _run_zak(cfg, out_dir: Path):
+def _run_zak(cfg, _geom, out_dir: Path):
     from . import bloch, output, topology
 
     grid = bloch.brillouin_grid(cfg.helix.pitch, cfg.bloch_n_k)
@@ -160,11 +159,11 @@ def _run_zak(cfg, out_dir: Path):
     else:
         groups = [("all", gap.lower_bands)]
 
+    results = topology.zak_phases(cfg.helix, [subset for _, subset in groups],
+                                  n_k=cfg.zak_n_k, m_cut=cfg.bloch_m_cut,
+                                  biorthogonal=cfg.zak_biorthogonal)
     records, ill = [], []
-    for group_name, subset in groups:
-        res = topology.zak_phase(cfg.helix, subset, n_k=cfg.zak_n_k,
-                                 m_cut=cfg.bloch_m_cut,
-                                 biorthogonal=cfg.zak_biorthogonal)
+    for (group_name, _), res in zip(groups, results):
         records.append({
             "n_sites_per_turn": cfg.helix.sites_per_turn,
             "band_group": group_name,
@@ -187,31 +186,7 @@ def _run_zak(cfg, out_dir: Path):
         "band_groups": [name for name, _ in groups],
         "ill_defined_groups": ill,
     }
-    return ["zak.json"], diagnostics
-
-
-def _build_plane(settings, geom):
-    import numpy as np
-
-    from . import field
-
-    if settings.plane_axis == "x":
-        return field.default_plane(geom, offset=settings.plane_offset,
-                                   n_u=settings.n_u, n_v=settings.n_v,
-                                   u_span=settings.u_span, z_pad=settings.z_pad)
-    # same sizing conventions, different viewing axis
-    radial = float(np.linalg.norm(geom.positions[:, :2], axis=1).max()) or 0.05
-    offset = settings.plane_offset if settings.plane_offset is not None else 10.0 * radial
-    u_span = settings.u_span if settings.u_span is not None else 6.0 * radial
-    u = np.linspace(-0.5 * u_span, 0.5 * u_span, settings.n_u)
-    if settings.plane_axis == "y":
-        z = geom.z
-        z_mid = 0.5 * (z.min() + z.max())
-        z_half = 0.5 * max(settings.z_pad * (z.max() - z.min()), 0.1)
-        v = np.linspace(z_mid - z_half, z_mid + z_half, settings.n_v)
-    else:  # top view: both in-plane axes are transverse
-        v = np.linspace(-0.5 * u_span, 0.5 * u_span, settings.n_v)
-    return field.FieldPlane(settings.plane_axis, float(offset), u, v)
+    return ["zak.json"], diagnostics, 0
 
 
 def _run_field(cfg, geom, out_dir: Path):
@@ -222,7 +197,10 @@ def _run_field(cfg, geom, out_dir: Path):
     h = hamiltonian.effective(hamiltonian.assemble(geom), cfg.hermitian_only)
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
     prop = dynamics.Propagator(h)
-    plane = _build_plane(cfg.field, geom)
+    fs = cfg.field
+    plane = field.default_plane(geom, axis=fs.plane_axis, offset=fs.plane_offset,
+                                n_u=fs.n_u, n_v=fs.n_v, u_span=fs.u_span,
+                                z_pad=fs.z_pad)
 
     outputs, frames = [], []
     for t in cfg.field.times:
@@ -264,10 +242,10 @@ def _run_field(cfg, geom, out_dir: Path):
         "propagator_condition": _finite_or_none(prop.condition),
         "n_masked_near_field": frames[0]["n_masked"] if frames else 0,
     }
-    return outputs, diagnostics
+    return outputs, diagnostics, 0
 
 
-def _run_check(cfg, out_dir: Path):
+def _run_check(cfg, _geom, out_dir: Path):
     from . import output, selfcheck
 
     n_fail, report = selfcheck.run_checks(cfg)
@@ -278,7 +256,13 @@ def _run_check(cfg, out_dir: Path):
         "n_failed": n_fail,
         "failed": [r["name"] for r in report if not r["passed"]],
     }
-    return ["check_report.json"], diagnostics, n_fail
+    if n_fail:
+        print(f"error: {n_fail} self-check(s) failed", file=sys.stderr)
+    return ["check_report.json"], diagnostics, 2 if n_fail else 0
+
+
+_RUNNERS = {"dynamics": _run_dynamics, "bands": _run_bands, "zak": _run_zak,
+            "field": _run_field, "check": _run_check}
 
 
 def _dump_matrices(geom, out_dir: Path):
@@ -310,36 +294,13 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out) if args.out else Path(f"{cfg_path.stem}_out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_dir = cfg_path.parent
-
-    if cfg.geometry_file is not None:
-        resolved = Path(cfg.geometry_file)
-        if not resolved.is_absolute():
-            cfg = dataclasses.replace(cfg, geometry_file=str(base_dir / resolved))
 
     import numpy as np
     import scipy
 
-    exit_code = 0
     try:
-        if cfg.mode == "dynamics":
-            geom = cfg.build_geometry()
-            outputs, diagnostics = _run_dynamics(cfg, geom, out_dir)
-        elif cfg.mode == "bands":
-            geom = cfg.build_geometry()
-            outputs, diagnostics = _run_bands(cfg, out_dir)
-        elif cfg.mode == "zak":
-            geom = cfg.build_geometry()
-            outputs, diagnostics = _run_zak(cfg, out_dir)
-        elif cfg.mode == "field":
-            geom = cfg.build_geometry()
-            outputs, diagnostics = _run_field(cfg, geom, out_dir)
-        else:  # check
-            geom = cfg.build_geometry()
-            outputs, diagnostics, n_fail = _run_check(cfg, out_dir)
-            if n_fail:
-                print(f"error: {n_fail} self-check(s) failed", file=sys.stderr)
-                exit_code = 2
+        geom = cfg.build_geometry()
+        outputs, diagnostics, exit_code = _RUNNERS[cfg.mode](cfg, geom, out_dir)
         if args.dump_matrices:
             outputs.extend(_dump_matrices(geom, out_dir))
     except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -35,7 +36,7 @@ _NORMALIZE_MODES = ("none", "global", "per_map")
 
 @dataclass(frozen=True)
 class FieldSettings:
-    times: tuple[float, ...]
+    times: tuple[float, ...] = ()
     plane_axis: str = "x"
     plane_offset: Optional[float] = None     # None: 10x the max transverse radius
     n_u: int = 101
@@ -69,13 +70,10 @@ class RunConfig:
     def to_dict(self) -> dict:
         return copy.deepcopy(self.raw)
 
-    def build_geometry(self, base_dir=".") -> EmitterGeometry:
+    def build_geometry(self) -> EmitterGeometry:
         if self.helix is not None:
             return build_helix(self.helix)
-        path = Path(self.geometry_file)
-        if not path.is_absolute():
-            path = Path(base_dir) / path
-        return load_geometry_file(path)
+        return load_geometry_file(self.geometry_file)
 
 
 def config_sha256(raw: dict) -> str:
@@ -84,7 +82,7 @@ def config_sha256(raw: dict) -> str:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _is_int(x) -> bool:
@@ -288,8 +286,11 @@ def validate_config_dict(raw) -> list[str]:
     return errs
 
 
-def parse_config(raw) -> tuple[Optional[RunConfig], list[str]]:
-    """Validate and resolve a config dict; returns (config, errors)."""
+def parse_config(raw, base_dir=".") -> tuple[Optional[RunConfig], list[str]]:
+    """Validate and resolve a config dict; returns (config, errors).
+
+    A relative geometry.file is resolved against base_dir.
+    """
     errs = validate_config_dict(raw)
     if errs:
         return None, errs
@@ -307,7 +308,7 @@ def parse_config(raw) -> tuple[Optional[RunConfig], list[str]]:
             handedness=int(h.get("handedness", 1)),
         )
     else:
-        geometry_file = geom["file"]
+        geometry_file = str(Path(base_dir) / geom["file"])
 
     ini = raw.get("initial_state") or {}
     times = raw.get("times") or {}
@@ -321,16 +322,10 @@ def parse_config(raw) -> tuple[Optional[RunConfig], list[str]]:
     field_settings = None
     fl = raw.get("field")
     if fl is not None:
-        field_settings = FieldSettings(
-            times=tuple(float(t) for t in fl["times"]) if "times" in fl else (),
-            plane_axis=fl.get("plane_axis", "x"),
-            plane_offset=fl.get("plane_offset"),
-            n_u=int(fl.get("n_u", 101)),
-            n_v=int(fl.get("n_v", 201)),
-            u_span=fl.get("u_span"),
-            z_pad=float(fl.get("z_pad", 1.2)),
-            normalize=fl.get("normalize", "none"),
-        )
+        casts = {"times": lambda ts: tuple(float(t) for t in ts),
+                 "n_u": int, "n_v": int, "z_pad": float}
+        field_settings = FieldSettings(**{key: casts.get(key, lambda x: x)(val)
+                                          for key, val in fl.items()})
 
     cfg = RunConfig(
         mode=raw["mode"],
@@ -356,7 +351,11 @@ def parse_config(raw) -> tuple[Optional[RunConfig], list[str]]:
 
 
 def load_config(path) -> tuple[Optional[RunConfig], list[str]]:
-    """Load and parse a config file; JSON errors are returned, not raised."""
+    """Load and parse a config file; JSON errors are returned, not raised.
+
+    A relative geometry.file is resolved against the config's directory,
+    and a geometry file that does not exist is reported as a config error.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -364,4 +363,8 @@ def load_config(path) -> tuple[Optional[RunConfig], list[str]]:
         return None, [f"cannot read config: {exc}"]
     except json.JSONDecodeError as exc:
         return None, [f"config is not valid JSON: {exc}"]
-    return parse_config(raw)
+    cfg, errs = parse_config(raw, base_dir=Path(path).parent)
+    if cfg is not None and cfg.geometry_file is not None \
+            and not Path(cfg.geometry_file).is_file():
+        return None, [f"geometry.file: not found: {cfg.geometry_file}"]
+    return cfg, errs

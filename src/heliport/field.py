@@ -58,10 +58,18 @@ class FieldPlane:
         return pts
 
 
-def default_plane(geom: EmitterGeometry, offset: Optional[float] = None,
-                  n_u: int = 101, n_v: int = 201,
+def default_plane(geom: EmitterGeometry, axis: str = "x",
+                  offset: Optional[float] = None, n_u: int = 101, n_v: int = 201,
                   u_span: Optional[float] = None, z_pad: float = 1.2) -> FieldPlane:
-    """Side-view y-z plane: x = 10 r0, 6 r0 wide in y, z_pad x the z extent."""
+    """Viewing plane normal to axis at offset (default 10 r0, with r0 the
+    largest distance of an emitter from the z axis).
+
+    The first in-plane coordinate spans u_span (default 6 r0), centred on
+    the helix axis.  For the side views axis = "x" (y-z plane) and "y" (x-z
+    plane) the second spans z_pad x the z extent of the emitters (at least
+    0.1 lambda_0); for the top view axis = "z" (x-y plane) both in-plane
+    coordinates are transverse and span u_span.
+    """
     radial = np.linalg.norm(geom.positions[:, :2], axis=1).max()
     if radial == 0.0:
         radial = 0.05  # axial chain: fall back to a nominal viewing distance
@@ -69,14 +77,18 @@ def default_plane(geom: EmitterGeometry, offset: Optional[float] = None,
         offset = 10.0 * radial
     if u_span is None:
         u_span = 6.0 * radial
-    z = geom.z
-    z_mid = 0.5 * (z.min() + z.max())
-    z_half = 0.5 * max(z_pad * (z.max() - z.min()), 0.1 * LAMBDA0)
+    if axis == "z":
+        v = np.linspace(-0.5 * u_span, 0.5 * u_span, n_v)
+    else:
+        z = geom.z
+        z_mid = 0.5 * (z.min() + z.max())
+        z_half = 0.5 * max(z_pad * (z.max() - z.min()), 0.1 * LAMBDA0)
+        v = np.linspace(z_mid - z_half, z_mid + z_half, n_v)
     return FieldPlane(
-        normal_axis="x",
+        normal_axis=axis,
         offset=float(offset),
         u=np.linspace(-0.5 * u_span, 0.5 * u_span, n_u),
-        v=np.linspace(z_mid - z_half, z_mid + z_half, n_v),
+        v=v,
     )
 
 

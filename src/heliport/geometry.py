@@ -135,7 +135,10 @@ def rotate_about_z(geom: EmitterGeometry, delta: float) -> EmitterGeometry:
 def load_geometry_file(path) -> EmitterGeometry:
     """Load an arbitrary point set from JSON: {"positions": [[x,y,z],...], "label": str}."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: geometry file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: geometry file must contain a JSON object")
     unknown = set(data) - {"positions", "label"}

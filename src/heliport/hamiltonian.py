@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EmitterGeometry, coincident_pairs
+from .geometry import EmitterGeometry
 from .greens import GAMMA0, coupling_blocks
 
 
@@ -54,10 +54,7 @@ class EffectiveHamiltonian:
 
 
 def assemble(geom: EmitterGeometry) -> CouplingTensor:
-    """Build J and Gamma for a finite geometry from the pairwise couplings."""
-    bad = coincident_pairs(geom.positions)
-    if bad:
-        raise ValueError(f"coincident emitter pairs: {bad}")
+    """Build J and Gamma for a finite geometry (free of coincident emitters)."""
     n = geom.n_sites
     sep = geom.positions[:, None, :] - geom.positions[None, :, :]
     off = ~np.eye(n, dtype=bool)

@@ -11,6 +11,11 @@ periodic, so the boundary operator is the identity).  The determinant makes
 the result invariant under any per-k rephasing or unitary remixing inside
 the subset.  A nearly singular overlap (|det M| < 1e-6) signals that the
 subset is not isolated at some k and the result is flagged ill-defined.
+The biorthogonal variant runs the same loop with M^(i) = L_i^dag R_{i+1},
+where the columns of the left frame L are the conjugated rows of V^-1.
+
+zak_phases evaluates several band groups from one sweep: one lattice sum
+c(m) -> H(k) and one diagonalization per k, shared by every group's loop.
 
 Gap detection scans all energy-ordered band splits for the widest window
 free of states across the whole grid; groups below/above that window are
@@ -78,25 +83,15 @@ def detect_gap(bands: BandStructure, threshold: float = GAP_THRESHOLD) -> GapInf
                    tuple(range(split, n_bands)))
 
 
-def wilson_loop(frames) -> tuple[float, float]:
+def wilson_loop(rights, lefts=None) -> tuple[float, float]:
     """Phase and minimum |det| of the overlap-product loop over frames.
 
-    frames: sequence of (dim, n_subset) eigenvector column blocks on an open
-    k grid; the loop closes from the last frame back to the first.
+    rights: sequence of (dim, n_subset) eigenvector column blocks on an open
+    k grid; the loop closes from the last frame back to the first.  lefts
+    (default: rights) are the dual frames, M^(i) = lefts_i^dag rights_{i+1}.
     """
-    n = len(frames)
-    det = 1.0 + 0.0j
-    min_det = np.inf
-    for i in range(n):
-        m = frames[i].conj().T @ frames[(i + 1) % n]
-        d = np.linalg.det(m)
-        min_det = min(min_det, abs(d))
-        det *= d
-    return float(-np.angle(det)), float(min_det)
-
-
-def _biorthogonal_loop(rights, lefts) -> tuple[float, float]:
-    """Wilson loop with left/right frames: M^(i) = L_i^dag R_{i+1}."""
+    if lefts is None:
+        lefts = rights
     n = len(rights)
     det = 1.0 + 0.0j
     min_det = np.inf
@@ -118,43 +113,55 @@ def zak_phase(params: HelixParams, band_subset, n_k: int = 400,
     with left/right eigenvector overlaps instead; no quantization claim is
     attached to that variant.
     """
+    return zak_phases(params, [band_subset], n_k, m_cut, hermitian_only,
+                      biorthogonal)[0]
+
+
+def zak_phases(params: HelixParams, band_subsets, n_k: int = 400,
+               m_cut: int = 2000, hermitian_only: bool = True,
+               biorthogonal: bool = False) -> list[ZakResult]:
+    """Zak phases of several band subsets from one k sweep (see zak_phase).
+
+    H(k) is summed and diagonalized once per k; each subset's Wilson loop
+    runs over column slices of the shared eigenvector frames.
+    """
     if n_k < 50:
         raise ValueError("n_k must be >= 50 for a usable Wilson loop")
-    subset = tuple(int(b) for b in band_subset)
+    subsets = [tuple(int(b) for b in subset) for subset in band_subsets]
     if biorthogonal:
         hermitian_only = False
     c = cell_couplings(params, m_cut, hermitian_only)
     edge = np.pi / params.pitch
     ks = -edge + np.arange(n_k) * (2 * edge / n_k)  # open grid, closes by periodicity
     h_all = _fourier_sum(c, ks, params.pitch)
-    if any(b < 0 or b >= h_all.shape[1] for b in subset):
-        raise ValueError(f"band subset {subset} out of range for {h_all.shape[1]} bands")
+    for subset in subsets:
+        if any(b < 0 or b >= h_all.shape[1] for b in subset):
+            raise ValueError(f"band subset {subset} out of range for {h_all.shape[1]} bands")
 
     rights, lefts = [], []
     for h in h_all:
         if hermitian_only:
             w, v = np.linalg.eigh(h)
-            rights.append(v[:, subset])
         else:
             w, v = np.linalg.eig(h)
-            order = np.argsort(w.real)
-            v = v[:, order]
-            rights.append(v[:, subset])
+            v = v[:, np.argsort(w.real)]
             if biorthogonal:
                 # rows of V^-1 are the dual (left) frame: <l_m | r_n> = delta
-                lefts.append(np.linalg.inv(v).conj().T[:, subset])
-    if biorthogonal:
-        phase, min_det = _biorthogonal_loop(rights, lefts)
-    else:
-        phase, min_det = wilson_loop(rights)
-    residual = float(min(abs(phase), np.pi - abs(phase)))
-    return ZakResult(
-        band_subset=subset,
-        n_k=n_k,
-        phase=phase,
-        residual=residual,
-        min_overlap_det=min_det,
-        ill_defined=bool(min_det < DET_ILL_DEFINED),
-        hermitian_only=hermitian_only,
-        biorthogonal=biorthogonal,
-    )
+                lefts.append(np.linalg.inv(v).conj().T)
+        rights.append(v)
+
+    results = []
+    for subset in subsets:
+        duals = [v[:, subset] for v in lefts] if biorthogonal else None
+        phase, min_det = wilson_loop([v[:, subset] for v in rights], duals)
+        results.append(ZakResult(
+            band_subset=subset,
+            n_k=n_k,
+            phase=phase,
+            residual=float(min(abs(phase), np.pi - abs(phase))),
+            min_overlap_det=min_det,
+            ill_defined=bool(min_det < DET_ILL_DEFINED),
+            hermitian_only=hermitian_only,
+            biorthogonal=biorthogonal,
+        ))
+    return results

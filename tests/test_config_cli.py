@@ -262,3 +262,119 @@ def test_cli_threads_flag_pins_blas_env(tmp_path, monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "1"
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["threads"] == 1
+
+
+# ------------------------------------------------- geometry paths and planes
+
+def write_helix_geometry(path):
+    from heliport.geometry import HelixParams, build_helix
+
+    geom = build_helix(HelixParams(**HELIX))
+    path.write_text(json.dumps({"positions": geom.positions.tolist(),
+                                "label": "six-site helix"}))
+
+
+def test_cli_relative_geometry_file_resolves_from_config_dir(tmp_path, monkeypatch):
+    cfg_dir, elsewhere = tmp_path / "cfg", tmp_path / "elsewhere"
+    cfg_dir.mkdir()
+    elsewhere.mkdir()
+    write_helix_geometry(cfg_dir / "geom.json")
+    from_file = dynamics_dict(geometry={"file": "geom.json"})
+    cfg = write_config(cfg_dir, from_file)
+    inline = write_config(tmp_path, dynamics_dict(), "inline.json")
+    monkeypatch.chdir(elsewhere)
+    assert run_cli(["dynamics", "--config", cfg, "--out", tmp_path / "f"]) == 0
+    assert run_cli(["dynamics", "--config", inline, "--out", tmp_path / "h"]) == 0
+    for name in ("timeseries.csv", "snapshot_t1.csv"):
+        assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "h" / name).read_bytes()
+
+
+def test_cli_check_with_relative_geometry_file(tmp_path, monkeypatch):
+    cfg_dir, elsewhere = tmp_path / "cfg", tmp_path / "elsewhere"
+    cfg_dir.mkdir()
+    elsewhere.mkdir()
+    write_helix_geometry(cfg_dir / "geom.json")
+    cfg = write_config(cfg_dir, {"mode": "check", "geometry": {"file": "geom.json"}})
+    monkeypatch.chdir(elsewhere)
+    out = tmp_path / "check_out"
+    assert run_cli(["check", "--config", cfg, "--out", out]) == 0
+    assert json.loads((out / "check_report.json").read_text())["n_failed"] == 0
+
+
+def field_meta_for_axis(tmp_path, axis):
+    cfg = write_config(tmp_path, {
+        "mode": "field",
+        "geometry": {"helix": dict(HELIX)},
+        "initial_state": {"site": 0, "p_up": 0.5},
+        "field": {"times": [0.5], "n_u": 5, "n_v": 7, "plane_axis": axis},
+    }, f"field_{axis}.json")
+    out = tmp_path / f"field_{axis}"
+    assert run_cli(["field", "--config", cfg, "--out", out]) == 0
+    return json.loads((out / "field_meta.json").read_text())["plane"]
+
+
+def test_cli_field_plane_axis_y_spans_x_and_z(tmp_path):
+    plane = field_meta_for_axis(tmp_path, "y")
+    assert plane["normal_axis"] == "y" and plane["axes"] == ["x", "z"]
+    assert plane["offset"] == pytest.approx(0.5)             # 10 x radius
+    assert plane["x_range"] == pytest.approx([-0.15, 0.15])  # 6 x radius
+    z_top = 5 * HELIX["pitch"] / 3
+    half = 0.5 * 1.2 * z_top                                 # z_pad x the z extent
+    assert plane["z_range"] == pytest.approx([0.5 * z_top - half, 0.5 * z_top + half])
+    assert (plane["n_u"], plane["n_v"]) == (5, 7)
+
+
+def test_cli_field_plane_axis_z_is_transverse_on_both_axes(tmp_path):
+    plane = field_meta_for_axis(tmp_path, "z")
+    assert plane["normal_axis"] == "z" and plane["axes"] == ["x", "y"]
+    assert plane["offset"] == pytest.approx(0.5)
+    assert plane["x_range"] == pytest.approx([-0.15, 0.15])
+    assert plane["y_range"] == pytest.approx([-0.15, 0.15])
+
+
+# ------------------------------------------------------- non-finite numbers
+
+NON_FINITE_PLACES = {
+    "times.t_max": lambda d, x: d["times"].update(t_max=x),
+    "tau": lambda d, x: d.update(tau=x),
+    "helicity_deadband": lambda d, x: d.update(helicity_deadband=x),
+    "geometry.helix.radius": lambda d, x: d["geometry"]["helix"].update(radius=x),
+    "snapshot_times": lambda d, x: d.update(snapshot_times=[1.0, x]),
+    "field.times": lambda d, x: d.update(field={"times": [0.5, x]}),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", list(NON_FINITE_PLACES))
+def test_parse_config_rejects_non_finite_numbers(key, bad):
+    raw = dynamics_dict()
+    NON_FINITE_PLACES[key](raw, bad)
+    cfg, errs = parse_config(raw)
+    assert cfg is None
+    assert any(e.startswith(key) for e in errs), errs
+
+
+def test_cli_rejects_infinite_t_max(tmp_path, capsys):
+    cfg = write_config(tmp_path, dynamics_dict(times={"t_max": float("inf")}))
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    assert "times.t_max" in capsys.readouterr().err
+    assert not (out / "timeseries.csv").exists()
+
+
+# ------------------------------------------------------ geometry file errors
+
+def test_cli_missing_geometry_file_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, dynamics_dict(geometry={"file": "absent.json"}))
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "geometry.file: not found:" in err
+    assert str(tmp_path / "absent.json") in err
+
+
+def test_cli_malformed_geometry_file_names_the_file(tmp_path, capsys):
+    (tmp_path / "broken_geom.json").write_text("{not json")
+    cfg = write_config(tmp_path, dynamics_dict(geometry={"file": "broken_geom.json"}))
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert "broken_geom.json" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 
 from heliport.bloch import band_structure, brillouin_grid
 from heliport.geometry import HelixParams
-from heliport.topology import detect_gap, wilson_loop, zak_phase
+from heliport.topology import detect_gap, wilson_loop, zak_phase, zak_phases
 
 PITCH = 0.175
 
@@ -108,3 +108,19 @@ def test_biorthogonal_variant_runs():
     assert res.biorthogonal and not res.hermitian_only
     assert np.isfinite(res.phase)
     assert -np.pi < res.phase <= np.pi + 1e-12
+
+
+def test_wilson_loop_with_right_frames_as_left_frames_is_unchanged(rng):
+    frames = [np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0][:, :3]
+              for _ in range(25)]
+    assert wilson_loop(frames, frames) == wilson_loop(frames)
+
+
+@pytest.mark.parametrize("biorthogonal", [False, True])
+def test_zak_phases_matches_one_zak_phase_per_group(biorthogonal):
+    lower, upper = (0, 1, 2), (3, 4, 5)
+    both = zak_phases(helix(3), [lower, upper], n_k=80, m_cut=200,
+                      hermitian_only=True, biorthogonal=biorthogonal)
+    singles = [zak_phase(helix(3), subset, n_k=80, m_cut=200,
+                         biorthogonal=biorthogonal) for subset in (lower, upper)]
+    assert both == singles
