@@ -15,6 +15,10 @@ slowest (error roughly ~ 1/M_cut there), and a Cauchy convergence estimate
 reported.  The estimate reuses the full sum that H(k) already needed and
 adds only the half-window sum, so each grid pays for one full sum.
 
+eigen_sweep is the one path from c(m) to eigenpairs: one lattice sum and
+one batched diagonalization per grid.  band_structure continues its bands by
+overlap; topology.zak_phases runs Wilson loops on its frames.
+
 Band quantities per mode: energy = Re(eigenvalue), decay Gamma = -2 Im
 (eigenvalue), spin texture <S_z> from right eigenvectors, group velocity by
 finite differences, and a light-cone flag |k| < k0.
@@ -42,6 +46,20 @@ class BlochHamiltonian:
     m_cut: int
     hermitian_only: bool
     convergence: float          # max-norm difference between M_cut and M_cut/2 sums
+
+
+@dataclass(frozen=True)
+class BlochSweep:
+    k: np.ndarray                     # (n_k,)
+    evals: np.ndarray                 # (n_k, 2*N_t), ordered by Re E at each k
+    vecs: np.ndarray                  # (n_k, 2*N_t, 2*N_t), column n = eigenvector n
+    m_cut: int
+    hermitian_only: bool
+    convergence: float                # max-norm difference between M_cut and M_cut/2 sums
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self.evals.real
 
 
 @dataclass
@@ -146,6 +164,24 @@ def brillouin_grid(pitch: float, n_k: int = 401, include_edges: bool = True) -> 
     return -edge + (np.arange(n_k) + 0.5) * step
 
 
+def eigen_sweep(params: HelixParams, k_grid, m_cut: int = 2000,
+                hermitian_only: bool = False) -> BlochSweep:
+    """Eigenpairs of H(k) over the grid from one lattice sum (eigh, or eig
+    with the pairs at each k ordered by Re E)."""
+    k_grid = np.asarray(k_grid, dtype=float)
+    c = cell_couplings(params, m_cut, hermitian_only)
+    h_all = _fourier_sum(c, k_grid, params.pitch)
+    conv = _convergence_estimate(c, k_grid, params.pitch, h_all)
+    if hermitian_only:
+        evals, vecs = np.linalg.eigh(h_all)
+    else:
+        evals, vecs = np.linalg.eig(h_all)
+        order = np.argsort(evals.real, axis=1)
+        evals = np.take_along_axis(evals, order, axis=1)
+        vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    return BlochSweep(k_grid, evals, vecs, m_cut, hermitian_only, conv)
+
+
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude component of each column real positive."""
     idx = np.argmax(np.abs(vectors), axis=0)
@@ -163,23 +199,12 @@ def band_structure(params: HelixParams, k_grid, m_cut: int = 2000,
     best overlap is ambiguous (squared overlap < 0.5, e.g. at exact
     degeneracies) keep the energy ordering and are flagged.
     """
-    k_grid = np.asarray(k_grid, dtype=float)
-    c = cell_couplings(params, m_cut, hermitian_only)
-    h_all = _fourier_sum(c, k_grid, params.pitch)
-    conv = _convergence_estimate(c, k_grid, params.pitch, h_all)
-
-    n_k = len(k_grid)
-    dim = h_all.shape[1]
-    evals = np.empty((n_k, dim), dtype=complex)
+    sweep = eigen_sweep(params, k_grid, m_cut, hermitian_only)
+    n_k, dim = sweep.evals.shape
+    evals = np.empty_like(sweep.evals)
     vecs = np.empty((n_k, dim, dim), dtype=complex)
     flags = np.zeros(n_k, dtype=bool)
-    for i in range(n_k):
-        if hermitian_only:
-            w, v = np.linalg.eigh(h_all[i])
-        else:
-            w, v = np.linalg.eig(h_all[i])
-            order = np.argsort(w.real)
-            w, v = w[order], v[:, order]
+    for i, (w, v) in enumerate(zip(sweep.evals, sweep.vecs)):
         if i > 0:
             overlap = np.abs(vecs[i - 1].conj().T @ v) ** 2
             rows, cols = linear_sum_assignment(-overlap)
@@ -195,18 +220,18 @@ def band_structure(params: HelixParams, k_grid, m_cut: int = 2000,
     sz = np.einsum("kan,a->kn", weight, sz_diag) / weight.sum(axis=1)
     energies = evals.real
     gammas = np.zeros_like(energies) if hermitian_only else -2.0 * evals.imag
-    velocities = (np.gradient(energies, k_grid, axis=0) if n_k > 1
+    velocities = (np.gradient(energies, sweep.k, axis=0) if n_k > 1
                   else np.zeros_like(energies))
     return BandStructure(
-        k=k_grid,
+        k=sweep.k,
         energies=energies,
         gammas=gammas,
         sz=sz,
         velocities=velocities,
-        in_light_cone=np.abs(k_grid) <= K0,
+        in_light_cone=np.abs(sweep.k) <= K0,
         vectors=vecs,
         continuation_ambiguous=flags,
         m_cut=m_cut,
         hermitian_only=hermitian_only,
-        convergence=conv,
+        convergence=sweep.convergence,
     )

@@ -150,17 +150,18 @@ def _run_bands(cfg, _geom, out_dir: Path):
 def _run_zak(cfg, _geom, out_dir: Path):
     from . import bloch, output, topology
 
-    grid = bloch.brillouin_grid(cfg.helix.pitch, cfg.bloch_n_k)
-    bands = bloch.band_structure(cfg.helix, grid, m_cut=cfg.bloch_m_cut,
-                                 hermitian_only=True)
-    gap = topology.detect_gap(bands)
+    grid = topology.wilson_grid(cfg.helix.pitch, cfg.zak_n_k)
+    sweep = bloch.eigen_sweep(cfg.helix, grid, m_cut=cfg.bloch_m_cut, hermitian_only=True)
+    gap = topology.detect_gap(sweep)
     if gap.gapped:
         groups = [("lower", gap.lower_bands), ("upper", gap.upper_bands)]
     else:
         groups = [("all", gap.lower_bands)]
 
-    results = topology.zak_phases(cfg.helix, [subset for _, subset in groups],
-                                  n_k=cfg.zak_n_k, m_cut=cfg.bloch_m_cut,
+    # the gap stays on the coherent sweep; biorthogonal frames need the full H(k)
+    frames = (bloch.eigen_sweep(cfg.helix, grid, m_cut=cfg.bloch_m_cut)
+              if cfg.zak_biorthogonal else sweep)
+    results = topology.zak_phases(frames, [subset for _, subset in groups],
                                   biorthogonal=cfg.zak_biorthogonal)
     records, ill = [], []
     for (group_name, _), res in zip(groups, results):
@@ -180,8 +181,8 @@ def _run_zak(cfg, _geom, out_dir: Path):
             ill.append(group_name)
     output.write_zak_json(out_dir / "zak.json", records)
     diagnostics = {
-        "m_cut": bands.m_cut,
-        "coupling_convergence": bands.convergence,
+        "m_cut": sweep.m_cut,
+        "coupling_convergence": sweep.convergence,
         "gap_width": gap.width,
         "band_groups": [name for name, _ in groups],
         "ill_defined_groups": ill,

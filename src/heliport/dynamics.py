@@ -31,7 +31,7 @@ eta = sign(<S_z> * v) with v the discrete d<z>/dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -173,8 +173,6 @@ class ObservableSeries:
     z_com: np.ndarray            # norm-conditioned center of mass
     eta: np.ndarray              # helicity in {+1, -1, nan (undefined)}
     per_site: np.ndarray         # (T, N, 2) site- and spin-resolved populations
-    branch_weights: tuple[float, ...] = field(default=())
-    branch_amplitudes: tuple[np.ndarray, ...] = field(default=())  # each (T, 2N)
 
 
 def helicity(sz: np.ndarray, z_com: np.ndarray, times: np.ndarray,
@@ -209,11 +207,8 @@ def evolve(state: ExcitationState, h_eff: EffectiveHamiltonian,
         raise ValueError("propagator was built from a different Hamiltonian")
     n = state.n_sites
     per_site = np.zeros((len(times), n, 2))
-    branch_amps = []
     for w, a0 in zip(state.weights, state.amplitudes):
-        amps = prop.propagate(a0, times)
-        branch_amps.append(amps)
-        per_site += w * np.abs(amps.reshape(len(times), n, 2)) ** 2
+        per_site += w * np.abs(prop.propagate(a0, times).reshape(len(times), n, 2)) ** 2
     p_spin = per_site.sum(axis=1)
     trace = p_spin.sum(axis=1)
     p_site = per_site.sum(axis=2)
@@ -229,8 +224,6 @@ def evolve(state: ExcitationState, h_eff: EffectiveHamiltonian,
         z_com=z_com,
         eta=eta,
         per_site=per_site,
-        branch_weights=state.weights,
-        branch_amplitudes=tuple(branch_amps),
     )
 
 

@@ -149,6 +149,8 @@ def load_geometry_file(path) -> EmitterGeometry:
     pos = np.asarray(data["positions"], dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValueError(f"{path}: positions must be a list of [x, y, z] triples")
+    if not np.isfinite(pos).all():
+        raise ValueError(f"{path}: positions must be finite numbers")
     label = data.get("label", "")
     if not isinstance(label, str):
         raise ValueError(f"{path}: label must be a string")

@@ -14,8 +14,8 @@ subset is not isolated at some k and the result is flagged ill-defined.
 The biorthogonal variant runs the same loop with M^(i) = L_i^dag R_{i+1},
 where the columns of the left frame L are the conjugated rows of V^-1.
 
-zak_phases evaluates several band groups from one sweep: one lattice sum
-c(m) -> H(k) and one diagonalization per k, shared by every group's loop.
+zak_phases runs every band group's loop on the frames of one
+bloch.eigen_sweep over the open grid wilson_grid.
 
 Gap detection scans all energy-ordered band splits for the widest window
 free of states across the whole grid; groups below/above that window are
@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bloch import BandStructure, _fourier_sum, cell_couplings
+from .bloch import BlochSweep, brillouin_grid, eigen_sweep
 from .geometry import HelixParams
 
 GAP_THRESHOLD = 1e-3        # minimum indirect gap width (units Gamma_0)
@@ -63,8 +63,9 @@ class ZakResult:
     biorthogonal: bool
 
 
-def detect_gap(bands: BandStructure, threshold: float = GAP_THRESHOLD) -> GapInfo:
-    """Widest indirect energy gap over the grid, or a gapless descriptor."""
+def detect_gap(bands, threshold: float = GAP_THRESHOLD) -> GapInfo:
+    """Widest indirect gap in bands.energies (n_k, n_bands), as held by a
+    BandStructure or a BlochSweep, or a gapless descriptor."""
     e_sorted = np.sort(bands.energies, axis=1)
     n_bands = e_sorted.shape[1]
     best = (0.0, None)
@@ -103,6 +104,11 @@ def wilson_loop(rights, lefts=None) -> tuple[float, float]:
     return float(-np.angle(det)), float(min_det)
 
 
+def wilson_grid(pitch: float, n_k: int) -> np.ndarray:
+    """Open uniform BZ grid [-pi/a, pi/a); the loop closes by periodicity."""
+    return brillouin_grid(pitch, n_k + 1)[:-1]
+
+
 def zak_phase(params: HelixParams, band_subset, n_k: int = 400,
               m_cut: int = 2000, hermitian_only: bool = True,
               biorthogonal: bool = False) -> ZakResult:
@@ -113,47 +119,34 @@ def zak_phase(params: HelixParams, band_subset, n_k: int = 400,
     with left/right eigenvector overlaps instead; no quantization claim is
     attached to that variant.
     """
-    return zak_phases(params, [band_subset], n_k, m_cut, hermitian_only,
-                      biorthogonal)[0]
-
-
-def zak_phases(params: HelixParams, band_subsets, n_k: int = 400,
-               m_cut: int = 2000, hermitian_only: bool = True,
-               biorthogonal: bool = False) -> list[ZakResult]:
-    """Zak phases of several band subsets from one k sweep (see zak_phase).
-
-    H(k) is summed and diagonalized once per k; each subset's Wilson loop
-    runs over column slices of the shared eigenvector frames.
-    """
     if n_k < 50:
         raise ValueError("n_k must be >= 50 for a usable Wilson loop")
-    subsets = [tuple(int(b) for b in subset) for subset in band_subsets]
-    if biorthogonal:
-        hermitian_only = False
-    c = cell_couplings(params, m_cut, hermitian_only)
-    edge = np.pi / params.pitch
-    ks = -edge + np.arange(n_k) * (2 * edge / n_k)  # open grid, closes by periodicity
-    h_all = _fourier_sum(c, ks, params.pitch)
-    for subset in subsets:
-        if any(b < 0 or b >= h_all.shape[1] for b in subset):
-            raise ValueError(f"band subset {subset} out of range for {h_all.shape[1]} bands")
+    sweep = eigen_sweep(params, wilson_grid(params.pitch, n_k), m_cut,
+                        hermitian_only and not biorthogonal)
+    return zak_phases(sweep, [band_subset], biorthogonal)[0]
 
-    rights, lefts = [], []
-    for h in h_all:
-        if hermitian_only:
-            w, v = np.linalg.eigh(h)
-        else:
-            w, v = np.linalg.eig(h)
-            v = v[:, np.argsort(w.real)]
-            if biorthogonal:
-                # rows of V^-1 are the dual (left) frame: <l_m | r_n> = delta
-                lefts.append(np.linalg.inv(v).conj().T)
-        rights.append(v)
+
+def zak_phases(sweep: BlochSweep, band_subsets, biorthogonal: bool = False) -> list[ZakResult]:
+    """Zak phases of several band subsets on the frames of one eigen_sweep
+    over an open grid (wilson_grid); the biorthogonal variant needs a
+    non-Hermitian sweep."""
+    n_k, dim = sweep.evals.shape
+    if n_k < 50:
+        raise ValueError("n_k must be >= 50 for a usable Wilson loop")
+    if biorthogonal and sweep.hermitian_only:
+        raise ValueError("biorthogonal Zak phases need a non-Hermitian sweep")
+    subsets = [tuple(int(b) for b in subset) for subset in band_subsets]
+    for subset in subsets:
+        if any(b < 0 or b >= dim for b in subset):
+            raise ValueError(f"band subset {subset} out of range for {dim} bands")
+    rights = sweep.vecs
+    # rows of V^-1 are the dual (left) frame: <l_m | r_n> = delta
+    lefts = np.linalg.inv(rights).conj().transpose(0, 2, 1) if biorthogonal else None
 
     results = []
     for subset in subsets:
-        duals = [v[:, subset] for v in lefts] if biorthogonal else None
-        phase, min_det = wilson_loop([v[:, subset] for v in rights], duals)
+        duals = lefts[:, :, subset] if biorthogonal else None
+        phase, min_det = wilson_loop(rights[:, :, subset], duals)
         results.append(ZakResult(
             band_subset=subset,
             n_k=n_k,
@@ -161,7 +154,7 @@ def zak_phases(params: HelixParams, band_subsets, n_k: int = 400,
             residual=float(min(abs(phase), np.pi - abs(phase))),
             min_overlap_det=min_det,
             ill_defined=bool(min_det < DET_ILL_DEFINED),
-            hermitian_only=hermitian_only,
+            hermitian_only=sweep.hermitian_only,
             biorthogonal=biorthogonal,
         ))
     return results

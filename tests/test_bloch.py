@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from heliport.bloch import (band_structure, bloch_hamiltonian, brillouin_grid,
-                            cell_couplings)
+from heliport.bloch import (_fourier_sum, band_structure, bloch_hamiltonian,
+                            brillouin_grid, cell_couplings, eigen_sweep)
 from heliport.geometry import HelixParams
 from heliport.greens import GAMMA0, K0
 
@@ -114,3 +114,22 @@ def test_continuation_flags_dtype():
     assert bands.continuation_ambiguous.dtype == bool
     assert bands.continuation_ambiguous.shape == (21,)
     assert not bands.continuation_ambiguous[0]
+
+
+@pytest.mark.parametrize("hermitian_only", [True, False])
+@pytest.mark.parametrize("n_sites_per_turn", [1, 3, 6])
+def test_eigen_sweep_equals_per_k_diagonalization(n_sites_per_turn, hermitian_only):
+    params = small(n_sites_per_turn)
+    grid = brillouin_grid(PITCH, 31)
+    sweep = eigen_sweep(params, grid, m_cut=100, hermitian_only=hermitian_only)
+    c = cell_couplings(params, 100, hermitian_only)
+    for i, h in enumerate(_fourier_sum(c, grid, PITCH)):
+        if hermitian_only:
+            w, v = np.linalg.eigh(h)
+        else:
+            w, v = np.linalg.eig(h)
+            order = np.argsort(w.real)
+            w, v = w[order], v[:, order]
+        assert np.array_equal(sweep.evals[i], w)
+        assert np.array_equal(sweep.vecs[i], v)
+    assert np.array_equal(sweep.energies, sweep.evals.real)

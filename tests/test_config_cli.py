@@ -378,3 +378,45 @@ def test_cli_malformed_geometry_file_names_the_file(tmp_path, capsys):
     cfg = write_config(tmp_path, dynamics_dict(geometry={"file": "broken_geom.json"}))
     assert run_cli(["run", "--config", cfg, "--out", tmp_path / "o"]) == 1
     assert "broken_geom.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coordinate", ["NaN", "Infinity"])
+def test_cli_non_finite_geometry_file_names_the_file(tmp_path, capsys, coordinate):
+    (tmp_path / "odd_geom.json").write_text(
+        f'{{"positions": [[{coordinate}, 0, 0], [0, 0, 0.1]]}}')
+    cfg = write_config(tmp_path, dynamics_dict(geometry={"file": "odd_geom.json"}))
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "odd_geom.json" in err and "finite" in err
+
+
+def test_cli_zak_sums_the_lattice_once(tmp_path, monkeypatch):
+    from heliport import bloch
+    calls = {"cell_couplings": 0, "_fourier_sum": 0, "band_structure": 0}
+    for name in calls:
+        inner = getattr(bloch, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(bloch, name, counted)
+    cfg = write_config(tmp_path, {"mode": "zak", "geometry": {"helix": dict(HELIX)},
+                                  "bloch": {"n_k": 61, "m_cut": 100},
+                                  "zak": {"n_k": 60}})
+    assert run_cli(["zak", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    # the full sum and the half window of the convergence estimate
+    assert calls == {"cell_couplings": 1, "_fourier_sum": 2, "band_structure": 0}
+
+
+def test_cli_zak_gap_matches_the_closed_band_grid(tmp_path):
+    from heliport.bloch import band_structure, brillouin_grid
+    from heliport.geometry import HelixParams
+    from heliport.topology import detect_gap
+
+    out = tmp_path / "n3"
+    assert run_cli(["run", "--config", "fig4_N3", "--out", out]) == 0
+    bands = band_structure(HelixParams(0.05, 0.175, 3, 1, 1),
+                           brillouin_grid(0.175, 401), m_cut=2000, hermitian_only=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diagnostics"]["gap_width"] == detect_gap(bands).width
+    assert manifest["diagnostics"]["coupling_convergence"] == bands.convergence

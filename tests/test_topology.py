@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from heliport.bloch import band_structure, brillouin_grid
+from heliport.bloch import band_structure, brillouin_grid, eigen_sweep
 from heliport.geometry import HelixParams
-from heliport.topology import detect_gap, wilson_loop, zak_phase, zak_phases
+from heliport.topology import (detect_gap, wilson_grid, wilson_loop, zak_phase,
+                               zak_phases)
 
 PITCH = 0.175
 
@@ -119,8 +120,23 @@ def test_wilson_loop_with_right_frames_as_left_frames_is_unchanged(rng):
 @pytest.mark.parametrize("biorthogonal", [False, True])
 def test_zak_phases_matches_one_zak_phase_per_group(biorthogonal):
     lower, upper = (0, 1, 2), (3, 4, 5)
-    both = zak_phases(helix(3), [lower, upper], n_k=80, m_cut=200,
-                      hermitian_only=True, biorthogonal=biorthogonal)
+    sweep = eigen_sweep(helix(3), wilson_grid(PITCH, 80), m_cut=200,
+                        hermitian_only=not biorthogonal)
+    both = zak_phases(sweep, [lower, upper], biorthogonal=biorthogonal)
     singles = [zak_phase(helix(3), subset, n_k=80, m_cut=200,
                          biorthogonal=biorthogonal) for subset in (lower, upper)]
     assert both == singles
+
+
+def test_zak_phases_refuses_biorthogonal_frames_of_a_hermitian_sweep():
+    sweep = eigen_sweep(helix(3), wilson_grid(PITCH, 60), m_cut=100,
+                        hermitian_only=True)
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        zak_phases(sweep, [(0, 1, 2)], biorthogonal=True)
+
+
+def test_wilson_grid_is_open_and_uniform():
+    edge = np.pi / PITCH
+    for n_k in (80, 400, 2000):
+        grid = wilson_grid(PITCH, n_k)
+        assert np.array_equal(grid, -edge + np.arange(n_k) * (2 * edge / n_k))
