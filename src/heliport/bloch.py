@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import HelixParams, build_helix
 from .greens import GAMMA0, K0, coupling_blocks
@@ -199,6 +198,8 @@ def band_structure(params: HelixParams, k_grid, m_cut: int = 2000,
     best overlap is ambiguous (squared overlap < 0.5, e.g. at exact
     degeneracies) keep the energy ordering and are flagged.
     """
+    from scipy.optimize import linear_sum_assignment
+
     sweep = eigen_sweep(params, k_grid, m_cut, hermitian_only)
     n_k, dim = sweep.evals.shape
     evals = np.empty_like(sweep.evals)

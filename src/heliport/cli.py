@@ -7,11 +7,12 @@ subcommands additionally require the config to match.
 
 Thread pinning must happen before numpy is imported, so the BLAS thread
 variables are set from --threads (or the HELIPORT_THREADS environment
-variable) by scanning argv up front; all engine imports live inside the
-runner functions.
+variable) right after argument parsing; all engine imports live inside the
+runner functions, and each runner imports only the modules it calls.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure or
-failed self-checks.
+Exit codes: 0 success (and --help), 1 usage/configuration error (argparse
+errors and a --threads or HELIPORT_THREADS value that is not a positive
+integer included), 2 numerical failure or failed self-checks.
 """
 
 from __future__ import annotations
@@ -27,27 +28,14 @@ _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 _MODES = ("run", "dynamics", "bands", "zak", "field", "check")
 
 
-def _scan_threads(argv) -> str | None:
-    threads = os.environ.get(THREADS_ENV)
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
-    return threads
-
-
-def _apply_threads(spec: str | None) -> int | None:
-    if spec is None:
-        return None
+def _thread_count(spec: str) -> int:
+    """A --threads or HELIPORT_THREADS value: a positive integer."""
     try:
         n = int(spec)
     except ValueError:
-        return None  # argparse reports the bad value later
+        n = 0
     if n < 1:
-        return None
-    for var in _BLAS_VARS:
-        os.environ[var] = str(n)
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {spec!r}")
     return n
 
 
@@ -63,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", default=None,
                        help="output directory (default: <config stem>_out)")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=_thread_count, default=None,
                        help="BLAS/OpenMP thread count (also HELIPORT_THREADS)")
         p.add_argument("--dump-matrices", action="store_true",
                        help="also write the J and Gamma coupling matrices")
@@ -98,6 +86,7 @@ def _run_dynamics(cfg, geom, out_dir: Path):
     import numpy as np
 
     from . import dynamics, hamiltonian, output
+    from .config import time_tag
 
     h = hamiltonian.effective(hamiltonian.assemble(geom), cfg.hermitian_only)
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
@@ -105,7 +94,10 @@ def _run_dynamics(cfg, geom, out_dir: Path):
     prop = dynamics.Propagator(h)
     series = dynamics.evolve(state, h, geom, times, deadband=cfg.helicity_deadband,
                              propagator=prop)
-    output.write_timeseries_csv(out_dir / "timeseries.csv", series)
+    output.write_csv(out_dir / "timeseries.csv",
+                     ["t", "trace", "P_up", "P_down", "Sz", "z_com", "eta"],
+                     [series.times, series.trace, series.p_up, series.p_down,
+                      series.sz, series.z_com, series.eta])
     outputs = ["timeseries.csv"]
 
     for t in cfg.snapshot_times:
@@ -113,8 +105,9 @@ def _run_dynamics(cfg, geom, out_dir: Path):
         for w, a0 in zip(state.weights, state.amplitudes):
             amp = prop.propagate(a0, np.array([float(t)]))[0]
             per_site += w * np.abs(amp.reshape(-1, 2)) ** 2
-        name = f"snapshot_t{t:g}.csv"
-        output.write_snapshot_csv(out_dir / name, geom, per_site)
+        name = f"snapshot_t{time_tag(t)}.csv"
+        output.write_csv(out_dir / name, ["site", "z", "p_up", "p_down"],
+                         [np.arange(geom.n_sites), geom.z, per_site[:, 0], per_site[:, 1]])
         outputs.append(name)
 
     arrival = dynamics.arrival_time(series, geom)
@@ -136,10 +129,16 @@ def _run_bands(cfg, _geom, out_dir: Path):
     grid = bloch.brillouin_grid(cfg.helix.pitch, cfg.bloch_n_k)
     bands = bloch.band_structure(cfg.helix, grid, m_cut=cfg.bloch_m_cut,
                                  hermitian_only=cfg.hermitian_only)
-    output.write_bands_csv(out_dir / "bands.csv", bands)
+    n_k, n_b = bands.energies.shape
+    output.write_csv(out_dir / "bands.csv",
+                     ["k", "band", "energy", "gamma", "sz", "v", "in_light_cone"],
+                     [np.repeat(bands.k, n_b), np.tile(np.arange(n_b), n_k),
+                      bands.energies.ravel(), bands.gammas.ravel(), bands.sz.ravel(),
+                      bands.velocities.ravel(),
+                      np.repeat(bands.in_light_cone.astype(int), n_b)])
     diagnostics = {
         "m_cut": bands.m_cut,
-        "coupling_convergence": bands.convergence,
+        "coupling_convergence": _finite_or_none(bands.convergence),
         "continuation_ambiguous_points": int(np.count_nonzero(bands.continuation_ambiguous)),
         "min_gamma": float(bands.gammas.min()),
         "max_gamma": float(bands.gammas.max()),
@@ -179,10 +178,10 @@ def _run_zak(cfg, _geom, out_dir: Path):
         })
         if res.ill_defined:
             ill.append(group_name)
-    output.write_zak_json(out_dir / "zak.json", records)
+    output.write_json(out_dir / "zak.json", records)
     diagnostics = {
         "m_cut": sweep.m_cut,
-        "coupling_convergence": sweep.convergence,
+        "coupling_convergence": _finite_or_none(sweep.convergence),
         "gap_width": gap.width,
         "band_groups": [name for name, _ in groups],
         "ill_defined_groups": ill,
@@ -194,6 +193,7 @@ def _run_field(cfg, geom, out_dir: Path):
     import numpy as np
 
     from . import dynamics, field, hamiltonian, output
+    from .config import time_tag
 
     h = hamiltonian.effective(hamiltonian.assemble(geom), cfg.hermitian_only)
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
@@ -203,6 +203,8 @@ def _run_field(cfg, geom, out_dir: Path):
                                 n_u=fs.n_u, n_v=fs.n_v, u_span=fs.u_span,
                                 z_pad=fs.z_pad)
 
+    ax_u, ax_v = plane.axis_labels
+    n_u, n_v = len(plane.u), len(plane.v)
     outputs, frames = [], []
     for t in cfg.field.times:
         amps = [prop.propagate(a0, np.array([float(t)]))[0]
@@ -210,9 +212,10 @@ def _run_field(cfg, geom, out_dir: Path):
         fmap = field.intensity_map(state.weights, amps, geom, plane,
                                    time=float(t), normalize=cfg.field.normalize)
         names = {}
-        for spin in ("up", "down"):
-            name = f"field_t{t:g}_{spin}.csv"
-            output.write_field_csv(out_dir / name, fmap, spin)
+        for spin, grid in (("up", fmap.i_up), ("down", fmap.i_down)):
+            name = f"field_t{time_tag(t)}_{spin}.csv"
+            output.write_csv(out_dir / name, [ax_u, ax_v, "intensity"],
+                             [np.repeat(plane.u, n_v), np.tile(plane.v, n_u), grid.ravel()])
             outputs.append(name)
             names[spin] = name
         frames.append({
@@ -222,7 +225,6 @@ def _run_field(cfg, geom, out_dir: Path):
             "n_masked": fmap.n_masked,
         })
 
-    ax_u, ax_v = plane.axis_labels
     meta = {
         "plane": {
             "normal_axis": plane.normal_axis,
@@ -230,8 +232,8 @@ def _run_field(cfg, geom, out_dir: Path):
             "axes": [ax_u, ax_v],
             f"{ax_u}_range": [float(plane.u[0]), float(plane.u[-1])],
             f"{ax_v}_range": [float(plane.v[0]), float(plane.v[-1])],
-            "n_u": len(plane.u),
-            "n_v": len(plane.v),
+            "n_u": n_u,
+            "n_v": n_v,
         },
         "normalize": cfg.field.normalize,
         "frames": frames,
@@ -267,18 +269,34 @@ _RUNNERS = {"dynamics": _run_dynamics, "bands": _run_bands, "zak": _run_zak,
 
 
 def _dump_matrices(geom, out_dir: Path):
+    import numpy as np
+
     from . import hamiltonian, output
 
     coup = hamiltonian.assemble(geom)
-    output.write_matrix_csv(out_dir / "J.csv", coup.j)
-    output.write_matrix_csv(out_dir / "Gamma.csv", coup.gamma)
+    idx = np.arange(coup.j.shape[0])
+    rows, cols = np.repeat(idx, len(idx)), np.tile(idx, len(idx))
+    for name, matrix in (("J.csv", coup.j), ("Gamma.csv", coup.gamma)):
+        output.write_csv(out_dir / name, ["row", "col", "re", "im"],
+                         [rows, cols, matrix.real.ravel(), matrix.imag.ravel()])
     return ["J.csv", "Gamma.csv"]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    threads = _apply_threads(_scan_threads(argv))
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
+        return 1 if exc.code else 0
+    threads = args.threads
+    if threads is None and THREADS_ENV in os.environ:
+        try:
+            threads = _thread_count(os.environ[THREADS_ENV])
+        except argparse.ArgumentTypeError as exc:
+            return _fail([f"{THREADS_ENV}: {exc}"], 1)
+    if threads is not None:
+        for var in _BLAS_VARS:
+            os.environ[var] = str(threads)
 
     # engine imports only after the thread environment is pinned
     from .config import config_sha256, load_config
@@ -310,9 +328,9 @@ def main(argv=None) -> int:
         return _fail([str(exc)], 1)
 
     from . import __version__
-    from .output import write_manifest
+    from .output import write_json
 
-    write_manifest(out_dir, {
+    write_json(out_dir / "manifest.json", {
         "tool": "heliport",
         "version": __version__,
         "mode": cfg.mode,

@@ -81,6 +81,20 @@ def config_sha256(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def time_tag(t) -> str:
+    """A time as it appears in output file names: snapshot_t<tag>.csv, field_t<tag>_up.csv."""
+    return f"{float(t):g}"
+
+
+def _reject_shared_tags(times, key, errs) -> None:
+    """Two times with one tag would write one file under two manifest entries."""
+    tags = [time_tag(t) for t in times]
+    shared = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if shared:
+        errs.append(f"{key}: times must differ in their output file names "
+                    f"(t{{t:g}}); shared: {', '.join('t' + tag for tag in shared)}")
+
+
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
@@ -210,6 +224,8 @@ def _validate_field(raw, errs) -> None:
         if (not isinstance(times, list) or not times
                 or not all(_is_number(t) and t >= 0 for t in times)):
             errs.append("field.times: must be a non-empty list of times >= 0")
+        else:
+            _reject_shared_tags(times, "field.times", errs)
     if "plane_axis" in fl and fl["plane_axis"] not in ("x", "y", "z"):
         errs.append("field.plane_axis: must be 'x', 'y' or 'z'")
     if "plane_offset" in fl and not _is_number(fl["plane_offset"]):
@@ -255,6 +271,8 @@ def validate_config_dict(raw) -> list[str]:
         st = raw["snapshot_times"]
         if not isinstance(st, list) or not all(_is_number(t) and t >= 0 for t in st):
             errs.append("snapshot_times: must be a list of times >= 0")
+        else:
+            _reject_shared_tags(st, "snapshot_times", errs)
     if "helicity_deadband" in raw and (not _is_number(raw["helicity_deadband"])
                                        or raw["helicity_deadband"] <= 0):
         errs.append("helicity_deadband: must be a positive number")

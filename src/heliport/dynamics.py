@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry import EmitterGeometry
 from .hamiltonian import CouplingTensor, EffectiveHamiltonian, effective
@@ -254,6 +253,8 @@ def master_equation_check(state: ExcitationState, coupling: CouplingTensor,
     Dense density-matrix integration scales as (2N)^2, so this oracle is
     restricted to N <= 8.
     """
+    from scipy.integrate import solve_ivp
+
     n = state.n_sites
     if n > 8:
         raise ValueError("master_equation_check is limited to N <= 8 emitters")

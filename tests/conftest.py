@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import heliport
 
 from heliport.geometry import HelixParams, build_helix
 
@@ -33,3 +40,18 @@ def small_params():
 @pytest.fixture
 def small_helix(small_params):
     return build_helix(small_params)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run a script in a fresh interpreter that imports this heliport; returns stdout."""
+    src = str(Path(heliport.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def run(script, *args):
+        done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+    return run

@@ -420,3 +420,108 @@ def test_cli_zak_gap_matches_the_closed_band_grid(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"]["gap_width"] == detect_gap(bands).width
     assert manifest["diagnostics"]["coupling_convergence"] == bands.convergence
+
+
+# ------------------------------------------------------------ usage errors
+
+@pytest.mark.parametrize("args", [
+    ["explode", "--config", "fig4_N1"],
+    ["run"],
+    ["run", "--config", "fig4_N1", "--threads", "abc"],
+    ["run", "--config", "fig4_N1", "--threads", "0"],
+    ["run", "--config", "fig4_N1", "--threads", "-1"],
+    ["run", "--config", "fig4_N1", "--threads=-1"],
+], ids=["unknown-subcommand", "missing-config", "threads-abc", "threads-0",
+        "threads-minus-1", "threads-eq-minus-1"])
+def test_cli_usage_errors_exit_1(tmp_path, capsys, args):
+    out = tmp_path / "o"
+    assert run_cli(args + ["--out", out]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_cli_bad_threads_env_exits_1(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv(cli.THREADS_ENV, value)
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", "fig4_N1", "--out", out]) == 1
+    assert f"error: {cli.THREADS_ENV}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--help"], ["run", "--help"]])
+def test_cli_help_exits_0(capsys, args):
+    assert run_cli(args) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+# --------------------------------------------------- strict JSON manifests
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("bands", {"bloch": {"n_k": 21, "m_cut": 1}}),
+    ("zak", {"bloch": {"m_cut": 1}, "zak": {"n_k": 60}}),
+], ids=["bands", "zak"])
+def test_cli_non_finite_convergence_is_null(tmp_path, mode, extra):
+    cfg = write_config(tmp_path, {"mode": mode, "geometry": {"helix": dict(HELIX)},
+                                  **extra})
+    out = tmp_path / "o"
+    assert run_cli([mode, "--config", cfg, "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=_reject_constant)
+    assert manifest["diagnostics"]["coupling_convergence"] is None
+
+
+# ------------------------------------------------- output file name clashes
+
+TIMED_FILES = {
+    "snapshot_times": lambda d, ts: d.update(snapshot_times=ts),
+    "field.times": lambda d, ts: d.update(field={"times": ts}),
+}
+
+
+@pytest.mark.parametrize("key", list(TIMED_FILES))
+@pytest.mark.parametrize("times, tag", [([1, 1.0000001], "t1"), ([0.5, 2, 0.5], "t0.5")],
+                         ids=["g-format", "equal"])
+def test_times_sharing_a_file_name_are_rejected(key, times, tag):
+    raw = dynamics_dict()
+    TIMED_FILES[key](raw, times)
+    errs = validate_config_dict(raw)
+    assert any(e.startswith(key) and tag in e for e in errs), errs
+
+
+@pytest.mark.parametrize("key", list(TIMED_FILES))
+def test_cli_times_sharing_a_file_name_exit_1(tmp_path, capsys, key):
+    raw = dynamics_dict()
+    TIMED_FILES[key](raw, [1, 1.0000001])
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ------------------------------------------------- each mode's own imports
+
+def test_cli_dynamics_field_zak_leave_integrate_and_optimize_unimported(
+        tmp_path, fresh_python):
+    configs = {
+        "dynamics": dynamics_dict(),
+        "field": {"mode": "field", "geometry": {"helix": dict(HELIX)},
+                  "initial_state": {"site": 0, "p_up": 0.5},
+                  "field": {"times": [0.5], "n_u": 5, "n_v": 7}},
+        "zak": {"mode": "zak", "geometry": {"helix": dict(HELIX)},
+                "bloch": {"m_cut": 100}, "zak": {"n_k": 60}},
+    }
+    paths = [write_config(tmp_path, raw, f"{mode}.json") for mode, raw in configs.items()]
+    loaded = fresh_python(
+        "import sys\n"
+        "from heliport import cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert cli.main(['run', '--config', path, '--out', path + '_out']) == 0\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize')"
+        " if m in sys.modules))\n", *paths)
+    assert loaded.splitlines()[-1] == "[]"
