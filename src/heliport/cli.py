@@ -114,6 +114,8 @@ def _run_dynamics(cfg, geom, out_dir: Path):
     diagnostics = {
         "propagator_fallback": prop.use_stepper,
         "propagator_condition": _finite_or_none(prop.condition),
+        "propagator_blocks": len(prop.blocks),
+        "c2_residual": _finite_or_none(prop.c2_residual),
         "arrival_time": arrival,
         "final_trace": float(series.trace[-1]),
         "helicity_defined_fraction": float(np.mean(~np.isnan(series.eta))),
@@ -243,6 +245,8 @@ def _run_field(cfg, geom, out_dir: Path):
     diagnostics = {
         "propagator_fallback": prop.use_stepper,
         "propagator_condition": _finite_or_none(prop.condition),
+        "propagator_blocks": len(prop.blocks),
+        "c2_residual": _finite_or_none(prop.c2_residual),
         "n_masked_near_field": frames[0]["n_masked"] if frames else 0,
     }
     return outputs, diagnostics, 0

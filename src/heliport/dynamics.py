@@ -4,24 +4,47 @@ A mixed initial state is stored as weighted pure-state branches; each branch
 amplitude vector a (length 2N) evolves as a(t) = exp(-i H_eff t) a(0), which
 is equivalent to the no-jump master equation
 rho_dot = -i (H_eff rho - rho H_eff^dag).  The propagator uses a spectral
-decomposition of H_eff (exact in t), built once per run with a single eig.
+decomposition of H_eff (exact in t), built once per run.
 
-The left eigenvectors of the non-Hermitian H_eff come from a symmetry rather
-than from inverting the eigenvector matrix V: with S the permutation that
-swaps the two spins of every site, H_eff^T = S H_eff S, so S v_i is a right
-eigenvector of H_eff^T and the rows of V^-1 are (S v_i)^T / (v_i^T S v_i)
-(the c-product of complex-symmetric problems; Moiseyev, Non-Hermitian
-Quantum Mechanics, CUP 2011).  This costs O(n^2) instead of O(n^3).  It fails
-under exact spin degeneracy (v_i^T S v_i = 0 within a degenerate pair), so an
-O(n^2) probe ||V^-1 (V x) - x|| >= 1e-6 ||x|| with a fixed-seed x falls back
-to np.linalg.inv; a NaN probe counts as failed.  Expansion coefficients get
-one refinement step c += V^-1 (a0 - V c).
+A finite helix maps onto itself under the pi rotation about the radial axis
+through its midpoint (azimuth phi_c).  It sends site n to site N-1-n and
+R eps_up = e^{2i phi_c} eps_down, so in the site-major basis the operator C
+maps basis index i to 2N-1-i with phase c = e^{2i phi_c} on spin-up and
+conj(c) on spin-down components; C^2 = 1 and C commutes with J and Gamma.
+The phase is read off H (H_pu = c^2 H_up, with u the spin-up indices 2j and
+p their partners 2N-1-2j) and C is used only if the O(N^2) probe
+||C H C^dag - H||_max <= C2_TOL max|H| passes; this needs no knowledge of how
+the geometry was made.  C's eigenvectors q_j^+- = (e_u_j +- c e_p_j)/sqrt(2)
+split H into two N x N blocks,
+
+    B_+- = (H_uu +- c H_up +- conj(c) H_pu + H_pp) / 2,
+
+gathered in O(N^2), and each block is diagonalized on its own (two N x N
+eig calls instead of one 2N x 2N).  The line-group origin of the symmetry:
+Damnjanovic and Milosevic, Line Groups in Physics, LNP 801 (2010).
+
+The left eigenvectors of a non-Hermitian matrix come from a symmetry rather
+than from inverting the eigenvector matrix V: if M^T = P M P for a
+permutation P, then P v_i is a right eigenvector of M^T and the rows of V^-1
+are (P v_i)^T / (v_i^T P v_i) (the c-product of complex-symmetric problems;
+Moiseyev, Non-Hermitian Quantum Mechanics, CUP 2011).  For the full H_eff,
+P = S swaps the two spins of every site (H_eff^T = S H_eff S); inside a C2
+block, B^T = P B P with P the reversal of the block index j.  This costs
+O(n^2) instead of O(n^3).  It fails under exact degeneracy
+(v_i^T P v_i = 0 within a degenerate pair), so an O(n^2) probe
+||V^-1 (V x) - x|| >= 1e-6 ||x|| with a fixed-seed x falls back to
+np.linalg.inv for that block; a NaN probe counts as failed.  Under C2 the
+spin degeneracy of a single emitter or a straight chain is split across the
+two blocks, so they need no inv.  Expansion coefficients get one refinement
+step c += V^-1 (a0 - V c).
 
 If the eigenvector matrix is too ill conditioned, propagation falls back to
-fixed-step 4th-order Runge-Kutta integration.  The criterion is
-||V||_F ||V^-1||_F > COND_LIMIT; the Frobenius product bounds the 2-norm
-condition number from above, so it trips at least as early as an SVD-based
-test would, and costs no SVD.
+fixed-step 4th-order Runge-Kutta integration of the full H_eff.  The
+criterion is sqrt(sum_b ||V_b||_F^2 * sum_b ||V_b^-1||_F^2) > COND_LIMIT,
+the Frobenius product ||V||_F ||V^-1||_F of the full-basis eigenvector
+matrix V = Q blockdiag(V_b) (Q, the C2 basis change, is unitary); it bounds
+the 2-norm condition number from above, so it trips at least as early as an
+SVD-based test would, and costs no SVD.
 
 Observables follow the transport picture: per-spin populations P_up/P_down,
 per-site populations, <S_z> = P_up - P_down, the surviving-excitation center
@@ -39,6 +62,7 @@ from .geometry import EmitterGeometry
 from .hamiltonian import CouplingTensor, EffectiveHamiltonian, effective
 
 COND_LIMIT = 1e8       # eigenvector-matrix condition number triggering the fallback
+C2_TOL = 1e-10         # relative residual ||C H C^dag - H|| below which C2 blocks are used
 RK4_STEP = 1e-3        # fixed step (units 1/Gamma_0) of the fallback integrator
 HELICITY_DEADBAND = 1e-6
 
@@ -79,13 +103,14 @@ def initial_state(n_sites: int, site: int, p_up: float) -> ExcitationState:
     return ExcitationState(tuple(weights), tuple(amps))
 
 
-def _spin_swap_inverse(vecs: np.ndarray):
-    """V^-1 from H^T = S H S: rows (S v_i)^T / (v_i^T S v_i), or None.
+def _c_product_inverse(vecs: np.ndarray, perm: np.ndarray):
+    """V^-1 from M^T = P M P: rows (P v_i)^T / (v_i^T P v_i), or None.
 
-    None means the probe ||V^-1 (V x) - x|| < 1e-6 ||x|| failed (or gave
-    NaN), as it does under exact spin degeneracy.
+    perm is the index permutation of P.  None means the probe
+    ||V^-1 (V x) - x|| < 1e-6 ||x|| failed (or gave NaN), as it does under
+    exact degeneracy.
     """
-    swapped = vecs[np.arange(len(vecs)) ^ 1]          # S V, site-major basis
+    swapped = vecs[perm]
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = swapped.T / np.sum(vecs * swapped, axis=0)[:, None]
         x = np.random.default_rng(0).standard_normal(len(vecs)).astype(complex)
@@ -93,50 +118,109 @@ def _spin_swap_inverse(vecs: np.ndarray):
     return inv if err < 1e-6 * np.linalg.norm(x) else None
 
 
+def _c2_quadrants(h: np.ndarray):
+    """Views (H_uu, H_up, H_pu, H_pp); u = spin-up indices 2j, p = partners 2N-1-2j."""
+    return h[0::2, 0::2], h[0::2, ::-2], h[::-2, 0::2], h[::-2, ::-2]
+
+
+def _c2_symmetry(h: np.ndarray) -> tuple[complex, float]:
+    """Phase c of the C2 operator read off h, and the relative probe residual.
+
+    Returns (c, ||C h C^dag - h||_max / max|h|); a zero matrix has residual 0.
+    """
+    h_uu, h_up, h_pu, h_pp = _c2_quadrants(h)
+    overlap = np.vdot(h_up, h_pu)                     # ~ c^2 ||H_up||^2
+    c = np.sqrt(overlap / abs(overlap)) if overlap != 0 else 1.0 + 0j
+    scale = np.abs(h).max()
+    if not scale > 0:
+        return c, 0.0 if scale == 0 else float("nan")
+    resid = max(np.abs(h_uu - h_pp).max(), np.abs(h_pu - c * c * h_up).max())
+    return c, float(resid / scale)
+
+
 class Propagator:
     """Exact-in-time propagation a(t) = exp(-i H t) a(0) via diagonalization.
 
-    Attributes set at construction: evals, vecs (right eigenvectors V),
-    vecs_inv (V^-1; None when V is singular), use_stepper (RK4 fallback
-    taken) and condition, the upper bound ||V||_F ||V^-1||_F on the
-    eigenvector condition number compared against cond_limit (exactly 1 for
-    the Hermitian branch, whose eigenvectors are unitary).  The
-    non-Hermitian V^-1 comes from the spin-swap symmetry H^T = S H S, with a
-    probe that falls back to np.linalg.inv (see the module docstring).
+    H is split into the two C2 blocks when the probe passes (module
+    docstring) and diagonalized whole otherwise.  Attributes set at
+    construction: blocks, a list of (evals, vecs, vecs_inv) per block, with
+    vecs_inv None when V_b is singular; c2_phase and c2_residual, the C2
+    phase and probe residual; use_stepper (RK4 fallback taken) and
+    condition, the full-basis bound
+    sqrt(sum_b ||V_b||_F^2 * sum_b ||V_b^-1||_F^2) on the eigenvector
+    condition number compared against cond_limit (exactly 1 for the
+    Hermitian branch, whose eigenvectors are unitary).  The non-Hermitian
+    V_b^-1 comes from the c-product with P = S for the whole H and P = the
+    index reversal inside a C2 block, with a probe that falls back to
+    np.linalg.inv.
     """
 
     def __init__(self, h_eff: EffectiveHamiltonian, cond_limit: float = COND_LIMIT):
         self.h = h_eff.matrix
         self.hermitian = h_eff.hermitian_only
+        self.c2_phase, self.c2_residual = _c2_symmetry(self.h)
+        dim = len(self.h)
+        if self.c2_residual <= C2_TOL:
+            c = self.c2_phase
+            h_uu, h_up, h_pu, h_pp = _c2_quadrants(self.h)
+            mean, mix = h_uu + h_pp, c * h_up + np.conj(c) * h_pu
+            matrices = [0.5 * (mean + mix), 0.5 * (mean - mix)]
+            perm = np.arange(dim // 2)[::-1]         # B^T = P B P, P reverses j
+        else:
+            matrices = [self.h]
+            perm = np.arange(dim) ^ 1                # H^T = S H S, S swaps spins
+        self.blocks = [self._diagonalize(m, perm) for m in matrices]
         self.use_stepper = False
         if self.hermitian:
-            self.evals, self.vecs = np.linalg.eigh(self.h)
-            self.vecs_inv = self.vecs.conj().T
             self.condition = 1.0
             return
-        self.evals, self.vecs = np.linalg.eig(self.h)
-        self.vecs_inv = _spin_swap_inverse(self.vecs)
-        if self.vecs_inv is None:
-            try:
-                self.vecs_inv = np.linalg.inv(self.vecs)
-            except np.linalg.LinAlgError:
-                pass
-        with np.errstate(over="ignore"):   # defective spectrum: ||V^-1|| overflows
-            self.condition = (np.inf if self.vecs_inv is None else
-                              float(np.linalg.norm(self.vecs) * np.linalg.norm(self.vecs_inv)))
+        if any(vi is None for _, _, vi in self.blocks):
+            self.condition = np.inf
+        else:
+            with np.errstate(over="ignore"):   # defective spectrum: ||V^-1|| overflows
+                self.condition = float(np.sqrt(
+                    sum(np.linalg.norm(v) ** 2 for _, v, _ in self.blocks)
+                    * sum(np.linalg.norm(vi) ** 2 for _, _, vi in self.blocks)))
         # near-defective spectrum: spectral reconstruction unreliable
         self.use_stepper = not self.condition <= cond_limit
+
+    def _diagonalize(self, m: np.ndarray, perm: np.ndarray):
+        if self.hermitian:
+            evals, vecs = np.linalg.eigh(m)
+            return evals, vecs, vecs.conj().T
+        evals, vecs = np.linalg.eig(m)
+        vecs_inv = _c_product_inverse(vecs, perm)
+        if vecs_inv is None:
+            try:
+                vecs_inv = np.linalg.inv(vecs)
+            except np.linalg.LinAlgError:
+                pass
+        return evals, vecs, vecs_inv
 
     def propagate(self, a0: np.ndarray, times) -> np.ndarray:
         """Amplitudes at the requested times, shape (len(times), 2N)."""
         times = np.asarray(times, dtype=float)
         if self.use_stepper:
             return self._propagate_rk4(a0, times)
-        coef = self.vecs_inv @ a0
+        if len(self.blocks) == 1:
+            return self._propagate_block(self.blocks[0], a0, times)
+        # a0 in the C2 eigenbasis q_j^+- = (e_u_j +- c e_p_j) / sqrt(2)
+        c = self.c2_phase
+        up, partner = a0[0::2], np.conj(c) * a0[::-2]
+        plus, minus = [self._propagate_block(block, y / np.sqrt(2.0), times)
+                       for block, y in zip(self.blocks, (up + partner, up - partner))]
+        out = np.empty((len(times), len(a0)), dtype=complex)
+        out[:, 0::2] = (plus + minus) / np.sqrt(2.0)
+        out[:, ::-2] = c * (plus - minus) / np.sqrt(2.0)
+        return out
+
+    def _propagate_block(self, block, a0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        evals, vecs, vecs_inv = block
+        coef = vecs_inv @ a0
         if not self.hermitian:
-            coef += self.vecs_inv @ (a0 - self.vecs @ coef)
-        phases = np.exp(-1j * np.outer(times, self.evals))
-        return phases * coef @ self.vecs.T
+            coef += vecs_inv @ (a0 - vecs @ coef)
+        phases = np.exp(-1j * np.outer(times, evals))
+        return phases * coef @ vecs.T
 
     def _propagate_rk4(self, a0: np.ndarray, times: np.ndarray) -> np.ndarray:
         out = np.empty((len(times), len(a0)), dtype=complex)

@@ -170,10 +170,35 @@ def test_spin_swap_left_eigenvectors_match_expm(monkeypatch):
                   - _expm_reference(h, a0, times)).max() < 1e-12
 
 
+def _axial(z):
+    z = np.asarray(z, dtype=float)
+    return np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
+
+
 @pytest.mark.parametrize("geom", [
     EmitterGeometry(np.zeros((1, 3)), label="single emitter"),
     build_helix(HelixParams(0.05, 0.175, 1, 12, 1)),          # straight chain
 ], ids=["single_emitter", "straight_chain"])
+def test_c2_blocks_split_spin_degeneracy(geom, monkeypatch):
+    h = effective(assemble(geom))
+    inv_calls = _count_inv(monkeypatch)
+    a0 = initial_state(geom.n_sites, 0, 0.5).amplitudes[0]
+    times = np.array([0.0, 0.8, 3.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prop = Propagator(h)
+        amps = prop.propagate(a0, times)
+    assert len(prop.blocks) == 2
+    assert not inv_calls and not prop.use_stepper
+    assert np.abs(amps - _expm_reference(h, a0, times)).max() < 1e-12
+
+
+# spin-degenerate (axial separations) and neither a screw nor C2-symmetric
+@pytest.mark.parametrize("geom", [
+    EmitterGeometry(_axial([0.0, 0.1, 0.25, 0.45, 0.7]), label="uneven axial chain"),
+    EmitterGeometry(_axial([0.0, 0.1, 0.25, 0.45, 0.7]) + [0.05, 0.0, 0.0],
+                    label="uneven off-axis chain"),
+], ids=["uneven_axial_chain", "uneven_offaxis_chain"])
 def test_spin_degenerate_spectra_fall_back_to_inv(geom, monkeypatch):
     h = effective(assemble(geom))
     inv_calls = _count_inv(monkeypatch)
@@ -232,3 +257,69 @@ def test_defective_spectrum_takes_rk4_without_warnings():
         amps = prop.propagate(a0, np.array([0.0, 1.0]))
     assert prop.use_stepper
     assert np.abs(amps - _expm_reference(h, a0, [0.0, 1.0])).max() < 1e-10
+
+
+# ------------------------------------------------------- C2 block propagator
+
+@pytest.mark.parametrize("hermitian_only", [False, True], ids=["full", "coherent"])
+@pytest.mark.parametrize("launch", ["first", "last"])
+@pytest.mark.parametrize("handedness", [1, -1])
+@pytest.mark.parametrize("n_t", range(1, 7))
+def test_c2_propagator_matches_expm(n_t, handedness, launch, hermitian_only):
+    geom = build_helix(HelixParams(0.05, 0.175, n_t, 30 // n_t, handedness))
+    h = effective(assemble(geom), hermitian_only)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prop = Propagator(h)
+    assert len(prop.blocks) == 2 and not prop.use_stepper
+    assert prop.c2_residual < dynamics.C2_TOL
+    site = 0 if launch == "first" else geom.n_sites - 1
+    times = np.array([0.0, 0.4, 2.5, 7.9])
+    for a0 in initial_state(geom.n_sites, site, 0.5).amplitudes:
+        assert np.abs(prop.propagate(a0, times)
+                      - _expm_reference(h, a0, times)).max() < 1e-12
+
+
+def test_asymmetric_geometry_takes_one_block(rng):
+    geom = EmitterGeometry(rng.uniform(-0.3, 0.3, size=(12, 3)), label="random")
+    h = effective(assemble(geom))
+    prop = Propagator(h)
+    assert len(prop.blocks) == 1 and prop.c2_residual > dynamics.C2_TOL
+    vecs = np.linalg.eig(h.matrix)[1]
+    full = np.linalg.norm(vecs) * np.linalg.norm(np.linalg.inv(vecs))
+    assert abs(prop.condition - full) < 1e-9 * full
+    a0 = initial_state(geom.n_sites, 3, 1.0).amplitudes[0]
+    times = np.array([0.0, 1.3])
+    assert np.abs(prop.propagate(a0, times)
+                  - _expm_reference(h, a0, times)).max() < 1e-12
+
+
+def test_c2_condition_is_the_full_basis_bound():
+    geom = build_helix(HelixParams(0.05, 0.175, 3, 10, -1))
+    h = effective(assemble(geom))
+    prop = Propagator(h)
+    assert len(prop.blocks) == 2
+    vecs = np.linalg.eig(h.matrix)[1]
+    full = np.linalg.norm(vecs) * np.linalg.norm(np.linalg.inv(vecs))
+    assert abs(prop.condition - full) < 1e-9 * full
+
+
+@pytest.mark.parametrize("mode", ["dynamics", "field"])
+def test_cli_manifest_reports_propagator_blocks(tmp_path, mode):
+    raw = {
+        "mode": mode,
+        "geometry": {"helix": {"radius": 0.05, "pitch": 0.175,
+                               "sites_per_turn": 3, "turns": 2,
+                               "handedness": 1}},
+        "initial_state": {"site": 0, "p_up": 0.5},
+        "times": {"t_max": 2.0, "n_times": 20},
+    }
+    if mode == "field":
+        raw["field"] = {"times": [0.5], "n_u": 4, "n_v": 5}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["propagator_blocks"] == 2
+    assert 0.0 <= diag["c2_residual"] < dynamics.C2_TOL

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from heliport.geometry import EmitterGeometry, mirror_xz, rotate_about_z
+from heliport import hamiltonian
+from heliport.geometry import (EmitterGeometry, HelixParams, build_helix,
+                               mirror_xz, rotate_about_z)
 from heliport.greens import GAMMA0
-from heliport.hamiltonian import (CouplingTensor, assemble, effective,
+from heliport.hamiltonian import (CouplingTensor, _pairwise_assemble,
+                                  _screw_azimuths, assemble, effective,
                                   spin_z_diagonal)
 
 
@@ -77,3 +80,53 @@ def test_rotation_leaves_spectrum(small_helix, rng):
     w = np.sort_complex(np.linalg.eigvals(h))
     wr = np.sort_complex(np.linalg.eigvals(hr))
     assert np.abs(w - wr).max() < 1e-10
+
+
+# ------------------------------------------------------ screw-gauge assembly
+
+def _relative_gap(a, b):
+    return max(np.abs(a.j - b.j).max() / np.abs(b.j).max(),
+               np.abs(a.gamma - b.gamma).max() / np.abs(b.gamma).max())
+
+
+@pytest.mark.parametrize("copy", ["built", "rotated", "mirrored"])
+@pytest.mark.parametrize("handedness", [1, -1])
+@pytest.mark.parametrize("n_t", range(1, 7))
+def test_screw_assemble_matches_pairwise_oracle(n_t, handedness, copy):
+    geom = build_helix(HelixParams(0.05, 0.175, n_t, 8, handedness))
+    geom = {"built": geom, "rotated": rotate_about_z(geom, 0.9),
+            "mirrored": mirror_xz(geom)}[copy]
+    assert _screw_azimuths(geom.positions) is not None
+    coup = assemble(geom)
+    assert _relative_gap(coup, _pairwise_assemble(geom)) < 1e-12
+    assert np.all(np.diag(coup.j) == 0.0)
+    assert np.all(np.diag(coup.gamma) == GAMMA0)
+
+
+def test_screw_assemble_evaluates_one_kernel_per_distance(monkeypatch):
+    seen = []
+    kernel = hamiltonian.coupling_blocks
+
+    def counting(sep):
+        seen.append(len(sep))
+        return kernel(sep)
+
+    monkeypatch.setattr(hamiltonian, "coupling_blocks", counting)
+    assemble(build_helix(HelixParams(0.05, 0.175, 3, 20, 1)))
+    assert seen == [59]
+
+
+@pytest.mark.parametrize("kind", ["random", "shifted_helix", "uneven_chain"])
+def test_non_screw_geometries_take_the_pairwise_path(kind, rng):
+    if kind == "random":
+        pos = rng.uniform(-0.4, 0.4, size=(10, 3))
+    elif kind == "shifted_helix":
+        pos = build_helix(HelixParams(0.05, 0.175, 3, 4, 1)).positions + [0.3, 0.0, 0.0]
+    else:
+        z = np.array([0.0, 0.1, 0.25, 0.45, 0.7])
+        pos = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
+    geom = EmitterGeometry(pos)
+    assert _screw_azimuths(geom.positions) is None
+    coup, oracle = assemble(geom), _pairwise_assemble(geom)
+    assert np.array_equal(coup.j, oracle.j)
+    assert np.array_equal(coup.gamma, oracle.gamma)
