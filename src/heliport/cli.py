@@ -191,7 +191,24 @@ def _run_zak(cfg, _geom, out_dir: Path):
     return ["zak.json"], diagnostics, 0
 
 
+def _field_preflight(fs) -> None:
+    """Refuse a field plane whose arrays alone would exceed physical memory."""
+    n_points = fs.n_u * fs.n_v
+    # bytes per plane point: its coordinates (3 floats), the raw and scaled
+    # maps of both spins at every time, the u/v CSV columns and write_csv's
+    # three columns of Python floats (about 32 bytes each)
+    need = n_points * (3 * 8 + 2 * 2 * len(fs.times) * 8 + 2 * 8 + 3 * 32)
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > phys:
+        raise ValueError(f"field.n_u x field.n_v = {fs.n_u} x {fs.n_v} needs about "
+                         f"{need / 2**30:.3g} GiB for the maps, more than the "
+                         f"{phys / 2**30:.3g} GiB of physical memory")
+
+
 def _run_field(cfg, geom, out_dir: Path):
+    fs = cfg.field
+    _field_preflight(fs)
+
     import numpy as np
 
     from . import dynamics, field, hamiltonian, output
@@ -200,29 +217,35 @@ def _run_field(cfg, geom, out_dir: Path):
     h = hamiltonian.effective(hamiltonian.assemble(geom), cfg.hermitian_only)
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
     prop = dynamics.Propagator(h)
-    fs = cfg.field
     plane = field.default_plane(geom, axis=fs.plane_axis, offset=fs.plane_offset,
                                 n_u=fs.n_u, n_v=fs.n_v, u_span=fs.u_span,
                                 z_pad=fs.z_pad)
+    times = np.array(fs.times, dtype=float)
+    amps = [prop.propagate(a0, times) for a0 in state.amplitudes]
+    fmaps = field.intensity_maps(state.weights, amps, geom, plane, times,
+                                 normalize=fs.normalize)
+
+    names = [{spin: f"field_t{time_tag(t)}_{spin}.csv" for spin in ("up", "down")}
+             for t in fs.times]
+    for fmap, frame_names in zip(fmaps, names):
+        for spin, grid in (("up", fmap.i_up), ("down", fmap.i_down)):
+            # masked near-field points are nan by design; any other is a failure
+            if np.count_nonzero(~np.isfinite(grid)) > fmap.n_masked:
+                raise FloatingPointError(f"{frame_names[spin]}: non-finite intensity "
+                                         "outside the near-field mask")
 
     ax_u, ax_v = plane.axis_labels
     n_u, n_v = len(plane.u), len(plane.v)
+    u_col, v_col = np.repeat(plane.u, n_v), np.tile(plane.v, n_u)
     outputs, frames = [], []
-    for t in cfg.field.times:
-        amps = [prop.propagate(a0, np.array([float(t)]))[0]
-                for a0 in state.amplitudes]
-        fmap = field.intensity_map(state.weights, amps, geom, plane,
-                                   time=float(t), normalize=cfg.field.normalize)
-        names = {}
+    for fmap, frame_names in zip(fmaps, names):
         for spin, grid in (("up", fmap.i_up), ("down", fmap.i_down)):
-            name = f"field_t{time_tag(t)}_{spin}.csv"
-            output.write_csv(out_dir / name, [ax_u, ax_v, "intensity"],
-                             [np.repeat(plane.u, n_v), np.tile(plane.v, n_u), grid.ravel()])
-            outputs.append(name)
-            names[spin] = name
+            output.write_csv(out_dir / frame_names[spin], [ax_u, ax_v, "intensity"],
+                             [u_col, v_col, grid.ravel()])
+            outputs.append(frame_names[spin])
         frames.append({
-            "time": float(t),
-            "files": names,
+            "time": fmap.time,
+            "files": frame_names,
             "norm_max": fmap.norm_max,
             "n_masked": fmap.n_masked,
         })

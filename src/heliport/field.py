@@ -10,6 +10,15 @@ and the reported intensity is I_sigma = sum_b p_b ||F_sigma^(b)||^2 over
 state branches (relative units; optional normalization for plotting).
 Points closer than 1e-3 lambda_0 to an emitter are masked (nan) to keep the
 1/r^3 near field out of the maps.
+
+The kernel K_sigma(p, j) = G(r_p - r_j) . eps_sigma is built in closed form,
+pref * [a eps_sigma - b rhat (rhat . eps_sigma)], from the scalar factors of
+greens._green_factors, without forming the 3x3 tensor.  It is evaluated once
+per chunk of plane points (about _KERNEL_PAIRS point-emitter pairs, so the
+chunk shrinks as N grows), and one matrix product per chunk,
+K.reshape(2, 3 * chunk, N) @ A with a column of A per (time, branch), gives
+the field of every time and branch at once: intensity_maps is a single pass
+over the plane whatever the number of times.
 """
 
 from __future__ import annotations
@@ -20,12 +29,12 @@ from typing import Optional
 import numpy as np
 
 from .geometry import EmitterGeometry
-from .greens import EPS_DOWN, EPS_UP, GAMMA0, LAMBDA0, green_tensor
+from .greens import GAMMA0, LAMBDA0, POLARIZATION, _green_factors
 
 EPS0 = 1.0
 FIELD_PREFACTOR = np.sqrt(6.0 * np.pi**2 * GAMMA0 / (LAMBDA0 * EPS0))
 NEAR_FIELD_RADIUS = 1e-3 * LAMBDA0
-_CHUNK_POINTS = 1024
+_KERNEL_PAIRS = 1024 * 60   # point-emitter pairs per kernel chunk (~3 MB per spin)
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -92,23 +101,36 @@ def default_plane(geom: EmitterGeometry, axis: str = "x",
     )
 
 
-def _dipole_fields(positions: np.ndarray, pts_flat: np.ndarray):
-    """Yield (slice, dip_up, dip_down, near_mask) per chunk of grid points.
+def _chunk_points(n_sites: int) -> int:
+    """Plane points per kernel chunk: about _KERNEL_PAIRS point-emitter pairs."""
+    return max(1, _KERNEL_PAIRS // n_sites)
 
-    dip_* has shape (chunk, N, 3): the Green's tensor applied to the
-    polarization vector for every point-emitter pair.
+
+def _field_kernel(positions: np.ndarray, pts: np.ndarray):
+    """(K, near) for one chunk of points.
+
+    K has shape (2, len(pts), 3, N): K[s, p, :, j] = G(pts[p] - r_j) . eps_s
+    in closed form, pref * [a eps_s - b rhat (rhat . eps_s)].  near flags the
+    points closer than NEAR_FIELD_RADIUS to an emitter; their separations get
+    a placeholder and the caller masks them.
     """
-    for lo in range(0, len(pts_flat), _CHUNK_POINTS):
-        chunk = pts_flat[lo:lo + _CHUNK_POINTS]
-        sep = chunk[:, None, :] - positions[None, :, :]
-        dist = np.linalg.norm(sep, axis=-1)
-        near = (dist < NEAR_FIELD_RADIUS).any(axis=1)
-        safe = sep.copy()
-        safe[dist < NEAR_FIELD_RADIUS] = [LAMBDA0, 0.0, 0.0]  # placeholder, masked later
-        g = green_tensor(safe)
-        dip_up = g @ EPS_UP
-        dip_down = g @ EPS_DOWN
-        yield slice(lo, lo + len(chunk)), dip_up, dip_down, near
+    sep = pts[:, None, :] - positions[None, :, :]
+    close = np.linalg.norm(sep, axis=-1) < NEAR_FIELD_RADIUS
+    sep[close] = [LAMBDA0, 0.0, 0.0]
+    pref, a, b, rhat = _green_factors(sep)
+    eps = np.array(POLARIZATION)                       # (2, 3)
+    pb_proj = (pref * b)[..., None] * (rhat @ eps.T)   # (points, N, 2)
+    k = ((pref * a)[None, :, None, :] * eps[:, None, :, None]
+         - pb_proj.transpose(2, 0, 1)[:, :, None, :] * rhat.transpose(0, 2, 1)[None])
+    return k, close.any(axis=1)
+
+
+def _kernel_chunks(positions: np.ndarray, pts_flat: np.ndarray):
+    """Yield (slice, K, near) of _field_kernel over chunks of the points."""
+    step = _chunk_points(len(positions))
+    for lo in range(0, len(pts_flat), step):
+        k, near = _field_kernel(positions, pts_flat[lo:lo + step])
+        yield slice(lo, lo + len(near)), k, near
 
 
 def field_amplitude(amplitudes: np.ndarray, geom: EmitterGeometry, points,
@@ -125,9 +147,8 @@ def field_amplitude(amplitudes: np.ndarray, geom: EmitterGeometry, points,
     pts_flat = pts.reshape(-1, 3)
     a_spin = np.asarray(amplitudes, dtype=complex).reshape(geom.n_sites, 2)[:, spin]
     out = np.empty((len(pts_flat), 3), dtype=complex)
-    for sl, dip_up, dip_down, near in _dipole_fields(geom.positions, pts_flat):
-        dip = dip_up if spin == 0 else dip_down
-        f = FIELD_PREFACTOR * np.einsum("pja,j->pa", dip, a_spin)
+    for sl, k, near in _kernel_chunks(geom.positions, pts_flat):
+        f = FIELD_PREFACTOR * (k[spin] @ a_spin)
         f[near] = np.nan
         out[sl] = f
     return out.reshape(shape + (3,))
@@ -144,46 +165,58 @@ class FieldMap:
     n_masked: int
 
 
-def intensity_map(weights, branch_amplitudes, geom: EmitterGeometry,
-                  plane: FieldPlane, time: float = 0.0,
-                  normalize: str = "none") -> FieldMap:
-    """Branch-weighted intensities I_up, I_down on the plane at one time.
+def intensity_maps(weights, branch_amplitudes, geom: EmitterGeometry,
+                   plane: FieldPlane, times, normalize: str = "none") -> list[FieldMap]:
+    """Branch-weighted intensities I_up, I_down on the plane at every time.
 
-    weights / branch_amplitudes describe the mixed state at this time (one
-    amplitude vector of length 2N per branch).  normalize: "none" keeps the
-    raw values, "global" scales both polarizations by their common maximum,
-    "per_map" scales each polarization by its own maximum.
+    branch_amplitudes[b][t] is the amplitude vector (length 2N) of branch b
+    at times[t], e.g. Propagator.propagate(a0_b, times); weights[b] is the
+    branch's probability.  The kernel is evaluated once per chunk of plane
+    points, and one matrix product per chunk applies it to every (time,
+    branch) column of both spins.  normalize: "none" keeps the raw values,
+    "global" scales both polarizations of a time by their common maximum,
+    "per_map" scales each map by its own maximum.
     """
     if normalize not in ("none", "global", "per_map"):
         raise ValueError(f"unknown normalization mode {normalize!r}")
     pts = plane.points()
     pts_flat = pts.reshape(-1, 3)
-    n = geom.n_sites
-    amp = [np.asarray(a, dtype=complex).reshape(n, 2) for a in branch_amplitudes]
-    i_up = np.zeros(len(pts_flat))
-    i_down = np.zeros(len(pts_flat))
-    n_masked = 0
-    for sl, dip_up, dip_down, near in _dipole_fields(geom.positions, pts_flat):
-        for w, a in zip(weights, amp):
-            f_up = np.einsum("pja,j->pa", dip_up, a[:, 0])
-            f_down = np.einsum("pja,j->pa", dip_down, a[:, 1])
-            i_up[sl] += w * np.einsum("pa,pa->p", f_up.conj(), f_up).real
-            i_down[sl] += w * np.einsum("pa,pa->p", f_down.conj(), f_down).real
-        if near.any():
-            i_up[sl][near] = np.nan
-            i_down[sl][near] = np.nan
-            n_masked += int(near.sum())
-    i_up = (FIELD_PREFACTOR**2 * i_up).reshape(pts.shape[:-1])
-    i_down = (FIELD_PREFACTOR**2 * i_down).reshape(pts.shape[:-1])
-    norm_max = {"up": float(np.nanmax(i_up)), "down": float(np.nanmax(i_down))}
-    if normalize == "global":
-        scale = max(norm_max["up"], norm_max["down"])
-        if scale > 0:
-            i_up = i_up / scale
-            i_down = i_down / scale
-    elif normalize == "per_map":
-        for arr, key in ((i_up, "up"), (i_down, "down")):
-            if norm_max[key] > 0:
-                arr /= norm_max[key]
-    return FieldMap(plane=plane, time=time, i_up=i_up, i_down=i_down,
-                    norm_max=norm_max, normalize=normalize, n_masked=n_masked)
+    n, n_t = geom.n_sites, len(times)
+    w = np.asarray(weights, dtype=float)
+    # amps[s, j, t * n_b + b] = a_{j s} of branch b at time t
+    amps = np.asarray(branch_amplitudes, dtype=complex).reshape(len(w), n_t, n, 2)
+    amps = amps.transpose(3, 2, 1, 0).reshape(2, n, n_t * len(w))
+    maps = np.zeros((2, n_t, len(pts_flat)))
+    near = np.zeros(len(pts_flat), dtype=bool)
+    for sl, k, near_chunk in _kernel_chunks(geom.positions, pts_flat):
+        near[sl] = near_chunk
+        f = (k.reshape(2, -1, n) @ amps).reshape(2, -1, 3, n_t, len(w))
+        maps[:, :, sl] = ((f.real**2 + f.imag**2).sum(axis=2) @ w).transpose(0, 2, 1)
+    maps[:, :, near] = np.nan
+    maps = (FIELD_PREFACTOR**2 * maps).reshape((2, n_t) + pts.shape[:-1])
+    n_masked = int(near.sum())
+
+    out = []
+    for t, (i_up, i_down) in zip(times, maps.transpose(1, 0, 2, 3)):
+        norm_max = {"up": float(np.nanmax(i_up)), "down": float(np.nanmax(i_down))}
+        if normalize == "global":
+            scale = max(norm_max["up"], norm_max["down"])
+            if scale > 0:
+                i_up = i_up / scale
+                i_down = i_down / scale
+        elif normalize == "per_map":
+            if norm_max["up"] > 0:
+                i_up = i_up / norm_max["up"]
+            if norm_max["down"] > 0:
+                i_down = i_down / norm_max["down"]
+        out.append(FieldMap(plane=plane, time=float(t), i_up=i_up, i_down=i_down,
+                            norm_max=norm_max, normalize=normalize, n_masked=n_masked))
+    return out
+
+
+def intensity_map(weights, branch_amplitudes, geom: EmitterGeometry,
+                  plane: FieldPlane, time: float = 0.0,
+                  normalize: str = "none") -> FieldMap:
+    """intensity_maps at one time: one amplitude vector of length 2N per branch."""
+    return intensity_maps(weights, [[a] for a in branch_amplitudes], geom, plane,
+                          [time], normalize)[0]

@@ -20,6 +20,11 @@ i.e. the real/imaginary split is applied to the *tensor*, which keeps the
 assembled J and Gamma matrices Hermitian while J^{ud} stays genuinely
 complex (it carries the azimuthal phase e^{-2i delta} under rigid rotation
 about z).
+
+The scalar factors pref, a, b and the unit vector rhat come from one private
+helper, _green_factors, which green_tensor and the emitted-field kernel
+(field.py, which applies G to eps_sigma in closed form without building the
+3x3 tensor) both call, so the formula for G lives in one place.
 """
 
 from __future__ import annotations
@@ -39,26 +44,35 @@ EPS_DOWN = np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0)
 POLARIZATION = (EPS_UP, EPS_DOWN)
 
 
+def _green_factors(r: np.ndarray, k0: float = K0):
+    """(pref, a, b, rhat) with G(r) = pref * (a * 1 - b * rhat rhat).
+
+    r has shape (..., 3); pref, a and b have shape (...) and rhat (..., 3).
+    Zero-length separations are rejected (the self term is handled
+    analytically by the Hamiltonian assembly).
+    """
+    d = np.linalg.norm(r, axis=-1)
+    if np.any(d == 0.0):
+        raise ValueError("green_tensor: zero-length separation (self term excluded)")
+    u = k0 * d
+    pref = np.exp(1j * u) / (4.0 * np.pi * d)
+    a = 1.0 + 1j / u - 1.0 / u**2
+    b = 1.0 + 3j / u - 3.0 / u**2
+    return pref, a, b, r / d[..., None]
+
+
 def green_tensor(r, k0: float = K0) -> np.ndarray:
     """Dyadic Green's tensor for separation(s) r.
 
     r may be a single 3-vector or an array of shape (..., 3); the result has
-    shape (..., 3, 3).  Zero-length separations are rejected (the self term
-    is handled analytically by the Hamiltonian assembly).
+    shape (..., 3, 3).  Zero-length separations are rejected.
     """
     r = np.asarray(r, dtype=float)
     single = r.ndim == 1
     if single:
         r = r[None, :]
-    d = np.linalg.norm(r, axis=-1)
-    if np.any(d == 0.0):
-        raise ValueError("green_tensor: zero-length separation (self term excluded)")
-    u = k0 * d
-    rhat = r / d[..., None]
+    pref, a, b, rhat = _green_factors(r, k0)
     outer = rhat[..., :, None] * rhat[..., None, :]
-    pref = np.exp(1j * u) / (4.0 * np.pi * d)
-    a = 1.0 + 1j / u - 1.0 / u**2
-    b = 1.0 + 3j / u - 3.0 / u**2
     g = pref[..., None, None] * (
         a[..., None, None] * np.eye(3) - b[..., None, None] * outer
     )

@@ -227,6 +227,69 @@ def test_cli_field_csvs_hold_their_own_polarization(tmp_path):
     assert diag["propagator_condition"] >= 1.0
 
 
+def field_run_dict(**field_over):
+    return {"mode": "field", "geometry": {"helix": dict(HELIX, turns=20)},
+            "initial_state": {"site": 0, "p_up": 0.5},
+            "field": dict({"times": [0.5, 1.0, 2.0], "n_u": 41, "n_v": 51}, **field_over)}
+
+
+def test_cli_field_builds_kernel_once_per_chunk(tmp_path, monkeypatch):
+    from heliport import dynamics, field
+
+    kernel_calls, propagate_calls = [], []
+    kernel, propagate = field._field_kernel, dynamics.Propagator.propagate
+
+    def counted_kernel(positions, pts):
+        kernel_calls.append(len(pts))
+        return kernel(positions, pts)
+
+    def counted_propagate(self, a0, times):
+        propagate_calls.append(len(times))
+        return propagate(self, a0, times)
+
+    monkeypatch.setattr(field, "_field_kernel", counted_kernel)
+    monkeypatch.setattr(dynamics.Propagator, "propagate", counted_propagate)
+    cfg = write_config(tmp_path, field_run_dict())
+    assert run_cli(["field", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    chunk = field._chunk_points(60)
+    assert chunk < 41 * 51                      # the plane spans several chunks
+    assert len(kernel_calls) == -(-41 * 51 // chunk)
+    assert sum(kernel_calls) == 41 * 51
+    assert propagate_calls == [3, 3]            # once per branch, all times at once
+
+
+def test_cli_field_nan_intensity_exits_2_and_names_file(tmp_path, monkeypatch, capsys):
+    from heliport import dynamics
+
+    propagate = dynamics.Propagator.propagate
+
+    def nan_propagate(self, a0, times):
+        amps = propagate(self, a0, times)
+        amps[-1, 2] = np.nan                    # last time, site 1, spin up
+        return amps
+
+    monkeypatch.setattr(dynamics.Propagator, "propagate", nan_propagate)
+    cfg = write_config(tmp_path, field_run_dict(n_u=7, n_v=9))
+    out = tmp_path / "out"
+    assert run_cli(["field", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "field_t2_up.csv" in err and "near-field mask" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_field_oversized_plane_refused_before_allocation(tmp_path, capsys):
+    import time
+
+    cfg = write_config(tmp_path, field_run_dict(n_u=10**6, n_v=10**6))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert run_cli(["field", "--config", cfg, "--out", out]) == 1
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert "field.n_u" in err and "field.n_v" in err and "MemoryError" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_check_mode_passes(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "check",

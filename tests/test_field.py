@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from heliport.dynamics import Propagator, initial_state
-from heliport.field import (FIELD_PREFACTOR, FieldPlane, default_plane,
-                            field_amplitude, intensity_map)
+from heliport.field import (FIELD_PREFACTOR, NEAR_FIELD_RADIUS, FieldPlane,
+                            default_plane, field_amplitude, intensity_map,
+                            intensity_maps)
 from heliport.geometry import EmitterGeometry, build_helix, mirror_xz
+from heliport.greens import POLARIZATION, green_tensor
 from heliport.hamiltonian import assemble, effective
 
 
@@ -115,3 +117,27 @@ def test_mirror_swaps_polarization_maps(small_helix):
     # mirroring the geometry swaps polarizations after reflecting y -> -y
     assert np.nanmax(np.abs(fm.i_up[::-1, :] - fo.i_down)) < 1e-12
     assert np.nanmax(np.abs(fm.i_down[::-1, :] - fo.i_up)) < 1e-12
+
+
+def test_multi_time_maps_match_green_tensor_oracle(small_helix, rng):
+    geom = small_helix
+    n, times, weights = geom.n_sites, [0.0, 0.7, 2.5], [0.3, 0.7]
+    # random points on a random plane, none inside the near-field radius
+    plane = FieldPlane("y", 0.2 * rng.uniform(-1.0, 1.0), rng.uniform(-0.4, 0.4, 5),
+                       rng.uniform(-0.2, 0.6, 6))
+    pts = plane.points()
+    sep = pts[..., None, :] - geom.positions
+    assert np.linalg.norm(sep, axis=-1).min() > NEAR_FIELD_RADIUS
+    amps = rng.normal(size=(2, 3, 2 * n)) + 1j * rng.normal(size=(2, 3, 2 * n))
+    maps = intensity_maps(weights, amps, geom, plane, times)
+
+    g = green_tensor(sep)                              # (n_u, n_v, N, 3, 3)
+    for t_idx, fmap in enumerate(maps):
+        assert fmap.time == times[t_idx] and fmap.n_masked == 0
+        for spin, got in enumerate((fmap.i_up, fmap.i_down)):
+            want = np.zeros(pts.shape[:-1])
+            for w, a in zip(weights, amps[:, t_idx]):
+                f = FIELD_PREFACTOR * np.einsum("uvjab,b,j->uva", g, POLARIZATION[spin],
+                                                a.reshape(n, 2)[:, spin])
+                want += w * np.sum(np.abs(f) ** 2, axis=-1)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
