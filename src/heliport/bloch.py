@@ -8,11 +8,14 @@ Fourier convention is
     H(k) = sum_{m=-M_cut}^{+M_cut} e^{-i k m a} c(m),
 
 which is exactly periodic, H(k + 2*pi/a) = H(k), so Brillouin-zone loops
-close with the identity.  The lattice sum is truncated symmetrically; the
-1/r-oscillatory tail makes modes near the light cone |k| = k0 converge
-slowest (error roughly ~ 1/M_cut there), and a Cauchy convergence estimate
-(max-norm difference between the M_cut and M_cut/2 sums) is always
-reported.  The estimate reuses the full sum that H(k) already needed and
+close with the identity.  Site mu of cell 0 and site nu of cell m are sites
+mu and nu + m N_t of one screw, so c(m) gathers the finite helix's
+screw-gauge table (hamiltonian) over N_t (m_cut + 1) sites, from
+N_t (m_cut + 1) - 1 kernel evaluations.  The lattice sum is truncated
+symmetrically; the 1/r-oscillatory tail makes modes near the light cone
+|k| = k0 converge slowest (error roughly ~ 1/M_cut there), and a Cauchy
+convergence estimate (max-norm difference between the M_cut and M_cut/2
+sums) is always reported.  The estimate reuses the full sum that H(k) already needed and
 adds only the half-window sum, so each grid pays for one full sum.
 
 eigen_sweep is the one path from c(m) to eigenpairs: one lattice sum and
@@ -26,15 +29,15 @@ finite differences, and a light-cone flag |k| < k0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import HelixParams, build_helix
-from .greens import GAMMA0, K0, coupling_blocks
-from .hamiltonian import spin_z_diagonal
+from .geometry import HelixParams, helix_positions
+from .greens import GAMMA0, K0
+from .hamiltonian import _screw_gather, _screw_tables, spin_z_diagonal
 
-_CHUNK_CELLS = 4000        # cells per chunk when building/summing c(m)
+_CHUNK_CELLS = 4000        # cells per chunk of the Fourier sum
 _OVERLAP_AMBIGUOUS = 0.5   # squared-overlap floor below which continuation is ambiguous
 
 
@@ -86,34 +89,19 @@ def cell_couplings(params: HelixParams, m_cut: int,
 
     c(m) couples sublattice site mu in cell 0 to site nu in cell m; the
     single self term (mu = nu, m = 0) contributes 0 to J and Gamma_0 to the
-    dissipative diagonal.
+    dissipative diagonal.  c(m) gathers the screw table at d = mu - nu - m N_t,
+    with the gauge U_{nu + m N_t} = U_nu.
     """
     if m_cut < 1:
         raise ValueError("m_cut must be >= 1")
     nt = params.sites_per_turn
-    cell = build_helix(HelixParams(params.radius, params.pitch, nt, 1,
-                                   params.handedness))
-    rho = cell.positions
-    a_vec = np.array([0.0, 0.0, params.pitch])
-    ms = np.arange(-m_cut, m_cut + 1)
-    c = np.empty((len(ms), 2 * nt, 2 * nt), dtype=complex)
-    for lo in range(0, len(ms), _CHUNK_CELLS):
-        hi = min(lo + _CHUNK_CELLS, len(ms))
-        mm = ms[lo:hi]
-        sep = (rho[:, None, None, :] - rho[None, :, None, :]
-               - mm[None, None, :, None] * a_vec)
-        dist = np.linalg.norm(sep, axis=-1)
-        off = dist > 1e-12
-        j = np.zeros((nt, nt, len(mm), 2, 2), dtype=complex)
-        g = np.zeros_like(j)
-        jb, gb = coupling_blocks(sep[off])
-        j[off] = jb
-        g[off] = gb
-        if lo <= m_cut < hi:
-            for mu in range(nt):
-                g[mu, mu, m_cut - lo] = GAMMA0 * np.eye(2)
-        blk = j if hermitian_only else j - 0.5j * g
-        c[lo:hi] = blk.transpose(2, 0, 3, 1, 4).reshape(hi - lo, 2 * nt, 2 * nt)
+    pos = helix_positions(replace(params, turns=m_cut + 1))
+    u, t_j, t_g = _screw_tables(pos, np.angle(pos[:, 0] + 1j * pos[:, 1]))
+    sites = np.arange(nt)
+    index = (np.subtract.outer(sites, sites) + len(pos) - 1
+             - nt * np.arange(-m_cut, m_cut + 1)[:, None, None])
+    c = _screw_gather(t_j if hermitian_only else t_j - 0.5j * t_g, index, u[:nt], u[:nt])
+    np.fill_diagonal(c[m_cut], 0.0 if hermitian_only else -0.5j * GAMMA0)
     return c
 
 

@@ -39,7 +39,7 @@ two blocks, so they need no inv.  Expansion coefficients get one refinement
 step c += V^-1 (a0 - V c).
 
 If the eigenvector matrix is too ill conditioned, propagation falls back to
-fixed-step 4th-order Runge-Kutta integration of the full H_eff.  The
+a <- expm_multiply(-i (t_i - t_{i-1}) H_eff, a) over the sorted times.  The
 criterion is sqrt(sum_b ||V_b||_F^2 * sum_b ||V_b^-1||_F^2) > COND_LIMIT,
 the Frobenius product ||V||_F ||V^-1||_F of the full-basis eigenvector
 matrix V = Q blockdiag(V_b) (Q, the C2 basis change, is unitary); it bounds
@@ -63,7 +63,6 @@ from .hamiltonian import CouplingTensor, EffectiveHamiltonian, effective
 
 COND_LIMIT = 1e8       # eigenvector-matrix condition number triggering the fallback
 C2_TOL = 1e-10         # relative residual ||C H C^dag - H|| below which C2 blocks are used
-RK4_STEP = 1e-3        # fixed step (units 1/Gamma_0) of the fallback integrator
 HELICITY_DEADBAND = 1e-6
 
 
@@ -145,7 +144,7 @@ class Propagator:
     docstring) and diagonalized whole otherwise.  Attributes set at
     construction: blocks, a list of (evals, vecs, vecs_inv) per block, with
     vecs_inv None when V_b is singular; c2_phase and c2_residual, the C2
-    phase and probe residual; use_stepper (RK4 fallback taken) and
+    phase and probe residual; use_stepper (expm_multiply fallback taken) and
     condition, the full-basis bound
     sqrt(sum_b ||V_b||_F^2 * sum_b ||V_b^-1||_F^2) on the eigenvector
     condition number compared against cond_limit (exactly 1 for the
@@ -201,7 +200,7 @@ class Propagator:
         """Amplitudes at the requested times, shape (len(times), 2N)."""
         times = np.asarray(times, dtype=float)
         if self.use_stepper:
-            return self._propagate_rk4(a0, times)
+            return self._propagate_expm(a0, times)
         if len(self.blocks) == 1:
             return self._propagate_block(self.blocks[0], a0, times)
         # a0 in the C2 eigenbasis q_j^+- = (e_u_j +- c e_p_j) / sqrt(2)
@@ -222,24 +221,15 @@ class Propagator:
         phases = np.exp(-1j * np.outer(times, evals))
         return phases * coef @ vecs.T
 
-    def _propagate_rk4(self, a0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    def _propagate_expm(self, a0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        from scipy.sparse.linalg import expm_multiply   # slow import, fallback only
+
         out = np.empty((len(times), len(a0)), dtype=complex)
-        a = a0.astype(complex).copy()
+        a = a0.astype(complex)
         t_cur = 0.0
-        h_mat = -1j * self.h
         for idx in np.argsort(times):
-            t_target = times[idx]
-            span = t_target - t_cur
-            if span > 0:
-                n_steps = max(1, int(np.ceil(span / RK4_STEP)))
-                dt = span / n_steps
-                for _ in range(n_steps):
-                    k1 = h_mat @ a
-                    k2 = h_mat @ (a + 0.5 * dt * k1)
-                    k3 = h_mat @ (a + 0.5 * dt * k2)
-                    k4 = h_mat @ (a + dt * k3)
-                    a = a + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                t_cur = t_target
+            a = expm_multiply(-1j * (times[idx] - t_cur) * self.h, a)
+            t_cur = times[idx]
             out[idx] = a
         return out
 

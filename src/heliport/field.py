@@ -198,7 +198,9 @@ def intensity_maps(weights, branch_amplitudes, geom: EmitterGeometry,
 
     out = []
     for t, (i_up, i_down) in zip(times, maps.transpose(1, 0, 2, 3)):
-        norm_max = {"up": float(np.nanmax(i_up)), "down": float(np.nanmax(i_down))}
+        # np.nanmax without its all-NaN warning; the caller reports NaN maps
+        norm_max = {"up": float(np.fmax.reduce(i_up, axis=None)),
+                    "down": float(np.fmax.reduce(i_down, axis=None))}
         if normalize == "global":
             scale = max(norm_max["up"], norm_max["down"])
             if scale > 0:

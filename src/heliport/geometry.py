@@ -91,14 +91,15 @@ def coincident_pairs(positions: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(iu[0][close].tolist(), iu[1][close].tolist()))
 
 
-def build_helix(params: HelixParams) -> EmitterGeometry:
-    """Generate helix emitter positions, ordered by increasing z."""
+def helix_positions(params: HelixParams) -> np.ndarray:
+    """Helix site positions (n_sites, 3) by increasing z, without
+    EmitterGeometry's O(N^2) coincidence scan."""
     errs = params.validation_errors()
     if errs:
         raise ValueError("invalid helix parameters: " + "; ".join(errs))
     n = np.arange(params.n_sites)
     phi = 2 * np.pi * n / params.sites_per_turn
-    pos = np.stack(
+    return np.stack(
         [
             params.radius * np.cos(phi),
             -params.handedness * params.radius * np.sin(phi),
@@ -106,8 +107,13 @@ def build_helix(params: HelixParams) -> EmitterGeometry:
         ],
         axis=1,
     )
+
+
+def build_helix(params: HelixParams) -> EmitterGeometry:
+    """Helix geometry from helix_positions."""
     hand = "left" if params.handedness == +1 else "right"
-    return EmitterGeometry(pos, label=f"{hand}-handed helix", source=params)
+    return EmitterGeometry(helix_positions(params), label=f"{hand}-handed helix",
+                           source=params)
 
 
 def mirror_xz(geom: EmitterGeometry) -> EmitterGeometry:

@@ -20,12 +20,15 @@ the last separately for J and Gamma (the spin-flip entry of T(d) is the
 spin-orbit coupling that the chiral geometry induces; the line groups of
 helices, Damnjanovic and Milosevic, Line Groups in Physics, LNP 801, 2010).
 `assemble` therefore evaluates the Green's tensor for the N - 1 separations
-r_d - r_0 only and gathers the Toeplitz table T[i - j].  An O(N) probe on
-the positions (constant dz, and x + iy advancing by one unit-modulus factor,
-both within SCREW_TOL of the coordinate scale) selects this path; it reads
-the positions, not how they were made, so a geometry file holding a helix
-takes it too.  Every other geometry takes the pairwise N(N - 1) evaluation,
-which is also the test oracle of the screw path.
+r_d - r_0 only (_screw_tables) and gathers the Toeplitz table T[i - j]
+(_screw_gather); the lattice blocks c(m) of bloch gather the same table.
+An O(N) probe on the positions (constant dz, and x + iy advancing by one
+unit-modulus factor, both within SCREW_TOL of the coordinate scale) selects
+this path; it reads the positions, not how they were made, so a geometry
+file holding a helix takes it too.  Every other geometry takes the pairwise
+N(N - 1) evaluation, which is also the test oracle of both gathers: of the
+finite matrices, and of c(m) as the blocks between the centre cell and
+cell m of a 2 m_cut + 1 turn helix.
 """
 
 from __future__ import annotations
@@ -85,7 +88,14 @@ def assemble(geom: EmitterGeometry) -> CouplingTensor:
     phi = _screw_azimuths(geom.positions)
     if phi is None:
         return _pairwise_assemble(geom)
-    return _screw_assemble(geom.positions, phi)
+    n = len(phi)
+    u, t_j, t_g = _screw_tables(geom.positions, phi)
+    # index[i, j] = i - j + n - 1, a strided view rather than an N x N array
+    index = sliding_window_view(np.arange(2 * n - 1)[::-1], n)[::-1]
+    j, gamma = (_screw_gather(t, index, u, u) for t in (t_j, t_g))
+    np.fill_diagonal(j, 0.0)
+    np.fill_diagonal(gamma, GAMMA0)
+    return CouplingTensor(j=j, gamma=gamma)
 
 
 def _screw_azimuths(pos: np.ndarray) -> np.ndarray | None:
@@ -107,30 +117,30 @@ def _screw_azimuths(pos: np.ndarray) -> np.ndarray | None:
     return np.angle(w)
 
 
-def _screw_assemble(pos: np.ndarray, phi: np.ndarray) -> CouplingTensor:
-    """J and Gamma of a screw geometry from N - 1 kernel calls (module docstring)."""
-    n = len(pos)
-    u = np.exp(1j * np.outer(phi, [-1.0, 1.0]))          # U_n diagonals, (N, 2)
+def _screw_tables(pos: np.ndarray,
+                  phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauge diagonals U (N, 2) and the screw tables T_J, T_Gamma, each
+    (2N - 1, 2, 2) with T(d) at d + N - 1, from one kernel call on r_d - r_0."""
+    u = np.exp(1j * np.outer(phi, [-1.0, 1.0]))
     jb, gb = coupling_blocks(pos[1:] - pos[0])            # H_d0, d = 1..N-1
     gauge = u[1:, :, None].conj() * u[0, None, :]         # T(d) = U_d^dag H_d0 U_0
-    flat = u.ravel()
-    mats = []
-    for blocks, t0 in ((jb, 0.0), (gb, GAMMA0)):
-        t = gauge * blocks
-        # T(d) at d + N - 1 for d = -(N-1)..N-1, stored reversed per spin pair
-        table = np.concatenate([t[::-1].conj().transpose(0, 2, 1),
-                                t0 * np.eye(2)[None], t])
-        rev = table[::-1].transpose(1, 2, 0).copy()
-        m = np.empty((n, 2, n, 2), dtype=complex)
-        for s in range(2):
-            for s2 in range(2):      # row i of the window view holds T(i - j)
-                m[:, s, :, s2] = sliding_window_view(rev[s, s2], n)[::-1]
-        m = m.reshape(2 * n, 2 * n)
-        m *= flat[:, None]
-        m *= flat.conj()[None, :]
-        np.fill_diagonal(m, t0)
-        mats.append(m)
-    return CouplingTensor(j=mats[0], gamma=mats[1])
+    t_j, t_g = (np.concatenate([t[::-1].conj().transpose(0, 2, 1), t0 * np.eye(2)[None], t])
+                for t, t0 in ((gauge * jb, 0.0), (gauge * gb, GAMMA0)))
+    return u, t_j, t_g
+
+
+def _screw_gather(table: np.ndarray, index: np.ndarray, u_row: np.ndarray,
+                  u_col: np.ndarray) -> np.ndarray:
+    """Blocks U_row[a] table[index[..., a, b]] U_col[b]^dag, shape (..., 2R, 2C),
+    for an (..., R, C) index into a _screw_tables table and gauge diagonals
+    u_row (R, 2), u_col (C, 2)."""
+    *lead, rows, cols = index.shape
+    m = np.empty((*lead, rows, 2, cols, 2), dtype=complex)
+    for s, s2 in np.ndindex(2, 2):
+        m[..., s, :, s2] = table[:, s, s2][index]
+    m *= u_row[:, :, None, None]
+    m *= u_col.conj()[None, None]
+    return m.reshape(*lead, 2 * rows, 2 * cols)
 
 
 def _pairwise_assemble(geom: EmitterGeometry) -> CouplingTensor:

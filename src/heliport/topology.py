@@ -85,7 +85,7 @@ def detect_gap(bands, threshold: float = GAP_THRESHOLD) -> GapInfo:
 
 
 def wilson_loop(rights, lefts=None) -> tuple[float, float]:
-    """Phase and minimum |det| of the overlap-product loop over frames.
+    """Phase in (-pi, pi] and minimum |det| of the overlap-product loop over frames.
 
     rights: sequence of (dim, n_subset) eigenvector column blocks on an open
     k grid; the loop closes from the last frame back to the first.  lefts
@@ -101,7 +101,8 @@ def wilson_loop(rights, lefts=None) -> tuple[float, float]:
         d = np.linalg.det(m)
         min_det = min(min_det, abs(d))
         det *= d
-    return float(-np.angle(det)), float(min_det)
+    phase = float(-np.angle(det))
+    return (np.pi if phase == -np.pi else phase), float(min_det)
 
 
 def wilson_grid(pitch: float, n_k: int) -> np.ndarray:

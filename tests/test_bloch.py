@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heliport import hamiltonian
 from heliport.bloch import (_fourier_sum, band_structure, bloch_hamiltonian,
                             brillouin_grid, cell_couplings, eigen_sweep)
-from heliport.geometry import HelixParams
+from heliport.geometry import HelixParams, build_helix
 from heliport.greens import GAMMA0, K0
+from heliport.hamiltonian import _pairwise_assemble
 
 PITCH = 0.175
 
@@ -133,3 +139,49 @@ def test_eigen_sweep_equals_per_k_diagonalization(n_sites_per_turn, hermitian_on
         assert np.array_equal(sweep.evals[i], w)
         assert np.array_equal(sweep.vecs[i], v)
     assert np.array_equal(sweep.energies, sweep.evals.real)
+
+
+# ------------------------------------------------- c(m) from the screw table
+
+@settings(max_examples=25, deadline=None)
+@given(n_t=st.integers(1, 8), handedness=st.sampled_from([1, -1]),
+       radius=st.floats(0.02, 0.2), pitch=st.floats(0.1, 0.5),
+       m_cut=st.integers(1, 20), hermitian_only=st.booleans())
+def test_cell_couplings_match_pairwise_blocks_of_a_long_helix(
+        n_t, handedness, radius, pitch, m_cut, hermitian_only):
+    params = HelixParams(radius, pitch, n_t, 1, handedness)
+    c = cell_couplings(params, m_cut, hermitian_only)
+    long = build_helix(HelixParams(radius, pitch, n_t, 2 * m_cut + 1, handedness))
+    oracle = _pairwise_assemble(long)
+    h = oracle.j if hermitian_only else oracle.j - 0.5j * oracle.gamma
+    dim = 2 * n_t
+    centre = slice(m_cut * dim, (m_cut + 1) * dim)
+    # c(m) couples the centre cell to cell m_cut + m of the long helix
+    ref = np.stack([h[centre, (m_cut + m) * dim:(m_cut + m + 1) * dim]
+                    for m in range(-m_cut, m_cut + 1)])
+    assert np.abs(c - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_cell_couplings_make_one_kernel_call(monkeypatch):
+    seen = []
+    kernel = hamiltonian.coupling_blocks
+
+    def counting(sep):
+        seen.append(len(sep))
+        return kernel(sep)
+
+    monkeypatch.setattr(hamiltonian, "coupling_blocks", counting)
+    cell_couplings(small(6), m_cut=2000)
+    assert seen == [6 * 2001 - 1]
+
+
+def test_cell_couplings_memory_stays_bounded():
+    # 12 006 sites built as an EmitterGeometry would scan ~3.5 GB of pair
+    # separations, and a separation tensor over 4000 cells takes ~94 MiB
+    tracemalloc.start()
+    try:
+        cell_couplings(small(6), m_cut=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -271,7 +272,10 @@ def test_cli_field_nan_intensity_exits_2_and_names_file(tmp_path, monkeypatch, c
     monkeypatch.setattr(dynamics.Propagator, "propagate", nan_propagate)
     cfg = write_config(tmp_path, field_run_dict(n_u=7, n_v=9))
     out = tmp_path / "out"
-    assert run_cli(["field", "--config", cfg, "--out", out]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["field", "--config", cfg, "--out", out]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "field_t2_up.csv" in err and "near-field mask" in err
     assert not (out / "manifest.json").exists()
@@ -585,6 +589,6 @@ def test_cli_dynamics_field_zak_leave_integrate_and_optimize_unimported(
         "from heliport import cli\n"
         "for path in sys.argv[1:]:\n"
         "    assert cli.main(['run', '--config', path, '--out', path + '_out']) == 0\n"
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize')"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse')"
         " if m in sys.modules))\n", *paths)
     assert loaded.splitlines()[-1] == "[]"

@@ -98,11 +98,11 @@ def test_evolve_rejects_unsorted_times(small_helix):
                np.array([-1.0, 0.5]))
 
 
-def test_rk4_fallback_matches_spectral(small_helix):
+def test_expm_fallback_matches_spectral(small_helix):
     h = effective(assemble(small_helix))
     spectral = Propagator(h)
     assert not spectral.use_stepper
-    stepped = Propagator(h, cond_limit=0.0)   # force the fixed-step path
+    stepped = Propagator(h, cond_limit=0.0)   # force the expm_multiply fallback
     assert stepped.use_stepper
     a0 = initial_state(small_helix.n_sites, 0, 1.0).amplitudes[0]
     times = np.array([0.0, 0.7, 1.9])
@@ -247,7 +247,7 @@ def test_evolve_rejects_foreign_propagator(small_helix):
                np.linspace(0.0, 1.0, 5), propagator=other)
 
 
-def test_defective_spectrum_takes_rk4_without_warnings():
+def test_defective_spectrum_takes_expm_fallback_without_warnings():
     h = EffectiveHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]], complex),
                              False)                       # 2x2 Jordan block
     a0 = np.array([1.0, 1.0], complex)

@@ -78,6 +78,14 @@ def test_zak_phase_quantized_three_site_cell():
         assert res.min_overlap_det > 0.5
 
 
+def test_zak_phase_of_a_pi_group_lies_in_the_documented_interval():
+    # the upper group of the packaged N_t = 4 run: its loop determinant is
+    # -1 to round-off, and -angle(det) can come out as exactly -pi
+    res = zak_phase(helix(4), [4, 5, 6, 7], n_k=400, m_cut=2000)
+    assert -np.pi < res.phase <= np.pi
+    assert np.pi - abs(res.phase) < 1e-6
+
+
 def test_zak_phase_all_bands_trivial():
     res = zak_phase(helix(3), range(6), n_k=120, m_cut=300)
     assert abs(res.phase) < 1e-8
