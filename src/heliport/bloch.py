@@ -15,8 +15,9 @@ N_t (m_cut + 1) - 1 kernel evaluations.  The lattice sum is truncated
 symmetrically; the 1/r-oscillatory tail makes modes near the light cone
 |k| = k0 converge slowest (error roughly ~ 1/M_cut there), and a Cauchy
 convergence estimate (max-norm difference between the M_cut and M_cut/2
-sums) is always reported.  The estimate reuses the full sum that H(k) already needed and
-adds only the half-window sum, so each grid pays for one full sum.
+sums) is always reported.  _fourier_sum makes one pass over the cells: it
+sums the inner cells |m| <= M_cut/2, then the outer wings; H(k) is the sum
+of the two, and the estimate is max|wings| = ||H_M - H_{M/2}||_max.
 
 eigen_sweep is the one path from c(m) to eigenpairs: one lattice sum and
 one batched diagonalization per grid.  band_structure continues its bands by
@@ -47,7 +48,7 @@ class BlochHamiltonian:
     matrix: np.ndarray
     m_cut: int
     hermitian_only: bool
-    convergence: float          # max-norm difference between M_cut and M_cut/2 sums
+    convergence: float          # max |outer-wing sum| = ||H_M - H_{M/2}||_max
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class BlochSweep:
     vecs: np.ndarray                  # (n_k, 2*N_t, 2*N_t), column n = eigenvector n
     m_cut: int
     hermitian_only: bool
-    convergence: float                # max-norm difference between M_cut and M_cut/2 sums
+    convergence: float                # max |outer-wing sum| = ||H_M - H_{M/2}||_max
 
     @property
     def energies(self) -> np.ndarray:
@@ -105,39 +106,33 @@ def cell_couplings(params: HelixParams, m_cut: int,
     return c
 
 
-def _fourier_sum(c: np.ndarray, k_grid: np.ndarray, pitch: float) -> np.ndarray:
-    """H(k) for all k in k_grid; chunked over cells to bound memory."""
-    m_cut = (len(c) - 1) // 2
-    ms = np.arange(-m_cut, m_cut + 1)
-    dim = c.shape[1]
-    h = np.zeros((len(k_grid), dim, dim), dtype=complex)
+def _phase_sum(c: np.ndarray, ms: np.ndarray, k_grid: np.ndarray,
+               pitch: float) -> np.ndarray:
+    """sum of e^{-i k m a} c(m) over the cells ms, in chunks; phases exponentiated in place."""
+    h = np.zeros((len(k_grid),) + c.shape[1:], dtype=complex)
     for lo in range(0, len(ms), _CHUNK_CELLS):
-        hi = min(lo + _CHUNK_CELLS, len(ms))
-        phases = np.exp(-1j * np.outer(k_grid, ms[lo:hi] * pitch))
-        h += np.tensordot(phases, c[lo:hi], axes=(1, 0))
+        phases = np.outer(k_grid, ms[lo:lo + _CHUNK_CELLS] * (-1j * pitch))
+        h += np.tensordot(np.exp(phases, out=phases), c[lo:lo + _CHUNK_CELLS], axes=(1, 0))
     return h
 
 
-def _convergence_estimate(c: np.ndarray, k_grid: np.ndarray, pitch: float,
-                          h_full: np.ndarray) -> float:
-    """Max-norm Cauchy difference between the full sum h_full (already
-    computed from c over k_grid) and the half-window sum."""
+def _fourier_sum(c: np.ndarray, k_grid: np.ndarray,
+                 pitch: float) -> tuple[np.ndarray, float]:
+    """(H(k) over k_grid, convergence) from one pass: the inner cells
+    |m| <= m_cut // 2, then the outer wings, whose max|sum| is the estimate
+    ||H_M - H_{M/2}||_max (inf when there is no half window)."""
     m_cut = (len(c) - 1) // 2
-    half = m_cut // 2
-    if half < 1:
-        return np.inf
-    sl = slice(m_cut - half, m_cut + half + 1)
-    h_half = _fourier_sum(c[sl], k_grid, pitch)
-    return float(np.abs(h_full - h_half).max())
+    ms = np.arange(-m_cut, m_cut + 1)
+    inner = np.abs(ms) <= m_cut // 2
+    h, wings = (_phase_sum(c[cells], ms[cells], k_grid, pitch) for cells in (inner, ~inner))
+    return h + wings, float(np.abs(wings).max()) if m_cut >= 2 else np.inf
 
 
 def bloch_hamiltonian(params: HelixParams, k: float, m_cut: int,
                       hermitian_only: bool = False) -> BlochHamiltonian:
     """H(k) at a single quasimomentum, with its convergence estimate."""
     c = cell_couplings(params, m_cut, hermitian_only)
-    kk = np.array([k], dtype=float)
-    h = _fourier_sum(c, kk, params.pitch)
-    conv = _convergence_estimate(c, kk, params.pitch, h)
+    h, conv = _fourier_sum(c, np.array([k], dtype=float), params.pitch)
     return BlochHamiltonian(float(k), h[0], m_cut, hermitian_only, conv)
 
 
@@ -157,8 +152,7 @@ def eigen_sweep(params: HelixParams, k_grid, m_cut: int = 2000,
     with the pairs at each k ordered by Re E)."""
     k_grid = np.asarray(k_grid, dtype=float)
     c = cell_couplings(params, m_cut, hermitian_only)
-    h_all = _fourier_sum(c, k_grid, params.pitch)
-    conv = _convergence_estimate(c, k_grid, params.pitch, h_all)
+    h_all, conv = _fourier_sum(c, k_grid, params.pitch)
     if hermitian_only:
         evals, vecs = np.linalg.eigh(h_all)
     else:

@@ -82,45 +82,64 @@ def _finite_or_none(x: float) -> float | None:
     return x if x < float("inf") else None
 
 
-def _run_dynamics(cfg, geom, out_dir: Path):
-    import numpy as np
-
-    from . import dynamics, hamiltonian, output
-    from .config import time_tag
+def _launch(cfg, geom):
+    """(H_eff, launch state, Propagator, the propagator's manifest keys)."""
+    from . import dynamics, hamiltonian
 
     h = hamiltonian.effective(hamiltonian.assemble(geom), cfg.hermitian_only)
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
-    times = np.linspace(0.0, cfg.t_max, cfg.n_times)
     prop = dynamics.Propagator(h)
-    series = dynamics.evolve(state, h, geom, times, deadband=cfg.helicity_deadband,
-                             propagator=prop)
-    output.write_csv(out_dir / "timeseries.csv",
-                     ["t", "trace", "P_up", "P_down", "Sz", "z_com", "eta"],
-                     [series.times, series.trace, series.p_up, series.p_down,
-                      series.sz, series.z_com, series.eta])
-    outputs = ["timeseries.csv"]
-
-    for t in cfg.snapshot_times:
-        per_site = np.zeros((geom.n_sites, 2))
-        for w, a0 in zip(state.weights, state.amplitudes):
-            amp = prop.propagate(a0, np.array([float(t)]))[0]
-            per_site += w * np.abs(amp.reshape(-1, 2)) ** 2
-        name = f"snapshot_t{time_tag(t)}.csv"
-        output.write_csv(out_dir / name, ["site", "z", "p_up", "p_down"],
-                         [np.arange(geom.n_sites), geom.z, per_site[:, 0], per_site[:, 1]])
-        outputs.append(name)
-
-    arrival = dynamics.arrival_time(series, geom)
-    diagnostics = {
+    keys = {
         "propagator_fallback": prop.use_stepper,
         "propagator_condition": _finite_or_none(prop.condition),
         "propagator_blocks": len(prop.blocks),
         "c2_residual": _finite_or_none(prop.c2_residual),
-        "arrival_time": arrival,
+    }
+    return h, state, prop, keys
+
+
+def _require_finite(tables, exempt=()) -> None:
+    """Raise FloatingPointError naming the file and column of the first
+    non-finite value; tables maps file name -> (header, columns)."""
+    import numpy as np
+
+    for name, (header, columns) in tables.items():
+        for col, values in zip(header, columns):
+            if col not in exempt and not np.isfinite(values).all():
+                raise FloatingPointError(f"{name}: non-finite values in column '{col}'")
+
+
+def _run_dynamics(cfg, geom, out_dir: Path):
+    import numpy as np
+
+    from . import dynamics, output
+    from .config import time_tag
+
+    h, state, prop, prop_keys = _launch(cfg, geom)
+    times = np.linspace(0.0, cfg.t_max, cfg.n_times)
+    series = dynamics.evolve(state, h, geom, times, deadband=cfg.helicity_deadband,
+                             propagator=prop)
+    tables = {"timeseries.csv": (
+        ["t", "trace", "P_up", "P_down", "Sz", "z_com", "eta"],
+        [series.times, series.trace, series.p_up, series.p_down,
+         series.sz, series.z_com, series.eta])}
+    snapshots = dynamics.populations(prop, state, cfg.snapshot_times)
+    for t, per_site in zip(cfg.snapshot_times, snapshots):
+        tables[f"snapshot_t{time_tag(t)}.csv"] = (
+            ["site", "z", "p_up", "p_down"],
+            [np.arange(geom.n_sites), geom.z, per_site[:, 0], per_site[:, 1]])
+    # eta is nan inside the helicity deadband by design
+    _require_finite(tables, exempt=("eta",))
+    for name, (header, columns) in tables.items():
+        output.write_csv(out_dir / name, header, columns)
+
+    diagnostics = {
+        **prop_keys,
+        "arrival_time": dynamics.arrival_time(series, geom),
         "final_trace": float(series.trace[-1]),
         "helicity_defined_fraction": float(np.mean(~np.isnan(series.eta))),
     }
-    return outputs, diagnostics, 0
+    return list(tables), diagnostics, 0
 
 
 def _run_bands(cfg, _geom, out_dir: Path):
@@ -211,12 +230,10 @@ def _run_field(cfg, geom, out_dir: Path):
 
     import numpy as np
 
-    from . import dynamics, field, hamiltonian, output
+    from . import field, output
     from .config import time_tag
 
-    h = hamiltonian.effective(hamiltonian.assemble(geom), cfg.hermitian_only)
-    state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
-    prop = dynamics.Propagator(h)
+    _, state, prop, prop_keys = _launch(cfg, geom)
     plane = field.default_plane(geom, axis=fs.plane_axis, offset=fs.plane_offset,
                                 n_u=fs.n_u, n_v=fs.n_v, u_span=fs.u_span,
                                 z_pad=fs.z_pad)
@@ -266,10 +283,7 @@ def _run_field(cfg, geom, out_dir: Path):
     output.write_json(out_dir / "field_meta.json", meta)
     outputs.append("field_meta.json")
     diagnostics = {
-        "propagator_fallback": prop.use_stepper,
-        "propagator_condition": _finite_or_none(prop.condition),
-        "propagator_blocks": len(prop.blocks),
-        "c2_residual": _finite_or_none(prop.c2_residual),
+        **prop_keys,
         "n_masked_near_field": frames[0]["n_masked"] if frames else 0,
     }
     return outputs, diagnostics, 0

@@ -49,7 +49,8 @@ SVD-based test would, and costs no SVD.
 Observables follow the transport picture: per-spin populations P_up/P_down,
 per-site populations, <S_z> = P_up - P_down, the surviving-excitation center
 of mass <z> (normalized by the instantaneous norm), and the helicity
-eta = sign(<S_z> * v) with v the discrete d<z>/dt.
+eta = sign(<S_z> * v) with v the discrete d<z>/dt.  populations() is the one
+loop over branches: evolve and the CLI's snapshot writer both call it.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ class ExcitationState:
 
     weights: tuple[float, ...]
     amplitudes: tuple[np.ndarray, ...]
-    time: float = 0.0
 
     @property
     def n_sites(self) -> int:
@@ -147,14 +147,14 @@ class Propagator:
     phase and probe residual; use_stepper (expm_multiply fallback taken) and
     condition, the full-basis bound
     sqrt(sum_b ||V_b||_F^2 * sum_b ||V_b^-1||_F^2) on the eigenvector
-    condition number compared against cond_limit (exactly 1 for the
+    condition number compared against COND_LIMIT (exactly 1 for the
     Hermitian branch, whose eigenvectors are unitary).  The non-Hermitian
     V_b^-1 comes from the c-product with P = S for the whole H and P = the
     index reversal inside a C2 block, with a probe that falls back to
     np.linalg.inv.
     """
 
-    def __init__(self, h_eff: EffectiveHamiltonian, cond_limit: float = COND_LIMIT):
+    def __init__(self, h_eff: EffectiveHamiltonian):
         self.h = h_eff.matrix
         self.hermitian = h_eff.hermitian_only
         self.c2_phase, self.c2_residual = _c2_symmetry(self.h)
@@ -181,7 +181,7 @@ class Propagator:
                     sum(np.linalg.norm(v) ** 2 for _, v, _ in self.blocks)
                     * sum(np.linalg.norm(vi) ** 2 for _, _, vi in self.blocks)))
         # near-defective spectrum: spectral reconstruction unreliable
-        self.use_stepper = not self.condition <= cond_limit
+        self.use_stepper = not self.condition <= COND_LIMIT
 
     def _diagonalize(self, m: np.ndarray, perm: np.ndarray):
         if self.hermitian:
@@ -260,6 +260,15 @@ def helicity(sz: np.ndarray, z_com: np.ndarray, times: np.ndarray,
     return eta
 
 
+def populations(prop: Propagator, state: ExcitationState, times) -> np.ndarray:
+    """Branch-weighted site and spin populations sum_b w_b |a_b(t)|^2 at the
+    given times, shape (len(times), N, 2)."""
+    per_site = np.zeros((len(times), state.n_sites, 2))
+    for w, a0 in zip(state.weights, state.amplitudes):
+        per_site += w * np.abs(prop.propagate(a0, times).reshape(per_site.shape)) ** 2
+    return per_site
+
+
 def evolve(state: ExcitationState, h_eff: EffectiveHamiltonian,
            geom: EmitterGeometry, times,
            deadband: float = HELICITY_DEADBAND,
@@ -278,10 +287,7 @@ def evolve(state: ExcitationState, h_eff: EffectiveHamiltonian,
         prop = propagator
     else:
         raise ValueError("propagator was built from a different Hamiltonian")
-    n = state.n_sites
-    per_site = np.zeros((len(times), n, 2))
-    for w, a0 in zip(state.weights, state.amplitudes):
-        per_site += w * np.abs(prop.propagate(a0, times).reshape(len(times), n, 2)) ** 2
+    per_site = populations(prop, state, times)
     p_spin = per_site.sum(axis=1)
     trace = p_spin.sum(axis=1)
     p_site = per_site.sum(axis=2)

@@ -156,12 +156,10 @@ def field_amplitude(amplitudes: np.ndarray, geom: EmitterGeometry, points,
 
 @dataclass
 class FieldMap:
-    plane: FieldPlane
     time: float
     i_up: np.ndarray            # (n_u, n_v), nan at masked points
     i_down: np.ndarray
     norm_max: dict              # pre-normalization maxima {"up": .., "down": ..}
-    normalize: str              # "none" | "global" | "per_map"
     n_masked: int
 
 
@@ -211,8 +209,8 @@ def intensity_maps(weights, branch_amplitudes, geom: EmitterGeometry,
                 i_up = i_up / norm_max["up"]
             if norm_max["down"] > 0:
                 i_down = i_down / norm_max["down"]
-        out.append(FieldMap(plane=plane, time=float(t), i_up=i_up, i_down=i_down,
-                            norm_max=norm_max, normalize=normalize, n_masked=n_masked))
+        out.append(FieldMap(time=float(t), i_up=i_up, i_down=i_down,
+                            norm_max=norm_max, n_masked=n_masked))
     return out
 
 

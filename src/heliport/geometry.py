@@ -16,8 +16,7 @@ fixed here once and used consistently everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,11 +54,10 @@ class HelixParams:
 
 @dataclass(frozen=True)
 class EmitterGeometry:
-    """Ordered emitter positions (N, 3) plus provenance metadata."""
+    """Ordered emitter positions (N, 3) and a descriptive label."""
 
     positions: np.ndarray
     label: str = ""
-    source: Optional[HelixParams] = field(default=None)
 
     def __post_init__(self):
         pos = np.ascontiguousarray(np.asarray(self.positions, dtype=float))
@@ -112,8 +110,7 @@ def helix_positions(params: HelixParams) -> np.ndarray:
 def build_helix(params: HelixParams) -> EmitterGeometry:
     """Helix geometry from helix_positions."""
     hand = "left" if params.handedness == +1 else "right"
-    return EmitterGeometry(helix_positions(params), label=f"{hand}-handed helix",
-                           source=params)
+    return EmitterGeometry(helix_positions(params), label=f"{hand}-handed helix")
 
 
 def mirror_xz(geom: EmitterGeometry) -> EmitterGeometry:
@@ -124,18 +121,14 @@ def mirror_xz(geom: EmitterGeometry) -> EmitterGeometry:
     """
     pos = geom.positions.copy()
     pos[:, 1] = -pos[:, 1]
-    src = geom.source
-    if src is not None:
-        src = HelixParams(src.radius, src.pitch, src.sites_per_turn, src.turns,
-                          -src.handedness)
-    return EmitterGeometry(pos, label=geom.label + " (mirrored)", source=src)
+    return EmitterGeometry(pos, label=geom.label + " (mirrored)")
 
 
 def rotate_about_z(geom: EmitterGeometry, delta: float) -> EmitterGeometry:
     """Rigidly rotate all positions by angle delta about the z axis."""
     c, s = np.cos(delta), np.sin(delta)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return EmitterGeometry(geom.positions @ rot.T, label=geom.label, source=None)
+    return EmitterGeometry(geom.positions @ rot.T, label=geom.label)
 
 
 def load_geometry_file(path) -> EmitterGeometry:
@@ -160,4 +153,4 @@ def load_geometry_file(path) -> EmitterGeometry:
     label = data.get("label", "")
     if not isinstance(label, str):
         raise ValueError(f"{path}: label must be a string")
-    return EmitterGeometry(pos, label=label, source=None)
+    return EmitterGeometry(pos, label=label)

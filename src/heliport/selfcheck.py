@@ -4,7 +4,9 @@ Runs a battery of exact and statistical identities of the kernels on the
 configured geometry: Green's-tensor structure, coupling symmetries, norm
 behavior and propagator cross-validation, momentum-space symmetries, Wilson
 loop gauge invariance, and field-map sanity.  Randomized checks use a fixed
-seed; the battery is deterministic.
+seed; the battery is deterministic.  The lattice checks make two sweeps: a
+full band structure for the k -> -k symmetries, and a coherent Wilson-grid
+sweep for the frame orthonormality and the all-band loop.
 """
 
 from __future__ import annotations
@@ -175,11 +177,6 @@ def check_bloch_symmetries(cfg, _rng):
     if n_k % 2 == 0:
         n_k += 1  # keep k = 0 on the grid
     grid = bloch.brillouin_grid(cfg.helix.pitch, n_k)
-    coherent = bloch.band_structure(cfg.helix, grid[:: max(1, n_k // 3)],
-                                    m_cut=m_cut, hermitian_only=True)
-    herm = np.abs(coherent.vectors[0].conj().T @ coherent.vectors[0]
-                  - np.eye(coherent.n_bands)).max()
-    _require(herm < 1e-10, f"coherent eigenframe orthonormality {herm:.1e}")
     bands = bloch.band_structure(cfg.helix, grid, m_cut=m_cut)
     e = np.sort(bands.energies, axis=1)
     g = np.sort(bands.gammas, axis=1)
@@ -198,7 +195,11 @@ def check_zak_gauge_invariance(cfg, rng):
         return "skipped (needs a helix geometry)"
     m_cut = min(cfg.bloch_m_cut, 1000)
     dim = 2 * cfg.helix.sites_per_turn
-    res = topology.zak_phase(cfg.helix, range(dim), n_k=100, m_cut=m_cut)
+    sweep = bloch.eigen_sweep(cfg.helix, topology.wilson_grid(cfg.helix.pitch, 100),
+                              m_cut=m_cut, hermitian_only=True)
+    herm = np.abs(sweep.vecs[0].conj().T @ sweep.vecs[0] - np.eye(dim)).max()
+    _require(herm < 1e-10, f"coherent eigenframe orthonormality {herm:.1e}")
+    res = topology.zak_phases(sweep, [range(dim)])[0]
     _require(abs(res.phase) < 1e-8, f"all-band loop phase {res.phase:.1e}")
     # rephasing invariance on synthetic frames
     frames = [np.linalg.qr(rng.normal(size=(6, 6))

@@ -111,8 +111,7 @@ def wilson_grid(pitch: float, n_k: int) -> np.ndarray:
 
 
 def zak_phase(params: HelixParams, band_subset, n_k: int = 400,
-              m_cut: int = 2000, hermitian_only: bool = True,
-              biorthogonal: bool = False) -> ZakResult:
+              m_cut: int = 2000, biorthogonal: bool = False) -> ZakResult:
     """Wilson-loop Zak phase of the energy-ordered band subset.
 
     Default is the Hermitian coherent Hamiltonian (orthonormal Bloch
@@ -123,7 +122,7 @@ def zak_phase(params: HelixParams, band_subset, n_k: int = 400,
     if n_k < 50:
         raise ValueError("n_k must be >= 50 for a usable Wilson loop")
     sweep = eigen_sweep(params, wilson_grid(params.pitch, n_k), m_cut,
-                        hermitian_only and not biorthogonal)
+                        hermitian_only=not biorthogonal)
     return zak_phases(sweep, [band_subset], biorthogonal)[0]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heliport import hamiltonian
+from heliport import bloch, hamiltonian
 from heliport.bloch import (_fourier_sum, band_structure, bloch_hamiltonian,
                             brillouin_grid, cell_couplings, eigen_sweep)
 from heliport.geometry import HelixParams, build_helix
@@ -122,6 +122,31 @@ def test_continuation_flags_dtype():
     assert not bands.continuation_ambiguous[0]
 
 
+@pytest.mark.parametrize("m_cut", [5, 101, 400])
+def test_fourier_sum_is_one_pass_over_inner_cells_and_wings(m_cut, monkeypatch):
+    monkeypatch.setattr(bloch, "_CHUNK_CELLS", 64)   # several chunks per part
+    params = small(3)
+    c = cell_couplings(params, m_cut)
+    grid = brillouin_grid(PITCH, 13)
+    ms = np.arange(-m_cut, m_cut + 1)
+
+    def direct(window):
+        keep = np.abs(ms) <= window
+        phases = np.exp(-1j * np.outer(grid, ms[keep] * PITCH))
+        return np.einsum("km,mab->kab", phases, c[keep])
+
+    h, conv = _fourier_sum(c, grid, PITCH)
+    full = direct(m_cut)
+    assert np.abs(h - full).max() <= 1e-12 * np.abs(full).max()
+    cauchy = np.abs(full - direct(m_cut // 2)).max()
+    assert abs(conv - cauchy) <= 1e-12 * cauchy
+
+
+def test_fourier_sum_without_half_window_has_no_estimate():
+    h, conv = _fourier_sum(cell_couplings(small(2), 1), brillouin_grid(PITCH, 5), PITCH)
+    assert h.shape == (5, 4, 4) and conv == np.inf
+
+
 @pytest.mark.parametrize("hermitian_only", [True, False])
 @pytest.mark.parametrize("n_sites_per_turn", [1, 3, 6])
 def test_eigen_sweep_equals_per_k_diagonalization(n_sites_per_turn, hermitian_only):
@@ -129,7 +154,7 @@ def test_eigen_sweep_equals_per_k_diagonalization(n_sites_per_turn, hermitian_on
     grid = brillouin_grid(PITCH, 31)
     sweep = eigen_sweep(params, grid, m_cut=100, hermitian_only=hermitian_only)
     c = cell_couplings(params, 100, hermitian_only)
-    for i, h in enumerate(_fourier_sum(c, grid, PITCH)):
+    for i, h in enumerate(_fourier_sum(c, grid, PITCH)[0]):
         if hermitian_only:
             w, v = np.linalg.eigh(h)
         else:

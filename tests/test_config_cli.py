@@ -128,6 +128,37 @@ def test_cli_dynamics_end_to_end(tmp_path):
     assert "numpy_version" in manifest and "scipy_version" in manifest
 
 
+def test_cli_snapshot_matches_the_evolve_row_at_its_time(tmp_path):
+    from heliport import dynamics, hamiltonian
+    from heliport.geometry import HelixParams, build_helix
+
+    cfg = write_config(tmp_path, dynamics_dict(times={"t_max": 2.0, "n_times": 21}))
+    out = tmp_path / "out"
+    assert run_cli(["dynamics", "--config", cfg, "--out", out]) == 0
+    snap = np.loadtxt(out / "snapshot_t1.csv", delimiter=",", skiprows=1)
+    geom = build_helix(HelixParams(**HELIX))
+    series = dynamics.evolve(dynamics.initial_state(geom.n_sites, 0, 0.5),
+                             hamiltonian.effective(hamiltonian.assemble(geom)),
+                             geom, np.linspace(0.0, 2.0, 21))
+    assert series.times[10] == 1.0
+    assert np.allclose(snap[:, 2:], series.per_site[10], rtol=1e-12, atol=1e-15)
+
+
+def test_cli_dynamics_non_finite_output_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a single emitter decays as e^{-t}; by t = 800 the trace underflows to 0
+    # and the centre of mass becomes 0/0
+    cfg = write_config(tmp_path, dynamics_dict(
+        geometry={"helix": dict(HELIX, sites_per_turn=1, turns=1)},
+        initial_state={"site": 0, "p_up": 1.0},
+        times={"t_max": 1000.0, "n_times": 11}))
+    out = tmp_path / "out"
+    assert run_cli(["dynamics", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "timeseries.csv" in err and "z_com" in err
+    assert not (out / "timeseries.csv").exists()
+    assert not list(out.iterdir())
+
+
 def test_cli_outputs_are_deterministic(tmp_path):
     cfg = write_config(tmp_path, dynamics_dict())
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -471,8 +502,26 @@ def test_cli_zak_sums_the_lattice_once(tmp_path, monkeypatch):
                                   "bloch": {"n_k": 61, "m_cut": 100},
                                   "zak": {"n_k": 60}})
     assert run_cli(["zak", "--config", cfg, "--out", tmp_path / "o"]) == 0
-    # the full sum and the half window of the convergence estimate
-    assert calls == {"cell_couplings": 1, "_fourier_sum": 2, "band_structure": 0}
+    # one pass gives H(k) and the convergence estimate
+    assert calls == {"cell_couplings": 1, "_fourier_sum": 1, "band_structure": 0}
+
+
+def test_cli_check_sums_the_lattice_twice(tmp_path, monkeypatch):
+    from heliport import bloch
+    calls = {"cell_couplings": 0, "_fourier_sum": 0}
+    for name in calls:
+        inner = getattr(bloch, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(bloch, name, counted)
+    cfg = write_config(tmp_path, {"mode": "check", "geometry": {"helix": dict(HELIX)},
+                                  "bloch": {"n_k": 21, "m_cut": 120}}, "check.json")
+    assert run_cli(["check", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    # one full sweep for the k-reversal symmetries, one coherent Wilson-grid
+    # sweep for the frame orthonormality and the all-band loop
+    assert calls == {"cell_couplings": 2, "_fourier_sum": 2}
 
 
 def test_cli_zak_gap_matches_the_closed_band_grid(tmp_path):

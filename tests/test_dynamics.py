@@ -98,11 +98,12 @@ def test_evolve_rejects_unsorted_times(small_helix):
                np.array([-1.0, 0.5]))
 
 
-def test_expm_fallback_matches_spectral(small_helix):
+def test_expm_fallback_matches_spectral(small_helix, monkeypatch):
     h = effective(assemble(small_helix))
     spectral = Propagator(h)
     assert not spectral.use_stepper
-    stepped = Propagator(h, cond_limit=0.0)   # force the expm_multiply fallback
+    monkeypatch.setattr(dynamics, "COND_LIMIT", 0.0)   # force the expm_multiply fallback
+    stepped = Propagator(h)
     assert stepped.use_stepper
     a0 = initial_state(small_helix.n_sites, 0, 1.0).amplitudes[0]
     times = np.array([0.0, 0.7, 1.9])

@@ -46,7 +46,6 @@ def test_helix_handedness_sets_winding_sense():
 def test_mirror_is_involution(reference_helix):
     twice = mirror_xz(mirror_xz(reference_helix))
     assert np.array_equal(twice.positions, reference_helix.positions)
-    assert twice.source == reference_helix.source
 
 
 def test_rotation_preserves_z_and_radius(reference_helix, rng):
