@@ -15,9 +15,13 @@ N_t (m_cut + 1) - 1 kernel evaluations.  The lattice sum is truncated
 symmetrically; the 1/r-oscillatory tail makes modes near the light cone
 |k| = k0 converge slowest (error roughly ~ 1/M_cut there), and a Cauchy
 convergence estimate (max-norm difference between the M_cut and M_cut/2
-sums) is always reported.  _fourier_sum makes one pass over the cells: it
-sums the inner cells |m| <= M_cut/2, then the outer wings; H(k) is the sum
-of the two, and the estimate is max|wings| = ||H_M - H_{M/2}||_max.
+sums) is always reported.  _fourier_sum sums the inner cells |m| <= M_cut/2
+and the outer wings as two parts.  On the grids the runs build (wilson_grid,
+the closed brillouin_grid, the half-step grid) k_j = k_0 + j 2*pi/(L a), so
+each part is folded modulo L, folded[r] = sum_{m = r mod L} e^{-i k_0 m a}
+c(m), and H(k_j) = fft(folded)[j mod L]: O(M d^2 + L log L d^2) with d = 2 N_t
+instead of O(n_k M d^2).  Other grids (bloch_hamiltonian's single k,
+hand-made grids) take the direct phase sum.
 
 eigen_sweep is the one path from c(m) to eigenpairs: one lattice sum and
 one batched diagonalization per grid.  band_structure continues its bands by
@@ -38,7 +42,6 @@ from .geometry import HelixParams, helix_positions
 from .greens import GAMMA0, K0
 from .hamiltonian import _screw_gather, _screw_tables, spin_z_diagonal
 
-_CHUNK_CELLS = 4000        # cells per chunk of the Fourier sum
 _OVERLAP_AMBIGUOUS = 0.5   # squared-overlap floor below which continuation is ambiguous
 
 
@@ -108,23 +111,38 @@ def cell_couplings(params: HelixParams, m_cut: int,
 
 def _phase_sum(c: np.ndarray, ms: np.ndarray, k_grid: np.ndarray,
                pitch: float) -> np.ndarray:
-    """sum of e^{-i k m a} c(m) over the cells ms, in chunks; phases exponentiated in place."""
-    h = np.zeros((len(k_grid),) + c.shape[1:], dtype=complex)
-    for lo in range(0, len(ms), _CHUNK_CELLS):
-        phases = np.outer(k_grid, ms[lo:lo + _CHUNK_CELLS] * (-1j * pitch))
-        h += np.tensordot(np.exp(phases, out=phases), c[lo:lo + _CHUNK_CELLS], axes=(1, 0))
-    return h
+    """Direct sum of e^{-i k m a} c(m) over the cells ms: one (n_k, cells) phase product."""
+    phases = np.outer(k_grid, ms * (-1j * pitch))
+    return np.tensordot(np.exp(phases, out=phases), c, axes=(1, 0))
+
+
+def _zone_period(k_grid: np.ndarray, pitch: float) -> int:
+    """L when k_grid is k_0 + j 2 pi/(L a) to round-off with n >= L points, else 0."""
+    n = len(k_grid)
+    zones = (k_grid[-1] - k_grid[0]) * pitch / (2 * np.pi) if n > 1 else 0.0  # (n - 1)/L
+    if n < 2 or not zones >= (n - 1) / (n + 0.5):   # L <= n; a NaN span fails too
+        return 0
+    period = max(1, round((n - 1) / zones))
+    ideal = k_grid[0] + np.arange(n) * (2 * np.pi / (period * pitch))
+    tol = 64 * np.finfo(float).eps * max(np.pi / pitch, np.abs(k_grid).max())
+    return period if np.abs(k_grid - ideal).max() <= tol else 0
 
 
 def _fourier_sum(c: np.ndarray, k_grid: np.ndarray,
                  pitch: float) -> tuple[np.ndarray, float]:
-    """(H(k) over k_grid, convergence) from one pass: the inner cells
-    |m| <= m_cut // 2, then the outer wings, whose max|sum| is the estimate
-    ||H_M - H_{M/2}||_max (inf when there is no half window)."""
+    """(H(k) over k_grid, convergence): H = inner (|m| <= m_cut // 2) + wings
+    and the estimate max|wings| = ||H_M - H_{M/2}||_max (inf without a half window)."""
     m_cut = (len(c) - 1) // 2
     ms = np.arange(-m_cut, m_cut + 1)
-    inner = np.abs(ms) <= m_cut // 2
-    h, wings = (_phase_sum(c[cells], ms[cells], k_grid, pitch) for cells in (inner, ~inner))
+    wing = np.abs(ms) > m_cut // 2
+    period = _zone_period(k_grid, pitch)
+    if period:
+        folded = np.zeros((2, period) + c.shape[1:], dtype=complex)
+        np.add.at(folded, (wing.astype(np.intp), ms % period),
+                  np.exp(ms * (-1j * pitch * k_grid[0]))[:, None, None] * c)
+        h, wings = np.fft.fft(folded, axis=1)[:, np.arange(len(k_grid)) % period]
+    else:
+        h, wings = (_phase_sum(c[cells], ms[cells], k_grid, pitch) for cells in (~wing, wing))
     return h + wings, float(np.abs(wings).max()) if m_cut >= 2 else np.inf
 
 

@@ -36,6 +36,7 @@ from .geometry import HelixParams
 
 GAP_THRESHOLD = 1e-3        # minimum indirect gap width (units Gamma_0)
 DET_ILL_DEFINED = 1e-6      # |det M| below this marks a non-isolated subset
+PI_SNAP = 1e-12             # a loop phase this close to +-pi is reported as pi
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,8 @@ class GapInfo:
 class ZakResult:
     band_subset: tuple[int, ...]
     n_k: int
-    phase: float                # in (-pi, pi]
-    residual: float             # distance to the nearest of {0, pi}
+    phase: float                # in (-pi, pi]; exactly pi within PI_SNAP of +-pi
+    residual: float             # distance of the raw loop phase to the nearest of {0, pi}
     min_overlap_det: float
     ill_defined: bool
     hermitian_only: bool
@@ -85,7 +86,7 @@ def detect_gap(bands, threshold: float = GAP_THRESHOLD) -> GapInfo:
 
 
 def wilson_loop(rights, lefts=None) -> tuple[float, float]:
-    """Phase in (-pi, pi] and minimum |det| of the overlap-product loop over frames.
+    """Phase in [-pi, pi] and minimum |det| of the overlap-product loop over frames.
 
     rights: sequence of (dim, n_subset) eigenvector column blocks on an open
     k grid; the loop closes from the last frame back to the first.  lefts
@@ -101,8 +102,7 @@ def wilson_loop(rights, lefts=None) -> tuple[float, float]:
         d = np.linalg.det(m)
         min_det = min(min_det, abs(d))
         det *= d
-    phase = float(-np.angle(det))
-    return (np.pi if phase == -np.pi else phase), float(min_det)
+    return float(-np.angle(det)), float(min_det)
 
 
 def wilson_grid(pitch: float, n_k: int) -> np.ndarray:
@@ -146,12 +146,12 @@ def zak_phases(sweep: BlochSweep, band_subsets, biorthogonal: bool = False) -> l
     results = []
     for subset in subsets:
         duals = lefts[:, :, subset] if biorthogonal else None
-        phase, min_det = wilson_loop(rights[:, :, subset], duals)
+        raw, min_det = wilson_loop(rights[:, :, subset], duals)
         results.append(ZakResult(
             band_subset=subset,
             n_k=n_k,
-            phase=phase,
-            residual=float(min(abs(phase), np.pi - abs(phase))),
+            phase=np.pi if np.pi - abs(raw) <= PI_SNAP else raw,
+            residual=float(min(abs(raw), np.pi - abs(raw))),
             min_overlap_det=min_det,
             ill_defined=bool(min_det < DET_ILL_DEFINED),
             hermitian_only=sweep.hermitian_only,

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heliport import bloch, hamiltonian
+from heliport import bloch, cli, hamiltonian
 from heliport.bloch import (_fourier_sum, band_structure, bloch_hamiltonian,
                             brillouin_grid, cell_couplings, eigen_sweep)
 from heliport.geometry import HelixParams, build_helix
 from heliport.greens import GAMMA0, K0
 from heliport.hamiltonian import _pairwise_assemble
+from heliport.topology import wilson_grid
 
 PITCH = 0.175
 
@@ -123,8 +124,7 @@ def test_continuation_flags_dtype():
 
 
 @pytest.mark.parametrize("m_cut", [5, 101, 400])
-def test_fourier_sum_is_one_pass_over_inner_cells_and_wings(m_cut, monkeypatch):
-    monkeypatch.setattr(bloch, "_CHUNK_CELLS", 64)   # several chunks per part
+def test_fourier_sum_is_one_pass_over_inner_cells_and_wings(m_cut):
     params = small(3)
     c = cell_couplings(params, m_cut)
     grid = brillouin_grid(PITCH, 13)
@@ -145,6 +145,62 @@ def test_fourier_sum_is_one_pass_over_inner_cells_and_wings(m_cut, monkeypatch):
 def test_fourier_sum_without_half_window_has_no_estimate():
     h, conv = _fourier_sum(cell_couplings(small(2), 1), brillouin_grid(PITCH, 5), PITCH)
     assert h.shape == (5, 4, 4) and conv == np.inf
+
+
+def direct_sum(c, grid, window):
+    """Explicit sum of e^{-i k m a} c(m) over |m| <= window."""
+    m_cut = (len(c) - 1) // 2
+    ms = np.arange(-m_cut, m_cut + 1)
+    keep = np.abs(ms) <= window
+    return np.einsum("km,mab->kab", np.exp(-1j * np.outer(grid, ms[keep] * PITCH)), c[keep])
+
+
+def refuse_direct_sum(*_args):
+    raise AssertionError("direct phase sum on a uniform grid")
+
+
+GRIDS = {
+    "wilson": lambda n: wilson_grid(PITCH, n),
+    "closed": lambda n: brillouin_grid(PITCH, n + 1),
+    "half_step": lambda n: brillouin_grid(PITCH, n, include_edges=False),
+    "uneven": lambda n: np.sort(np.random.default_rng(n).uniform(-20.0, 20.0, n)),
+}
+
+
+@pytest.mark.parametrize("hermitian_only", [True, False])
+@pytest.mark.parametrize("n_sites_per_turn", [1, 3, 6])
+@pytest.mark.parametrize("kind", GRIDS)
+def test_fourier_sum_matches_direct_sum_on_every_grid_kind(kind, n_sites_per_turn,
+                                                           hermitian_only, monkeypatch):
+    if kind != "uneven":   # uniform grids take the folded FFT
+        monkeypatch.setattr(bloch, "_phase_sum", refuse_direct_sum)
+    grid = GRIDS[kind](40)
+    for m_cut in (3, 64, 257):   # fewer cells than the period, several wraps
+        c = cell_couplings(small(n_sites_per_turn), m_cut, hermitian_only)
+        h, conv = _fourier_sum(c, grid, PITCH)
+        full = direct_sum(c, grid, m_cut)
+        assert np.abs(h - full).max() <= 1e-12 * np.abs(full).max()
+        cauchy = np.abs(full - direct_sum(c, grid, m_cut // 2)).max()
+        assert abs(conv - cauchy) <= 1e-12 * cauchy
+        if kind == "closed":
+            assert np.array_equal(h[-1], h[0])
+
+
+@pytest.mark.parametrize("config", ["fig3a_bands", "fig4_N6"])
+def test_cli_lattice_runs_never_take_the_direct_sum(config, tmp_path, monkeypatch):
+    monkeypatch.setattr(bloch, "_phase_sum", refuse_direct_sum)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_eigen_sweep_memory_stays_bounded():
+    # an (n_k, cells) phase matrix of the direct sum alone takes 61 MiB here
+    tracemalloc.start()
+    try:
+        eigen_sweep(small(6), wilson_grid(PITCH, 2000), m_cut=2000, hermitian_only=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 @pytest.mark.parametrize("hermitian_only", [True, False])

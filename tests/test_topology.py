@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from heliport import cli
 from heliport.bloch import band_structure, brillouin_grid, eigen_sweep
 from heliport.geometry import HelixParams
 from heliport.topology import (detect_gap, wilson_grid, wilson_loop, zak_phase,
@@ -148,3 +151,13 @@ def test_wilson_grid_is_open_and_uniform():
     for n_k in (80, 400, 2000):
         grid = wilson_grid(PITCH, n_k)
         assert np.array_equal(grid, -edge + np.arange(n_k) * (2 * edge / n_k))
+
+
+def test_packaged_pi_groups_report_exactly_pi(tmp_path):
+    # a pi group must not read +pi on one run and -pi + 1e-15 on the next
+    for n_t in range(1, 7):
+        out = tmp_path / f"N{n_t}"
+        assert cli.main(["run", "--config", f"fig4_N{n_t}", "--out", str(out)]) == 0
+        for record in json.loads((out / "zak.json").read_text()):
+            phase = record["zak_phase"]
+            assert np.pi - abs(phase) > 1e-12 or phase == np.pi
