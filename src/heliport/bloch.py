@@ -20,8 +20,8 @@ and the outer wings as two parts.  On the grids the runs build (wilson_grid,
 the closed brillouin_grid, the half-step grid) k_j = k_0 + j 2*pi/(L a), so
 each part is folded modulo L, folded[r] = sum_{m = r mod L} e^{-i k_0 m a}
 c(m), and H(k_j) = fft(folded)[j mod L]: O(M d^2 + L log L d^2) with d = 2 N_t
-instead of O(n_k M d^2).  Other grids (bloch_hamiltonian's single k,
-hand-made grids) take the direct phase sum.
+instead of O(n_k M d^2).  Other grids (a single k, hand-made grids) take
+the direct phase sum.
 
 eigen_sweep is the one path from c(m) to eigenpairs: one lattice sum and
 one batched diagonalization per grid.  band_structure continues its bands by
@@ -43,15 +43,6 @@ from .greens import GAMMA0, K0
 from .hamiltonian import _screw_gather, _screw_tables, spin_z_diagonal
 
 _OVERLAP_AMBIGUOUS = 0.5   # squared-overlap floor below which continuation is ambiguous
-
-
-@dataclass(frozen=True)
-class BlochHamiltonian:
-    k: float
-    matrix: np.ndarray
-    m_cut: int
-    hermitian_only: bool
-    convergence: float          # max |outer-wing sum| = ||H_M - H_{M/2}||_max
 
 
 @dataclass(frozen=True)
@@ -146,14 +137,6 @@ def _fourier_sum(c: np.ndarray, k_grid: np.ndarray,
     return h + wings, float(np.abs(wings).max()) if m_cut >= 2 else np.inf
 
 
-def bloch_hamiltonian(params: HelixParams, k: float, m_cut: int,
-                      hermitian_only: bool = False) -> BlochHamiltonian:
-    """H(k) at a single quasimomentum, with its convergence estimate."""
-    c = cell_couplings(params, m_cut, hermitian_only)
-    h, conv = _fourier_sum(c, np.array([k], dtype=float), params.pitch)
-    return BlochHamiltonian(float(k), h[0], m_cut, hermitian_only, conv)
-
-
 def brillouin_grid(pitch: float, n_k: int = 401, include_edges: bool = True) -> np.ndarray:
     """Symmetric BZ grid.  include_edges=False gives a half-step-offset grid
     that avoids the exactly degenerate zone-edge/zone-center points."""
@@ -189,17 +172,31 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
     return vectors / phase[None, :]
 
 
+def _continuation(overlap: np.ndarray):
+    """The eigenvector each band continues into, from the squared overlaps
+    overlap[band, eigenvector], or None when that is ambiguous.
+
+    Row maxima that form a permutation are a maximum-weight assignment,
+    since the sum of row maxima bounds every permutation's sum.
+    """
+    bands = np.arange(len(overlap))
+    cols = overlap.argmax(axis=1)
+    if (np.array_equal(np.sort(cols), bands)
+            and overlap[bands, cols].min() >= _OVERLAP_AMBIGUOUS):
+        return cols
+    return None
+
+
 def band_structure(params: HelixParams, k_grid, m_cut: int = 2000,
                    hermitian_only: bool = False) -> BandStructure:
     """Diagonalize H(k) over the grid and connect bands by maximal overlap.
 
     Bands are energy-ordered at each k, then reordered along the grid by
-    maximal eigenvector overlap with the previous point; k points where the
-    best overlap is ambiguous (squared overlap < 0.5, e.g. at exact
-    degeneracies) keep the energy ordering and are flagged.
+    maximal eigenvector overlap with the previous point: each band takes the
+    eigenvector it overlaps most.  k points where that is ambiguous (two
+    bands pick the same eigenvector, or a squared overlap < 0.5, e.g. at
+    exact degeneracies) keep the energy ordering and are flagged.
     """
-    from scipy.optimize import linear_sum_assignment
-
     sweep = eigen_sweep(params, k_grid, m_cut, hermitian_only)
     n_k, dim = sweep.evals.shape
     evals = np.empty_like(sweep.evals)
@@ -207,9 +204,8 @@ def band_structure(params: HelixParams, k_grid, m_cut: int = 2000,
     flags = np.zeros(n_k, dtype=bool)
     for i, (w, v) in enumerate(zip(sweep.evals, sweep.vecs)):
         if i > 0:
-            overlap = np.abs(vecs[i - 1].conj().T @ v) ** 2
-            rows, cols = linear_sum_assignment(-overlap)
-            if overlap[rows, cols].min() < _OVERLAP_AMBIGUOUS:
+            cols = _continuation(np.abs(vecs[i - 1].conj().T @ v) ** 2)
+            if cols is None:
                 flags[i] = True  # keep energy ordering
             else:
                 w, v = w[cols], v[:, cols]

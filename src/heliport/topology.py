@@ -31,8 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bloch import BlochSweep, brillouin_grid, eigen_sweep
-from .geometry import HelixParams
+from .bloch import BlochSweep, brillouin_grid
 
 GAP_THRESHOLD = 1e-3        # minimum indirect gap width (units Gamma_0)
 DET_ILL_DEFINED = 1e-6      # |det M| below this marks a non-isolated subset
@@ -110,26 +109,11 @@ def wilson_grid(pitch: float, n_k: int) -> np.ndarray:
     return brillouin_grid(pitch, n_k + 1)[:-1]
 
 
-def zak_phase(params: HelixParams, band_subset, n_k: int = 400,
-              m_cut: int = 2000, biorthogonal: bool = False) -> ZakResult:
-    """Wilson-loop Zak phase of the energy-ordered band subset.
-
-    Default is the Hermitian coherent Hamiltonian (orthonormal Bloch
-    frames).  biorthogonal=True evaluates the full non-Hermitian problem
-    with left/right eigenvector overlaps instead; no quantization claim is
-    attached to that variant.
-    """
-    if n_k < 50:
-        raise ValueError("n_k must be >= 50 for a usable Wilson loop")
-    sweep = eigen_sweep(params, wilson_grid(params.pitch, n_k), m_cut,
-                        hermitian_only=not biorthogonal)
-    return zak_phases(sweep, [band_subset], biorthogonal)[0]
-
-
 def zak_phases(sweep: BlochSweep, band_subsets, biorthogonal: bool = False) -> list[ZakResult]:
     """Zak phases of several band subsets on the frames of one eigen_sweep
-    over an open grid (wilson_grid); the biorthogonal variant needs a
-    non-Hermitian sweep."""
+    over an open grid (wilson_grid).  A Hermitian sweep gives orthonormal
+    frames; the biorthogonal variant needs a non-Hermitian sweep and carries
+    no quantization claim."""
     n_k, dim = sweep.evals.shape
     if n_k < 50:
         raise ValueError("n_k must be >= 50 for a usable Wilson loop")

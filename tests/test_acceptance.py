@@ -12,14 +12,14 @@ import contextlib
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from heliport.bloch import band_structure, brillouin_grid
+from heliport.bloch import band_structure, brillouin_grid, eigen_sweep
 from heliport.dynamics import (Propagator, evolve, initial_state,
                                master_equation_check)
 from heliport.field import default_plane, intensity_map
 from heliport.geometry import HelixParams, build_helix, mirror_xz
 from heliport.greens import GAMMA0, K0, coupling_blocks, pair_coupling
 from heliport.hamiltonian import assemble, effective
-from heliport.topology import detect_gap, wilson_loop, zak_phase
+from heliport.topology import detect_gap, wilson_grid, wilson_loop, zak_phases
 
 TAU = 7.9
 PITCH = 0.175
@@ -245,12 +245,13 @@ def test_zak_phase_quantization():
             else:
                 assert gap.width > 0.0
                 groups, target = [gap.lower_bands, gap.upper_bands], np.pi
-            for subset in groups:
-                res = zak_phase(params, subset, n_k=400, m_cut=2000)
+            sweep = eigen_sweep(params, wilson_grid(PITCH, 400), m_cut=2000,
+                                hermitian_only=True)
+            for res in zak_phases(sweep, groups):
                 assert not res.ill_defined
                 assert res.residual < 1e-2
                 assert abs(abs(res.phase) - target) < 1e-2
-            full = zak_phase(params, range(2 * nt), n_k=400, m_cut=2000)
+            [full] = zak_phases(sweep, [range(2 * nt)])
             assert abs(full.phase) < 1e-8
 
         # gauge invariance: random rephasing leaves the loop phase unchanged

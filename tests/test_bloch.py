@@ -2,12 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heliport import bloch, cli, hamiltonian
-from heliport.bloch import (_fourier_sum, band_structure, bloch_hamiltonian,
-                            brillouin_grid, cell_couplings, eigen_sweep)
+from heliport.bloch import (_fourier_sum, band_structure, brillouin_grid,
+                            cell_couplings, eigen_sweep)
 from heliport.geometry import HelixParams, build_helix
 from heliport.greens import GAMMA0, K0
 from heliport.hamiltonian import _pairwise_assemble
@@ -18,6 +18,13 @@ PITCH = 0.175
 
 def small(n_sites_per_turn, handedness=1):
     return HelixParams(0.05, PITCH, n_sites_per_turn, 1, handedness)
+
+
+def h_at(params, k, m_cut, hermitian_only=False):
+    """(H(k), convergence estimate) at a single quasimomentum."""
+    h, conv = _fourier_sum(cell_couplings(params, m_cut, hermitian_only),
+                           np.array([k]), params.pitch)
+    return h[0], conv
 
 
 def test_brillouin_grid_edges():
@@ -40,21 +47,21 @@ def test_cell_couplings_shape_and_self_term():
     assert c.shape == (81, 6, 6)
     # the m = 0 entry carries the on-site decay -i Gamma_0 / 2 on its diagonal
     assert np.allclose(np.diag(c[40]), -0.5j * GAMMA0)
-    h = bloch_hamiltonian(small(3), 0.0, m_cut=40)
-    assert h.matrix.shape == (6, 6)
-    assert np.isfinite(h.convergence)
+    h, conv = h_at(small(3), 0.0, m_cut=40)
+    assert h.shape == (6, 6)
+    assert np.isfinite(conv)
 
 
 def test_bloch_hamiltonian_periodicity():
     params = small(3)
     k = 1.234
-    h1 = bloch_hamiltonian(params, k, m_cut=200).matrix
-    h2 = bloch_hamiltonian(params, k + 2 * np.pi / PITCH, m_cut=200).matrix
+    h1, _ = h_at(params, k, m_cut=200)
+    h2, _ = h_at(params, k + 2 * np.pi / PITCH, m_cut=200)
     assert np.abs(h1 - h2).max() < 1e-10
 
 
 def test_hermitian_variant_is_hermitian():
-    h = bloch_hamiltonian(small(4), 0.7, m_cut=200, hermitian_only=True).matrix
+    h, _ = h_at(small(4), 0.7, m_cut=200, hermitian_only=True)
     assert np.abs(h - h.conj().T).max() < 1e-12
 
 
@@ -121,6 +128,29 @@ def test_continuation_flags_dtype():
     assert bands.continuation_ambiguous.dtype == bool
     assert bands.continuation_ambiguous.shape == (21,)
     assert not bands.continuation_ambiguous[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 3.0))
+def test_continuation_matches_the_assignment_solver_on_orthonormal_frames(dim, seed, spread):
+    # the next frame is the previous one mixed by exp(i spread H) and permuted:
+    # near a permutation for small spread, fully mixed for large
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    prev = np.linalg.qr(a)[0]
+    w, v = np.linalg.eigh(a + a.conj().T)
+    mix = (v * np.exp(1j * spread * w)) @ v.conj().T
+    overlap = np.abs(prev.conj().T @ (prev @ mix[:, rng.permutation(dim)])) ** 2
+    rows, oracle = linear_sum_assignment(-overlap)
+    best = overlap[rows, oracle].min()
+    assume(abs(best - bloch._OVERLAP_AMBIGUOUS) > 1e-9)   # exact ties may go either way
+    cols = bloch._continuation(overlap)
+    if best < bloch._OVERLAP_AMBIGUOUS:
+        assert cols is None
+    else:
+        assert np.array_equal(cols, oracle)
 
 
 @pytest.mark.parametrize("m_cut", [5, 101, 400])

@@ -1,9 +1,12 @@
+import copy
 import json
 import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heliport import cli
 from heliport.config import (config_sha256, load_config, parse_config,
@@ -89,7 +92,7 @@ def test_parse_defaults():
 def test_roundtrip_and_hash_stability():
     raw = dynamics_dict()
     cfg, _ = parse_config(raw)
-    assert cfg.to_dict() == raw
+    assert cfg.raw == raw
     reordered = json.loads(json.dumps(raw, sort_keys=True))
     assert config_sha256(raw) == config_sha256(reordered)
     assert config_sha256(raw) != config_sha256(dynamics_dict(tau=9.9))
@@ -442,8 +445,8 @@ NON_FINITE_PLACES = {
 }
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
-                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "int-beyond-float"])
 @pytest.mark.parametrize("key", list(NON_FINITE_PLACES))
 def test_parse_config_rejects_non_finite_numbers(key, bad):
     raw = dynamics_dict()
@@ -631,6 +634,8 @@ def test_cli_dynamics_field_zak_leave_integrate_and_optimize_unimported(
                   "field": {"times": [0.5], "n_u": 5, "n_v": 7}},
         "zak": {"mode": "zak", "geometry": {"helix": dict(HELIX)},
                 "bloch": {"m_cut": 100}, "zak": {"n_k": 60}},
+        "bands": {"mode": "bands", "geometry": {"helix": dict(HELIX)},
+                  "bloch": {"n_k": 21, "m_cut": 100}},
     }
     paths = [write_config(tmp_path, raw, f"{mode}.json") for mode, raw in configs.items()]
     loaded = fresh_python(
@@ -641,3 +646,74 @@ def test_cli_dynamics_field_zak_leave_integrate_and_optimize_unimported(
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse')"
         " if m in sys.modules))\n", *paths)
     assert loaded.splitlines()[-1] == "[]"
+
+
+# ------------------------------------------------------------- config fuzzing
+
+def maximal_config(geometry):
+    """A valid field config that sets every leaf key the schema knows."""
+    return {
+        "mode": "field",
+        "label": "every key set",
+        "geometry": geometry,
+        "hermitian_only": False,
+        "initial_state": {"site": 1, "p_up": 0.5},
+        "times": {"t_max": 2.0, "n_times": 20},
+        "tau": 1.0,
+        "snapshot_times": [0.5, 1.0],
+        "helicity_deadband": 1e-6,
+        "bloch": {"n_k": 21, "m_cut": 100},
+        "zak": {"n_k": 60, "biorthogonal": False},
+        "field": {"times": [0.5, 1.0], "plane_axis": "x", "plane_offset": 0.5,
+                  "n_u": 5, "n_v": 7, "u_span": 0.3, "z_pad": 1.2,
+                  "normalize": "global"},
+    }
+
+
+MAXIMAL = [maximal_config({"helix": dict(HELIX)}),
+           maximal_config({"file": "geometry.json"})]
+
+
+def value_places(node, place=()):
+    """Every (key or index) path below node, sections and list items included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for name, child in items:
+        yield place + (name,)
+        yield from value_places(child, place + (name,))
+
+
+PLACES = sorted({(i, place) for i, raw in enumerate(MAXIMAL)
+                 for place in value_places(raw)}, key=str)
+JSON_VALUES = [None, True, "x", [], {}, -1, 0.5, 1e300]
+
+
+# 1000 examples exhaust the 568 (place, value) pairs
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(where=st.sampled_from(PLACES), value=st.sampled_from(JSON_VALUES))
+def test_parse_config_accepts_a_value_or_names_its_key(where, value):
+    which, place = where
+    raw = copy.deepcopy(MAXIMAL[which])
+    parent = raw
+    for name in place[:-1]:
+        parent = parent[name]
+    parent[place[-1]] = value
+    key = ".".join(name for name in place if isinstance(name, str))
+    cfg, errs = parse_config(raw)
+    assert (cfg is None) == bool(errs)
+    assert all(e.startswith(key) for e in errs), (key, value, errs)
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("field.times", lambda d: d.update(mode="field", field={"times": None})),
+    ("initial_state", lambda d: d.update(initial_state=None)),
+    ("geometry.helix.handedness", lambda d: d["geometry"]["helix"].update(handedness=True)),
+], ids=["field-times-null", "initial-state-null", "handedness-true"])
+def test_cli_null_or_boolean_value_exits_1(tmp_path, capsys, key, edit):
+    raw = dynamics_dict()
+    edit(raw)
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not out.exists()

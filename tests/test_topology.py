@@ -6,14 +6,20 @@ import pytest
 from heliport import cli
 from heliport.bloch import band_structure, brillouin_grid, eigen_sweep
 from heliport.geometry import HelixParams
-from heliport.topology import (detect_gap, wilson_grid, wilson_loop, zak_phase,
-                               zak_phases)
+from heliport.topology import detect_gap, wilson_grid, wilson_loop, zak_phases
 
 PITCH = 0.175
 
 
 def helix(n_sites_per_turn):
     return HelixParams(0.05, PITCH, n_sites_per_turn, 1, 1)
+
+
+def zak(params, subset, n_k, m_cut, biorthogonal=False):
+    """Zak phase of one band group on its own sweep over the Wilson grid."""
+    sweep = eigen_sweep(params, wilson_grid(params.pitch, n_k), m_cut,
+                        hermitian_only=not biorthogonal)
+    return zak_phases(sweep, [subset], biorthogonal)[0]
 
 
 def hermitian_bands(n_sites_per_turn, n_k=81, m_cut=300):
@@ -65,15 +71,15 @@ def test_gapless_descriptor_covers_all_bands():
 
 
 def test_zak_phase_trivial_single_site_cell():
-    res = zak_phase(helix(1), [0, 1], n_k=120, m_cut=300)
+    res = zak(helix(1), [0, 1], n_k=120, m_cut=300)
     assert abs(res.phase) < 1e-8
     assert res.residual < 1e-8
     assert not res.ill_defined
 
 
 def test_zak_phase_quantized_three_site_cell():
-    lower = zak_phase(helix(3), [0, 1, 2], n_k=120, m_cut=300)
-    upper = zak_phase(helix(3), [3, 4, 5], n_k=120, m_cut=300)
+    lower = zak(helix(3), [0, 1, 2], n_k=120, m_cut=300)
+    upper = zak(helix(3), [3, 4, 5], n_k=120, m_cut=300)
     for res in (lower, upper):
         assert np.pi - abs(res.phase) < 1e-6
         assert res.residual < 1e-6
@@ -84,39 +90,39 @@ def test_zak_phase_quantized_three_site_cell():
 def test_zak_phase_of_a_pi_group_lies_in_the_documented_interval():
     # the upper group of the packaged N_t = 4 run: its loop determinant is
     # -1 to round-off, and -angle(det) can come out as exactly -pi
-    res = zak_phase(helix(4), [4, 5, 6, 7], n_k=400, m_cut=2000)
+    res = zak(helix(4), [4, 5, 6, 7], n_k=400, m_cut=2000)
     assert -np.pi < res.phase <= np.pi
     assert np.pi - abs(res.phase) < 1e-6
 
 
 def test_zak_phase_all_bands_trivial():
-    res = zak_phase(helix(3), range(6), n_k=120, m_cut=300)
+    res = zak(helix(3), range(6), n_k=120, m_cut=300)
     assert abs(res.phase) < 1e-8
 
 
 def test_zak_phase_converged_in_grid():
-    a = zak_phase(helix(3), [0, 1, 2], n_k=100, m_cut=300).phase
-    b = zak_phase(helix(3), [0, 1, 2], n_k=200, m_cut=300).phase
+    a = zak(helix(3), [0, 1, 2], n_k=100, m_cut=300).phase
+    b = zak(helix(3), [0, 1, 2], n_k=200, m_cut=300).phase
     # circular distance (phases live on (-pi, pi])
     assert abs(np.angle(np.exp(1j * (a - b)))) < 1e-3
 
 
 def test_zak_phase_mirror_pair_agrees_mod_2pi():
-    left = zak_phase(helix(3), [0, 1, 2], n_k=100, m_cut=300).phase
+    left = zak(helix(3), [0, 1, 2], n_k=100, m_cut=300).phase
     mirrored = HelixParams(0.05, PITCH, 3, 1, -1)
-    right = zak_phase(mirrored, [0, 1, 2], n_k=100, m_cut=300).phase
+    right = zak(mirrored, [0, 1, 2], n_k=100, m_cut=300).phase
     assert abs(np.angle(np.exp(1j * (left + right)))) < 1e-8  # phi -> -phi
 
 
 def test_zak_phase_input_validation():
     with pytest.raises(ValueError):
-        zak_phase(helix(2), [0], n_k=10, m_cut=100)
+        zak(helix(2), [0], n_k=10, m_cut=100)
     with pytest.raises(ValueError):
-        zak_phase(helix(2), [7], n_k=100, m_cut=100)
+        zak(helix(2), [7], n_k=100, m_cut=100)
 
 
 def test_biorthogonal_variant_runs():
-    res = zak_phase(helix(3), [0, 1, 2], n_k=80, m_cut=200, biorthogonal=True)
+    res = zak(helix(3), [0, 1, 2], n_k=80, m_cut=200, biorthogonal=True)
     assert res.biorthogonal and not res.hermitian_only
     assert np.isfinite(res.phase)
     assert -np.pi < res.phase <= np.pi + 1e-12
@@ -134,7 +140,7 @@ def test_zak_phases_matches_one_zak_phase_per_group(biorthogonal):
     sweep = eigen_sweep(helix(3), wilson_grid(PITCH, 80), m_cut=200,
                         hermitian_only=not biorthogonal)
     both = zak_phases(sweep, [lower, upper], biorthogonal=biorthogonal)
-    singles = [zak_phase(helix(3), subset, n_k=80, m_cut=200,
+    singles = [zak(helix(3), subset, n_k=80, m_cut=200,
                          biorthogonal=biorthogonal) for subset in (lower, upper)]
     assert both == singles
 
