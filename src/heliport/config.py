@@ -177,11 +177,6 @@ for _key in _KEYS:
         _CHILDREN.setdefault(".".join(_parts[:_i]), set()).add(_name)
 
 
-def validate_config_dict(raw) -> list[str]:
-    """All validation errors for a config dict (empty list = valid)."""
-    return parse_config(raw)[1]
-
-
 def parse_config(raw, base_dir=".") -> tuple[Optional[RunConfig], list[str]]:
     """Validate and resolve a config dict; returns (config, errors).
 
@@ -269,7 +264,7 @@ def load_config(path) -> tuple[Optional[RunConfig], list[str]]:
             raw = json.load(fh)
     except OSError as exc:
         return None, [f"cannot read config: {exc}"]
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:                # JSONDecodeError, int digit limit
         return None, [f"config is not valid JSON: {exc}"]
     cfg, errs = parse_config(raw, base_dir=Path(path).parent)
     if cfg is not None and cfg.geometry_file is not None \

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heliport import cli
-from heliport.config import (config_sha256, load_config, parse_config,
-                             validate_config_dict)
+from heliport.config import config_sha256, load_config, parse_config
 
 HELIX = {"radius": 0.05, "pitch": 0.175, "sites_per_turn": 3, "turns": 2,
          "handedness": 1}
@@ -37,14 +36,14 @@ def write_config(tmp_path, payload, name="run.json"):
 # ---------------------------------------------------------------- validation
 
 def test_valid_config_passes():
-    assert validate_config_dict(dynamics_dict()) == []
+    assert parse_config(dynamics_dict())[1] == []
 
 
 def test_unknown_keys_rejected_everywhere():
     bad = dynamics_dict()
     bad["geometry"]["helix"]["pich"] = 0.2
     bad["extra"] = 1
-    errs = validate_config_dict(bad)
+    errs = parse_config(bad)[1]
     assert any("geometry.helix.pich" in e and "unknown key" in e for e in errs)
     assert any(e.startswith("extra") for e in errs)
 
@@ -54,7 +53,7 @@ def test_all_errors_collected_at_once():
     bad["geometry"]["helix"]["radius"] = -1.0
     bad["initial_state"]["p_up"] = 1.5
     bad["mode"] = "explode"
-    errs = validate_config_dict(bad)
+    errs = parse_config(bad)[1]
     assert len(errs) >= 3
     assert any("radius" in e for e in errs)
     assert any("p_up" in e and "[0, 1]" in e for e in errs)
@@ -63,17 +62,17 @@ def test_all_errors_collected_at_once():
 
 def test_site_checked_against_helix_size():
     bad = dynamics_dict(initial_state={"site": 6, "p_up": 0.5})
-    errs = validate_config_dict(bad)
+    errs = parse_config(bad)[1]
     assert any("out of range" in e for e in errs)
 
 
 def test_dynamics_needs_a_time_scale():
     bad = dynamics_dict()
     del bad["times"]
-    assert any("t_max" in e for e in validate_config_dict(bad))
+    assert any("t_max" in e for e in parse_config(bad)[1])
     ok = dynamics_dict(tau=1.3)
     del ok["times"]
-    assert validate_config_dict(ok) == []
+    assert parse_config(ok)[1] == []
     cfg, errs = parse_config(ok)
     assert errs == []
     assert cfg.t_max == pytest.approx(2.6)  # defaults to twice the transit time
@@ -456,6 +455,17 @@ def test_parse_config_rejects_non_finite_numbers(key, bad):
     assert any(e.startswith(key) for e in errs), errs
 
 
+def test_cli_integer_literal_beyond_digit_limit_exits_1(tmp_path, capsys):
+    # json.load raises a plain ValueError for an int of more than 4300 digits
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dynamics_dict(tau=1.0)).replace('"tau": 1.0',
+                                                              '"tau": ' + "9" * 5000))
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", path, "--out", out]) == 1
+    assert "config is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_infinite_t_max(tmp_path, capsys):
     cfg = write_config(tmp_path, dynamics_dict(times={"t_max": float("inf")}))
     out = tmp_path / "o"
@@ -608,7 +618,7 @@ TIMED_FILES = {
 def test_times_sharing_a_file_name_are_rejected(key, times, tag):
     raw = dynamics_dict()
     TIMED_FILES[key](raw, times)
-    errs = validate_config_dict(raw)
+    errs = parse_config(raw)[1]
     assert any(e.startswith(key) and tag in e for e in errs), errs
 
 
