@@ -10,9 +10,19 @@ variables are set from --threads (or the HELIPORT_THREADS environment
 variable) right after argument parsing; all engine imports live inside the
 runner functions, and each runner imports only the modules it calls.
 
+Each runner is (cfg, geom) -> (products, diagnostics, exit code) and writes
+nothing: products maps an output file name to a CSV table (header, columns)
+or, for a .json name, to a JSON document.  main is the one place that checks
+and writes them.  It first requires every number of every product to be
+finite (nan only where a column is nan by design), then creates the output
+directory, removes a stale manifest.json, writes the products in order and
+writes manifest.json last: a run that fails before writing creates no
+directory, and a directory without a manifest is incomplete.
+
 Exit codes: 0 success (and --help), 1 usage/configuration error (argparse
-errors and a --threads or HELIPORT_THREADS value that is not a positive
-integer included), 2 numerical failure or failed self-checks.
+errors, a --threads or HELIPORT_THREADS value that is not a positive
+integer, and an output directory that cannot be written included), 2
+numerical failure (a non-finite product included) or failed self-checks.
 """
 
 from __future__ import annotations
@@ -98,65 +108,77 @@ def _launch(cfg, geom):
     return h, state, prop, keys
 
 
-def _require_finite(tables, exempt=()) -> None:
-    """Raise FloatingPointError naming the file and column of the first
-    non-finite value; tables maps file name -> (header, columns)."""
+# CSV columns that are nan by design: eta inside the helicity deadband, and
+# intensity inside the near-field mask (the field runner counts those)
+_NAN_COLUMNS = ("eta", "intensity")
+
+
+def _require_finite(products) -> None:
+    """Raise FloatingPointError naming the first product that holds a
+    non-finite number.
+
+    products maps a file name to a CSV table (header, columns) when the name
+    ends in .csv, and to a JSON document otherwise.
+    """
+    import json
+
     import numpy as np
 
-    for name, (header, columns) in tables.items():
-        for col, values in zip(header, columns):
-            if col not in exempt and not np.isfinite(values).all():
-                raise FloatingPointError(f"{name}: non-finite values in column '{col}'")
+    for name, product in products.items():
+        if name.endswith(".csv"):
+            for col, values in zip(*product):
+                bad = np.isinf(values) if col in _NAN_COLUMNS else ~np.isfinite(values)
+                if bad.any():
+                    raise FloatingPointError(f"{name}: non-finite values in column '{col}'")
+        else:
+            try:
+                json.dumps(product, allow_nan=False)
+            except ValueError as exc:
+                raise FloatingPointError(f"{name}: {exc}") from None
 
 
-def _run_dynamics(cfg, geom, out_dir: Path):
+def _run_dynamics(cfg, geom):
     import numpy as np
 
-    from . import dynamics, output
+    from . import dynamics
     from .config import time_tag
 
     h, state, prop, prop_keys = _launch(cfg, geom)
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
     series = dynamics.evolve(state, h, geom, times, deadband=cfg.helicity_deadband,
                              propagator=prop)
-    tables = {"timeseries.csv": (
+    products = {"timeseries.csv": (
         ["t", "trace", "P_up", "P_down", "Sz", "z_com", "eta"],
         [series.times, series.trace, series.p_up, series.p_down,
          series.sz, series.z_com, series.eta])}
     snapshots = dynamics.populations(prop, state, cfg.snapshot_times)
     for t, per_site in zip(cfg.snapshot_times, snapshots):
-        tables[f"snapshot_t{time_tag(t)}.csv"] = (
+        products[f"snapshot_t{time_tag(t)}.csv"] = (
             ["site", "z", "p_up", "p_down"],
             [np.arange(geom.n_sites), geom.z, per_site[:, 0], per_site[:, 1]])
-    # eta is nan inside the helicity deadband by design
-    _require_finite(tables, exempt=("eta",))
-    for name, (header, columns) in tables.items():
-        output.write_csv(out_dir / name, header, columns)
-
     diagnostics = {
         **prop_keys,
         "arrival_time": dynamics.arrival_time(series, geom),
         "final_trace": float(series.trace[-1]),
         "helicity_defined_fraction": float(np.mean(~np.isnan(series.eta))),
     }
-    return list(tables), diagnostics, 0
+    return products, diagnostics, 0
 
 
-def _run_bands(cfg, _geom, out_dir: Path):
+def _run_bands(cfg, _geom):
     import numpy as np
 
-    from . import bloch, output
+    from . import bloch
 
     grid = bloch.brillouin_grid(cfg.helix.pitch, cfg.bloch_n_k)
     bands = bloch.band_structure(cfg.helix, grid, m_cut=cfg.bloch_m_cut,
                                  hermitian_only=cfg.hermitian_only)
     n_k, n_b = bands.energies.shape
-    output.write_csv(out_dir / "bands.csv",
-                     ["k", "band", "energy", "gamma", "sz", "v", "in_light_cone"],
-                     [np.repeat(bands.k, n_b), np.tile(np.arange(n_b), n_k),
-                      bands.energies.ravel(), bands.gammas.ravel(), bands.sz.ravel(),
-                      bands.velocities.ravel(),
-                      np.repeat(bands.in_light_cone.astype(int), n_b)])
+    products = {"bands.csv": (
+        ["k", "band", "energy", "gamma", "sz", "v", "in_light_cone"],
+        [np.repeat(bands.k, n_b), np.tile(np.arange(n_b), n_k),
+         bands.energies.ravel(), bands.gammas.ravel(), bands.sz.ravel(),
+         bands.velocities.ravel(), np.repeat(bands.in_light_cone.astype(int), n_b)])}
     diagnostics = {
         "m_cut": bands.m_cut,
         "coupling_convergence": _finite_or_none(bands.convergence),
@@ -164,11 +186,11 @@ def _run_bands(cfg, _geom, out_dir: Path):
         "min_gamma": float(bands.gammas.min()),
         "max_gamma": float(bands.gammas.max()),
     }
-    return ["bands.csv"], diagnostics, 0
+    return products, diagnostics, 0
 
 
-def _run_zak(cfg, _geom, out_dir: Path):
-    from . import bloch, output, topology
+def _run_zak(cfg, _geom):
+    from . import bloch, topology
 
     grid = topology.wilson_grid(cfg.helix.pitch, cfg.zak_n_k)
     sweep = bloch.eigen_sweep(cfg.helix, grid, m_cut=cfg.bloch_m_cut, hermitian_only=True)
@@ -199,7 +221,6 @@ def _run_zak(cfg, _geom, out_dir: Path):
         })
         if res.ill_defined:
             ill.append(group_name)
-    output.write_json(out_dir / "zak.json", records)
     diagnostics = {
         "m_cut": sweep.m_cut,
         "coupling_convergence": _finite_or_none(sweep.convergence),
@@ -207,7 +228,7 @@ def _run_zak(cfg, _geom, out_dir: Path):
         "band_groups": [name for name, _ in groups],
         "ill_defined_groups": ill,
     }
-    return ["zak.json"], diagnostics, 0
+    return {"zak.json": records}, diagnostics, 0
 
 
 def _field_preflight(fs) -> None:
@@ -224,13 +245,13 @@ def _field_preflight(fs) -> None:
                          f"{phys / 2**30:.3g} GiB of physical memory")
 
 
-def _run_field(cfg, geom, out_dir: Path):
+def _run_field(cfg, geom):
     fs = cfg.field
     _field_preflight(fs)
 
     import numpy as np
 
-    from . import field, output
+    from . import field
     from .config import time_tag
 
     _, state, prop, prop_keys = _launch(cfg, geom)
@@ -242,27 +263,22 @@ def _run_field(cfg, geom, out_dir: Path):
     fmaps = field.intensity_maps(state.weights, amps, geom, plane, times,
                                  normalize=fs.normalize)
 
-    names = [{spin: f"field_t{time_tag(t)}_{spin}.csv" for spin in ("up", "down")}
-             for t in fs.times]
-    for fmap, frame_names in zip(fmaps, names):
-        for spin, grid in (("up", fmap.i_up), ("down", fmap.i_down)):
-            # masked near-field points are nan by design; any other is a failure
-            if np.count_nonzero(~np.isfinite(grid)) > fmap.n_masked:
-                raise FloatingPointError(f"{frame_names[spin]}: non-finite intensity "
-                                         "outside the near-field mask")
-
     ax_u, ax_v = plane.axis_labels
     n_u, n_v = len(plane.u), len(plane.v)
     u_col, v_col = np.repeat(plane.u, n_v), np.tile(plane.v, n_u)
-    outputs, frames = [], []
-    for fmap, frame_names in zip(fmaps, names):
+    products, frames = {}, []
+    for t, fmap in zip(fs.times, fmaps):
+        files = {}
         for spin, grid in (("up", fmap.i_up), ("down", fmap.i_down)):
-            output.write_csv(out_dir / frame_names[spin], [ax_u, ax_v, "intensity"],
-                             [u_col, v_col, grid.ravel()])
-            outputs.append(frame_names[spin])
+            name = files[spin] = f"field_t{time_tag(t)}_{spin}.csv"
+            # masked near-field points are nan by design; any other is a failure
+            if np.count_nonzero(~np.isfinite(grid)) > fmap.n_masked:
+                raise FloatingPointError(f"{name}: non-finite intensity "
+                                         "outside the near-field mask")
+            products[name] = ([ax_u, ax_v, "intensity"], [u_col, v_col, grid.ravel()])
         frames.append({
             "time": fmap.time,
-            "files": frame_names,
+            "files": files,
             "norm_max": fmap.norm_max,
             "n_masked": fmap.n_masked,
         })
@@ -280,21 +296,18 @@ def _run_field(cfg, geom, out_dir: Path):
         "normalize": cfg.field.normalize,
         "frames": frames,
     }
-    output.write_json(out_dir / "field_meta.json", meta)
-    outputs.append("field_meta.json")
+    products["field_meta.json"] = meta
     diagnostics = {
         **prop_keys,
         "n_masked_near_field": frames[0]["n_masked"] if frames else 0,
     }
-    return outputs, diagnostics, 0
+    return products, diagnostics, 0
 
 
-def _run_check(cfg, _geom, out_dir: Path):
-    from . import output, selfcheck
+def _run_check(cfg, _geom):
+    from . import selfcheck
 
     n_fail, report = selfcheck.run_checks(cfg)
-    output.write_json(out_dir / "check_report.json",
-                      {"n_failed": n_fail, "checks": report})
     diagnostics = {
         "n_checks": len(report),
         "n_failed": n_fail,
@@ -302,25 +315,25 @@ def _run_check(cfg, _geom, out_dir: Path):
     }
     if n_fail:
         print(f"error: {n_fail} self-check(s) failed", file=sys.stderr)
-    return ["check_report.json"], diagnostics, 2 if n_fail else 0
+    products = {"check_report.json": {"n_failed": n_fail, "checks": report}}
+    return products, diagnostics, 2 if n_fail else 0
 
 
 _RUNNERS = {"dynamics": _run_dynamics, "bands": _run_bands, "zak": _run_zak,
             "field": _run_field, "check": _run_check}
 
 
-def _dump_matrices(geom, out_dir: Path):
+def _dump_matrices(geom):
     import numpy as np
 
-    from . import hamiltonian, output
+    from . import hamiltonian
 
     coup = hamiltonian.assemble(geom)
     idx = np.arange(coup.j.shape[0])
     rows, cols = np.repeat(idx, len(idx)), np.tile(idx, len(idx))
-    for name, matrix in (("J.csv", coup.j), ("Gamma.csv", coup.gamma)):
-        output.write_csv(out_dir / name, ["row", "col", "re", "im"],
-                         [rows, cols, matrix.real.ravel(), matrix.imag.ravel()])
-    return ["J.csv", "Gamma.csv"]
+    return {name: (["row", "col", "re", "im"],
+                   [rows, cols, matrix.real.ravel(), matrix.imag.ravel()])
+            for name, matrix in (("J.csv", coup.j), ("Gamma.csv", coup.gamma))}
 
 
 def main(argv=None) -> int:
@@ -352,39 +365,49 @@ def main(argv=None) -> int:
         return _fail([f"config declares mode '{cfg.mode}' but the "
                       f"'{args.command}' subcommand was invoked"], 1)
 
-    out_dir = Path(args.out) if args.out else Path(f"{cfg_path.stem}_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     import numpy as np
     import scipy
 
     try:
         geom = cfg.build_geometry()
-        outputs, diagnostics, exit_code = _RUNNERS[cfg.mode](cfg, geom, out_dir)
+        products, diagnostics, exit_code = _RUNNERS[cfg.mode](cfg, geom)
         if args.dump_matrices:
-            outputs.extend(_dump_matrices(geom, out_dir))
+            products.update(_dump_matrices(geom))
+        _require_finite(products)
     except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
         return _fail([f"numerical failure: {exc}"], 2)
     except ValueError as exc:
         return _fail([str(exc)], 1)
 
     from . import __version__
-    from .output import write_json
+    from .output import write_csv, write_json
 
-    write_json(out_dir / "manifest.json", {
-        "tool": "heliport",
-        "version": __version__,
-        "mode": cfg.mode,
-        "label": cfg.label,
-        "config": cfg_path.name,
-        "config_sha256": config_sha256(cfg.raw),
-        "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
-        "threads": threads,
-        "outputs": outputs,
-        "diagnostics": diagnostics,
-    })
-    print(f"{cfg.mode}: wrote {len(outputs)} file(s) to {out_dir}")
+    out_dir = Path(args.out) if args.out else Path(f"{cfg_path.stem}_out")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # the manifest marks a complete directory, so it goes first and comes last
+        (out_dir / "manifest.json").unlink(missing_ok=True)
+        for name, product in products.items():
+            if name.endswith(".csv"):
+                write_csv(out_dir / name, *product)
+            else:
+                write_json(out_dir / name, product)
+        write_json(out_dir / "manifest.json", {
+            "tool": "heliport",
+            "version": __version__,
+            "mode": cfg.mode,
+            "label": cfg.label,
+            "config": cfg_path.name,
+            "config_sha256": config_sha256(cfg.raw),
+            "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
+            "threads": threads,
+            "outputs": list(products),
+            "diagnostics": diagnostics,
+        })
+    except OSError as exc:
+        return _fail([f"cannot write outputs: {exc}"], 1)
+    print(f"{cfg.mode}: wrote {len(products)} file(s) to {out_dir}")
     return exit_code
 
 

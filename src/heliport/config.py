@@ -146,7 +146,8 @@ _KEYS = (
          "must lie in the range [0, 1]", "p_up", float, required=True),
     _Key("times.t_max", _positive, "must be a positive number", "t_max", float),
     _Key("times.n_times", _int_from(2), "must be an integer >= 2", "n_times"),
-    _Key("tau", _positive, "must be a positive number", "tau", float),
+    _Key("tau", lambda x: _positive(x) and math.isfinite(2.0 * x),
+         "must be a positive number with 2*tau finite (the default t_max)", "tau", float),
     _Key("snapshot_times", _times, "must be a list of times >= 0",
          "snapshot_times", _floats),
     _Key("helicity_deadband", _positive, "must be a positive number",

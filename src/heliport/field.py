@@ -133,27 +133,6 @@ def _kernel_chunks(positions: np.ndarray, pts_flat: np.ndarray):
         yield slice(lo, lo + len(near)), k, near
 
 
-def field_amplitude(amplitudes: np.ndarray, geom: EmitterGeometry, points,
-                    spin: int) -> np.ndarray:
-    """F_sigma at the given points for one amplitude vector; masked -> nan.
-
-    spin: 0 (up) or 1 (down).  points may be any (..., 3) array; the result
-    has shape (..., 3).
-    """
-    if spin not in (0, 1):
-        raise ValueError("spin must be 0 (up) or 1 (down)")
-    pts = np.asarray(points, dtype=float)
-    shape = pts.shape[:-1]
-    pts_flat = pts.reshape(-1, 3)
-    a_spin = np.asarray(amplitudes, dtype=complex).reshape(geom.n_sites, 2)[:, spin]
-    out = np.empty((len(pts_flat), 3), dtype=complex)
-    for sl, k, near in _kernel_chunks(geom.positions, pts_flat):
-        f = FIELD_PREFACTOR * (k[spin] @ a_spin)
-        f[near] = np.nan
-        out[sl] = f
-    return out.reshape(shape + (3,))
-
-
 @dataclass
 class FieldMap:
     time: float

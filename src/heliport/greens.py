@@ -37,8 +37,6 @@ G lives in one place.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 LAMBDA0 = 1.0
@@ -87,13 +85,6 @@ def green_tensor(r) -> np.ndarray:
     return g[0] if single else g
 
 
-class PairCoupling(NamedTuple):
-    """2x2 spin blocks (up=0, down=1) of the coherent and dissipative rates."""
-
-    j: np.ndarray
-    gamma: np.ndarray
-
-
 def coupling_blocks(sep) -> tuple[np.ndarray, np.ndarray]:
     """J and Gamma 2x2 spin blocks for separation(s) of shape (..., 3).
 
@@ -110,12 +101,3 @@ def coupling_blocks(sep) -> tuple[np.ndarray, np.ndarray]:
         out[..., 0, 1] = -scale * LAMBDA0 * GAMMA0 * pb * m_off
         out[..., 1, 0] = np.conj(out[..., 0, 1])
     return j, gamma
-
-
-def pair_coupling(r_i, r_j) -> PairCoupling:
-    """Couplings between emitters at r_i and r_j (must not coincide)."""
-    sep = np.asarray(r_i, dtype=float) - np.asarray(r_j, dtype=float)
-    if np.linalg.norm(sep) == 0.0:
-        raise ValueError("pair_coupling: coincident emitter positions")
-    j, gamma = coupling_blocks(sep)
-    return PairCoupling(j, gamma)

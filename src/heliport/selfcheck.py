@@ -90,8 +90,8 @@ def check_rotation_covariance(_cfg, rng):
         base = geometry.EmitterGeometry(_random_separations(rng, 2), label="pair")
         delta = rng.uniform(0, 2 * np.pi)
         rot = geometry.rotate_about_z(base, delta)
-        j0, g0 = greens.pair_coupling(base.positions[0], base.positions[1])
-        j1, g1 = greens.pair_coupling(rot.positions[0], rot.positions[1])
+        j0, g0 = greens.coupling_blocks(base.positions[0] - base.positions[1])
+        j1, g1 = greens.coupling_blocks(rot.positions[0] - rot.positions[1])
         err = max(err, abs(j1[0, 0] - j0[0, 0]), abs(g1[0, 0] - g0[0, 0]))
         err = max(err, abs(j1[0, 1] - j0[0, 1] * np.exp(-2j * delta)))
     return _require(err < 1e-10, f"rotation covariance error {err:.1e}")
@@ -219,15 +219,16 @@ def check_field_sanity(cfg, _rng):
     fmap = field.intensity_map([1.0], [a], geom, plane)
     _require(np.nanmax(fmap.i_down) == 0.0,
              f"down intensity {np.nanmax(fmap.i_down):.1e} for pure up state")
-    # radiated intensity falls off as 1/r^2
+    # radiated intensity falls off as 1/r^2, here at x = 40 and 80 lambda_0
     single = geometry.EmitterGeometry(np.zeros((1, 3)), label="single")
-    probe = np.array([[40.0, 0.0, 0.0], [80.0, 0.0, 0.0]])
-    f = field.field_amplitude(np.array([1.0, 0.0], dtype=complex), single, probe, 0)
-    ratio = (np.linalg.norm(f[0]) / np.linalg.norm(f[1])) ** 2
+    probe = field.FieldPlane("y", 0.0, u=np.array([40.0, 80.0]), v=np.array([0.0]))
+    i_up = field.intensity_map([1.0], [np.array([1.0, 0.0], dtype=complex)],
+                               single, probe).i_up
+    ratio = i_up[0, 0] / i_up[1, 0]
     _require(abs(ratio - 4.0) < 4.0 * 1e-2, f"1/r^2 ratio {ratio:.4f}")
-    # mixture linearity
+    # mixture linearity, with a pure spin-down excitation on the last site
     b = np.zeros_like(a)
-    b[3] = 1.0
+    b[-1] = 1.0
     half = field.intensity_map([0.5, 0.5], [a, b], geom, plane)
     ia = field.intensity_map([1.0], [a], geom, plane)
     ib = field.intensity_map([1.0], [b], geom, plane)

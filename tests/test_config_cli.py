@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import importlib
 import json
 import os
 import warnings
@@ -157,8 +159,7 @@ def test_cli_dynamics_non_finite_output_exits_2_and_writes_nothing(tmp_path, cap
     assert run_cli(["dynamics", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert "timeseries.csv" in err and "z_com" in err
-    assert not (out / "timeseries.csv").exists()
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_cli_outputs_are_deterministic(tmp_path):
@@ -474,6 +475,14 @@ def test_cli_rejects_infinite_t_max(tmp_path, capsys):
     assert not (out / "timeseries.csv").exists()
 
 
+def test_cli_rejects_tau_whose_default_t_max_overflows(tmp_path, capsys):
+    cfg = write_config(tmp_path, dynamics_dict(tau=1e308, times={"n_times": 20}))
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    assert "error: tau:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------ geometry file errors
 
 def test_cli_missing_geometry_file_is_a_config_error(tmp_path, capsys):
@@ -646,6 +655,8 @@ def test_cli_dynamics_field_zak_leave_integrate_and_optimize_unimported(
                 "bloch": {"m_cut": 100}, "zak": {"n_k": 60}},
         "bands": {"mode": "bands", "geometry": {"helix": dict(HELIX)},
                   "bloch": {"n_k": 21, "m_cut": 100}},
+        "check": {"mode": "check", "geometry": {"helix": dict(HELIX)},
+                  "bloch": {"n_k": 21, "m_cut": 120}},
     }
     paths = [write_config(tmp_path, raw, f"{mode}.json") for mode, raw in configs.items()]
     loaded = fresh_python(
@@ -656,6 +667,80 @@ def test_cli_dynamics_field_zak_leave_integrate_and_optimize_unimported(
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse')"
         " if m in sys.modules))\n", *paths)
     assert loaded.splitlines()[-1] == "[]"
+
+
+# ------------------------------------------- one guard and one writer for all
+
+def _nan_gamma(bands):
+    bands.gammas[3, 1] = np.nan
+    return bands
+
+
+def _nan_coupling(coup):
+    coup.gamma[0, 1] = np.nan
+    return coup
+
+
+def _nan_residual(results):
+    return [dataclasses.replace(res, residual=float("nan")) for res in results]
+
+
+BANDS_RUN = {"mode": "bands", "geometry": {"helix": dict(HELIX)},
+             "bloch": {"n_k": 21, "m_cut": 100}}
+ZAK_RUN = {"mode": "zak", "geometry": {"helix": dict(HELIX)},
+           "bloch": {"m_cut": 100}, "zak": {"n_k": 60}}
+# product -> (module, function whose result is spoiled, spoiler, config, flags)
+NAN_PRODUCTS = {
+    "bands.csv": ("bloch", "band_structure", _nan_gamma, BANDS_RUN, []),
+    "Gamma.csv": ("hamiltonian", "assemble", _nan_coupling, BANDS_RUN,
+                  ["--dump-matrices"]),
+    "zak.json": ("topology", "zak_phases", _nan_residual, ZAK_RUN, []),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_PRODUCTS))
+def test_cli_non_finite_product_exits_2_names_it_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, name):
+    module, func, spoil, raw, flags = NAN_PRODUCTS[name]
+    mod = importlib.import_module(f"heliport.{module}")
+    inner = getattr(mod, func)
+    monkeypatch.setattr(mod, func, lambda *a, **kw: spoil(inner(*a, **kw)))
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", cfg, "--out", out, *flags]) == 2
+    assert f"numerical failure: {name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_out_naming_a_file_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, dynamics_dict())
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    assert "error: cannot write outputs:" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+
+
+def test_cli_failed_write_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    from heliport import output
+
+    cfg = write_config(tmp_path, dynamics_dict())
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    assert (out / "manifest.json").exists()
+    write_csv, written = output.write_csv, []
+
+    def fails_on_second(path, header, columns):
+        if written:
+            raise OSError(28, "No space left on device")
+        written.append(path)
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(output, "write_csv", fails_on_second)
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    assert "error: cannot write outputs:" in capsys.readouterr().err
+    assert written == [out / "timeseries.csv"]
+    assert not (out / "manifest.json").exists()
 
 
 # ------------------------------------------------------------- config fuzzing

@@ -3,7 +3,7 @@ import pytest
 
 from heliport.dynamics import Propagator, initial_state
 from heliport.field import (FIELD_PREFACTOR, NEAR_FIELD_RADIUS, FieldPlane,
-                            default_plane, field_amplitude, intensity_map,
+                            _field_kernel, default_plane, intensity_map,
                             intensity_maps)
 from heliport.geometry import EmitterGeometry, build_helix, mirror_xz
 from heliport.greens import POLARIZATION, green_tensor
@@ -55,9 +55,9 @@ def test_pure_up_state_emits_no_down_field(small_helix):
 
 def test_far_field_inverse_square():
     geom = single_emitter()
-    pts = np.array([[50.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
-    f = field_amplitude(up_amplitude(geom), geom, pts, 0)
-    ratio = (np.linalg.norm(f[0]) / np.linalg.norm(f[1])) ** 2
+    plane = FieldPlane("y", 0.0, np.array([50.0, 100.0]), np.array([0.0]))
+    i_up = intensity_map([1.0], [up_amplitude(geom)], geom, plane).i_up
+    ratio = i_up[0, 0] / i_up[1, 0]         # the ratio of |F_up|^2 at x = 50, 100
     assert ratio == pytest.approx(4.0, rel=1e-2)
 
 
@@ -67,7 +67,9 @@ def test_circular_dipole_field_axially_symmetric(rng):
     angles = rng.uniform(0, 2 * np.pi, size=8)
     pts = np.column_stack([d * np.cos(angles), d * np.sin(angles),
                            np.full(8, 0.7)])
-    f = field_amplitude(up_amplitude(geom), geom, pts, 0)
+    k, near = _field_kernel(geom.positions, pts)
+    assert not near.any()
+    f = FIELD_PREFACTOR * k[0, :, :, 0]     # F_up of the one spin-up emitter
     intensity = np.sum(np.abs(f) ** 2, axis=1)
     assert np.ptp(intensity) < 1e-12 * intensity[0]
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from heliport.greens import (EPS_DOWN, EPS_UP, GAMMA0, K0, coupling_blocks,
-                             green_tensor, pair_coupling)
+from heliport.greens import EPS_DOWN, EPS_UP, GAMMA0, K0, coupling_blocks, green_tensor
 
 
 def co_polar_decay_series(u):
@@ -87,22 +86,13 @@ def test_rotation_covariance_of_cross_coupling(rng):
         delta = rng.uniform(0.0, 2 * np.pi)
         c, s = np.cos(delta), np.sin(delta)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        a = pair_coupling(r_i, r_j)
-        b = pair_coupling(rot @ r_i, rot @ r_j)
+        a = coupling_blocks(r_i - r_j)
+        b = coupling_blocks(rot @ r_i - rot @ r_j)
         phase = np.exp(-2j * delta)
-        for orig, rotd in ((a.j, b.j), (a.gamma, b.gamma)):
+        for orig, rotd in zip(a, b):
             assert abs(rotd[0, 0] - orig[0, 0]) < 1e-12       # co-polar invariant
             assert abs(rotd[0, 1] - orig[0, 1] * phase) < 1e-12
             assert abs(rotd[1, 0] - orig[1, 0] * phase.conjugate()) < 1e-12
-
-
-def test_pair_coupling_matches_blocks(rng):
-    r_i = rng.uniform(-1, 1, size=3)
-    r_j = r_i + np.array([0.3, -0.2, 0.4])
-    pc = pair_coupling(r_i, r_j)
-    j, gam = coupling_blocks(r_i - r_j)
-    assert np.allclose(pc.j, j)
-    assert np.allclose(pc.gamma, gam)
 
 
 def _contracted_blocks(sep):

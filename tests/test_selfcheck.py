@@ -1,0 +1,33 @@
+import json
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from heliport import selfcheck
+from heliport.config import parse_config
+
+
+def spread_positions(seed, n, half_width=0.4, min_gap=0.02):
+    """n points in a cube of half-width half_width (lambda_0), at least
+    min_gap apart, drawn by rejection from a seeded generator."""
+    rng = np.random.default_rng(seed)
+    pos = np.empty((0, 3))
+    while len(pos) < n:
+        p = rng.uniform(-half_width, half_width, size=3)
+        if not len(pos) or np.linalg.norm(pos - p, axis=1).min() >= min_gap:
+            pos = np.vstack([pos, p])
+    return pos
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+@example(seed=0, n=1)
+def test_check_battery_passes_on_random_geometries(tmp_path_factory, seed, n):
+    path = tmp_path_factory.mktemp("geometry") / "positions.json"
+    path.write_text(json.dumps({"positions": spread_positions(seed, n).tolist()}))
+    cfg, errs = parse_config({"mode": "check", "geometry": {"file": str(path)}})
+    assert errs == []
+    n_fail, report = selfcheck.run_checks(cfg, log=lambda _line: None)
+    assert len(report) == len(selfcheck.CHECKS)
+    assert n_fail == 0, [r for r in report if not r["passed"]]
