@@ -10,19 +10,15 @@ variables are set from --threads (or the HELIPORT_THREADS environment
 variable) right after argument parsing; all engine imports live inside the
 runner functions, and each runner imports only the modules it calls.
 
-Each runner is (cfg, geom) -> (products, diagnostics, exit code) and writes
-nothing: products maps an output file name to a CSV table (header, columns)
-or, for a .json name, to a JSON document.  main is the one place that checks
-and writes them.  It first requires every number of every product to be
-finite (nan only where a column is nan by design), then creates the output
-directory, removes a stale manifest.json, writes the products in order and
-writes manifest.json last: a run that fails before writing creates no
-directory, and a directory without a manifest is incomplete.
+Runners return (products, diagnostics, exit code) and write nothing; main
+alone checks every product for non-finite numbers, then creates the output
+directory and writes the products, manifest.json last (a stale one is
+removed first), so a directory without a manifest is incomplete.
 
 Exit codes: 0 success (and --help), 1 usage/configuration error (argparse
 errors, a --threads or HELIPORT_THREADS value that is not a positive
-integer, and an output directory that cannot be written included), 2
-numerical failure (a non-finite product included) or failed self-checks.
+integer, and an unwritable output directory included), 2 numerical failure
+(a non-finite product included) or failed self-checks.
 """
 
 from __future__ import annotations
@@ -114,12 +110,9 @@ _NAN_COLUMNS = ("eta", "intensity")
 
 
 def _require_finite(products) -> None:
-    """Raise FloatingPointError naming the first product that holds a
-    non-finite number.
-
-    products maps a file name to a CSV table (header, columns) when the name
-    ends in .csv, and to a JSON document otherwise.
-    """
+    """Raise FloatingPointError naming the first product with a non-finite
+    number; products maps a .csv name to (header, columns), any other name
+    to a JSON document."""
     import json
 
     import numpy as np
