@@ -359,7 +359,6 @@ def main(argv=None) -> int:
                       f"'{args.command}' subcommand was invoked"], 1)
 
     import numpy as np
-    import scipy
 
     try:
         geom = cfg.build_geometry()
@@ -393,7 +392,6 @@ def main(argv=None) -> int:
             "config": cfg_path.name,
             "config_sha256": config_sha256(cfg.raw),
             "numpy_version": np.__version__,
-            "scipy_version": scipy.__version__,
             "threads": threads,
             "outputs": list(products),
             "diagnostics": diagnostics,

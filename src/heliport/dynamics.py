@@ -38,8 +38,9 @@ spin degeneracy of a single emitter or a straight chain is split across the
 two blocks, so they need no inv.  Expansion coefficients get one refinement
 step c += V^-1 (a0 - V c).
 
-If the eigenvector matrix is too ill conditioned, propagation falls back to
-a <- expm_multiply(-i (t_i - t_{i-1}) H_eff, a) over the sorted times.  The
+If the eigenvector matrix is too ill conditioned, propagation steps
+a <- exp(-i (t_i - t_{i-1}) H_eff) a over the sorted times instead, with the
+Taylor kernel _expm_apply that the master-equation oracle also uses.  The
 criterion is sqrt(sum_b ||V_b||_F^2 * sum_b ||V_b^-1||_F^2) > COND_LIMIT,
 the Frobenius product ||V||_F ||V^-1||_F of the full-basis eigenvector
 matrix V = Q blockdiag(V_b) (Q, the C2 basis change, is unitary); it bounds
@@ -144,7 +145,7 @@ class Propagator:
     docstring) and diagonalized whole otherwise.  Attributes set at
     construction: blocks, a list of (evals, vecs, vecs_inv) per block, with
     vecs_inv None when V_b is singular; c2_phase and c2_residual, the C2
-    phase and probe residual; use_stepper (expm_multiply fallback taken) and
+    phase and probe residual; use_stepper (Taylor fallback taken) and
     condition, the full-basis bound
     sqrt(sum_b ||V_b||_F^2 * sum_b ||V_b^-1||_F^2) on the eigenvector
     condition number compared against COND_LIMIT (exactly 1 for the
@@ -222,15 +223,11 @@ class Propagator:
         return phases * coef @ vecs.T
 
     def _propagate_expm(self, a0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        from scipy.sparse.linalg import expm_multiply   # slow import, fallback only
-
         out = np.empty((len(times), len(a0)), dtype=complex)
-        a = a0.astype(complex)
-        t_cur = 0.0
+        a, t_cur = a0, 0.0
         for idx in np.argsort(times):
-            a = expm_multiply(-1j * (times[idx] - t_cur) * self.h, a)
+            out[idx] = a = _expm_apply(-1j * (times[idx] - t_cur) * self.h, a)
             t_cur = times[idx]
-            out[idx] = a
         return out
 
 
@@ -253,7 +250,8 @@ def helicity(sz: np.ndarray, z_com: np.ndarray, times: np.ndarray,
     """eta(t) = sign(<S_z> * v); undefined (nan) inside the dead-band."""
     if len(times) < 2:
         raise ValueError("helicity needs at least two time points")
-    v = np.gradient(z_com, times)
+    with np.errstate(over="ignore", invalid="ignore"):  # dx1*dx2 overflows on huge steps
+        v = np.gradient(z_com, times)
     prod = sz * v
     eta = np.where(prod > 0, 1.0, -1.0)
     eta[~(np.abs(prod) > deadband)] = np.nan  # also catches nan z_com
@@ -324,21 +322,23 @@ def arrival_time(series: ObservableSeries, geom: EmitterGeometry):
     return None
 
 
-def _expm_taylor(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring a Taylor series: numpy only, no
-    eigendecomposition, so the master-equation oracle shares nothing with
-    the Propagator.  After scaling, ||a||_1 <= 1/2 and 18 terms leave a
-    truncation error far below round-off."""
-    norm = np.abs(a).sum(axis=0).max()
-    squarings = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
-    a = a / 2.0**squarings
-    term = np.eye(len(a), dtype=complex)
-    out = term.copy()
-    for n in range(1, 19):
-        term = term @ a / n
-        out += term
-    for _ in range(squarings):
-        out = out @ out
+def _expm_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(a) @ v from s Taylor steps of a/s, ||a/s||_1 <= 4: numpy only, no
+    eigendecomposition and no squaring.  Each step's series stops once a term
+    falls below round-off of the sum in the 1-norm; the remaining terms then
+    add at most e^4 times that (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+    488 (2011)).  v is a vector (Propagator fallback) or the identity (the
+    master-equation oracle, which checks the spectral path)."""
+    steps = max(1, int(np.ceil(np.abs(a).sum(axis=0).max() / 4.0)))
+    a, out = a / steps, v.astype(complex)
+    for _ in range(steps):
+        term = out
+        for n in range(1, 60):
+            term = a @ term / n
+            out += term
+            if (np.abs(term).sum(axis=0).max()
+                    <= np.finfo(float).eps * np.abs(out).sum(axis=0).max()):
+                break
     return out
 
 
@@ -362,7 +362,7 @@ def master_equation_check(state: ExcitationState, coupling: CouplingTensor,
         rho += w * np.outer(a, a.conj())
 
     times = np.linspace(0.0, t_final, n_eval + 1)
-    step = _expm_taylor(-1j * (times[1] - times[0]) * h_eff.matrix)
+    step = _expm_apply(-1j * (times[1] - times[0]) * h_eff.matrix, np.eye(dim))
 
     # geometry is only needed for z_com; a placeholder z = site index works
     # for the comparison since both sides use the same values

@@ -161,8 +161,8 @@ def check_master_equation(cfg, _rng):
     if src is None:
         return "skipped (needs a helix geometry)"
     turns = max(1, int(np.ceil(6 / src.sites_per_turn)))
-    small = geometry.build_helix(geometry.HelixParams(
-        src.radius, src.pitch, src.sites_per_turn, turns, src.handedness))
+    small = geometry.EmitterGeometry(geometry.helix_positions(geometry.HelixParams(
+        src.radius, src.pitch, src.sites_per_turn, turns, src.handedness))[:8])
     state = dynamics.initial_state(small.n_sites, 0, 0.5)
     coup = hamiltonian.assemble(small)
     dev = dynamics.master_equation_check(state, coup, 5.0)

@@ -129,7 +129,7 @@ def test_cli_dynamics_end_to_end(tmp_path):
     assert manifest["mode"] == "dynamics"
     assert manifest["config_sha256"] == config_sha256(dynamics_dict())
     assert "timeseries.csv" in manifest["outputs"]
-    assert "numpy_version" in manifest and "scipy_version" in manifest
+    assert "numpy_version" in manifest and "scipy_version" not in manifest
 
 
 def test_cli_snapshot_matches_the_evolve_row_at_its_time(tmp_path):
@@ -483,6 +483,15 @@ def test_cli_rejects_tau_whose_default_t_max_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_huge_t_max_exits_2_with_only_the_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, dynamics_dict(times={"t_max": 1e300}))
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'z_com'" in err[0], err
+    assert not out.exists()
+
+
 # ------------------------------------------------------ geometry file errors
 
 def test_cli_missing_geometry_file_is_a_config_error(tmp_path, capsys):
@@ -642,10 +651,41 @@ def test_cli_times_sharing_a_file_name_exit_1(tmp_path, capsys, key):
     assert not out.exists()
 
 
-# ------------------------------------------------- each mode's own imports
+# ------------------------------------------------------- numpy only at run time
 
-def test_cli_dynamics_field_zak_leave_integrate_and_optimize_unimported(
-        tmp_path, fresh_python):
+NO_SCIPY = """\
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+import numpy as np
+
+from heliport import cli, dynamics
+from heliport.geometry import HelixParams, build_helix
+from heliport.hamiltonian import assemble, effective
+
+paths = sys.argv[1:]
+for path in paths:
+    assert cli.main(["run", "--config", path, "--out", path + "_out"]) == 0
+assert cli.main(["run", "--config", paths[0], "--out", paths[0] + "_dump",
+                 "--dump-matrices"]) == 0
+dynamics.COND_LIMIT = 0.0
+geom = build_helix(HelixParams(0.05, 0.175, 3, 2, 1))
+prop = dynamics.Propagator(effective(assemble(geom)))
+assert prop.use_stepper
+a0 = dynamics.initial_state(geom.n_sites, 0, 1.0).amplitudes[0]
+assert np.isfinite(prop.propagate(a0, [0.0, 0.3, 7.9])).all()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_every_mode_and_the_fallback_without_scipy(tmp_path, fresh_python):
     configs = {
         "dynamics": dynamics_dict(),
         "field": {"mode": "field", "geometry": {"helix": dict(HELIX)},
@@ -659,14 +699,7 @@ def test_cli_dynamics_field_zak_leave_integrate_and_optimize_unimported(
                   "bloch": {"n_k": 21, "m_cut": 120}},
     }
     paths = [write_config(tmp_path, raw, f"{mode}.json") for mode, raw in configs.items()]
-    loaded = fresh_python(
-        "import sys\n"
-        "from heliport import cli\n"
-        "for path in sys.argv[1:]:\n"
-        "    assert cli.main(['run', '--config', path, '--out', path + '_out']) == 0\n"
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse')"
-        " if m in sys.modules))\n", *paths)
-    assert loaded.splitlines()[-1] == "[]"
+    assert fresh_python(NO_SCIPY, *paths).splitlines()[-1] == "[]"
 
 
 # ------------------------------------------- one guard and one writer for all

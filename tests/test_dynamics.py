@@ -111,6 +111,17 @@ def test_expm_fallback_matches_spectral(small_helix, monkeypatch):
                   - stepped.propagate(a0, times)).max() < 1e-8
 
 
+@pytest.mark.parametrize("hermitian_only", [False, True], ids=["full", "coherent"])
+def test_taylor_fallback_matches_expm(small_helix, hermitian_only):
+    h = effective(assemble(small_helix), hermitian_only)
+    prop = Propagator(h)
+    prop.use_stepper = True          # the Hermitian branch never sets it
+    times = np.array([0.0, 0.3, 7.9])
+    for a0 in initial_state(small_helix.n_sites, 0, 0.5).amplitudes:
+        assert np.abs(prop.propagate(a0, times)
+                      - _expm_reference(h, a0, times)).max() < 1e-12
+
+
 def test_arrival_time_of_transport_pulse():
     geom = build_helix(HelixParams(0.05, 0.175, 3, 10, 1))
     h = effective(assemble(geom))

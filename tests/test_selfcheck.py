@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,4 +31,16 @@ def test_check_battery_passes_on_random_geometries(tmp_path_factory, seed, n):
     assert errs == []
     n_fail, report = selfcheck.run_checks(cfg, log=lambda _line: None)
     assert len(report) == len(selfcheck.CHECKS)
+    assert n_fail == 0, [r for r in report if not r["passed"]]
+
+
+@pytest.mark.parametrize("sites_per_turn", [5, 9])
+def test_check_battery_passes_on_helices_with_many_sites_per_turn(sites_per_turn):
+    cfg, errs = parse_config({
+        "mode": "check",
+        "geometry": {"helix": {"radius": 0.05, "pitch": 0.175,
+                               "sites_per_turn": sites_per_turn, "turns": 2}},
+        "bloch": {"n_k": 21, "m_cut": 120}})
+    assert errs == []
+    n_fail, report = selfcheck.run_checks(cfg, log=lambda _line: None)
     assert n_fail == 0, [r for r in report if not r["passed"]]
