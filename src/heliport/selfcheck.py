@@ -160,6 +160,7 @@ def check_master_equation(cfg, _rng):
     src = cfg.helix
     if src is None:
         return "skipped (needs a helix geometry)"
+    # about six sites, at most the eight that master_equation_check accepts
     turns = max(1, int(np.ceil(6 / src.sites_per_turn)))
     small = geometry.EmitterGeometry(geometry.helix_positions(geometry.HelixParams(
         src.radius, src.pitch, src.sites_per_turn, turns, src.handedness))[:8])
