@@ -102,7 +102,7 @@ def test_expm_fallback_matches_spectral(small_helix, monkeypatch):
     h = effective(assemble(small_helix))
     spectral = Propagator(h)
     assert not spectral.use_stepper
-    monkeypatch.setattr(dynamics, "COND_LIMIT", 0.0)   # force the expm_multiply fallback
+    monkeypatch.setattr(dynamics, "COND_LIMIT", 0.0)   # force the Taylor-step fallback
     stepped = Propagator(h)
     assert stepped.use_stepper
     a0 = initial_state(small_helix.n_sites, 0, 1.0).amplitudes[0]
