@@ -1,35 +1,35 @@
 """Momentum-space Hamiltonian of the infinite helix and band structures.
 
-The unit cell is one full 2*pi turn: n_per_turn sublattice sites, lattice
-period a along z.  With c(m) the 2N_t x 2N_t coupling block (N_t sites per
-turn) between cell 0 and cell m, the Bloch Hamiltonian in the cell-index
-Fourier convention is
+In the screw gauge (hamiltonian) the helix is a chain of spacing b = a/N_t
+with 2x2 hoppings T(d), whose spin-flip entry is the spin-orbit coupling the
+chiral geometry induces.  chain_table reads T(d), |d| <= D = N_t m_cut
+(m_cut turns each side), off the finite helix's screw table in one kernel
+call.  With h(q) = sum_d e^{-i q b d} T(d), the one-turn cell's Bloch
+Hamiltonian (H(k + 2 pi/a) = H(k)) splits into folds q_j = -k + 2 pi j/a:
 
-    H(k) = sum_{m=-M_cut}^{+M_cut} e^{-i k m a} c(m),
+    H(k) = sum_{j < N_t} V_j h(q_j) V_j^dag,   (V_j)_mu = U_mu e^{i q_j b mu} / sqrt(N_t),
 
-which is exactly periodic, H(k + 2*pi/a) = H(k), so Brillouin-zone loops
-close with the identity.  Site mu of cell 0 and site nu of cell m are sites
-mu and nu + m N_t of one screw, so c(m) gathers the finite helix's
-screw-gauge table (hamiltonian) over N_t (m_cut + 1) sites, from
-N_t (m_cut + 1) - 1 kernel evaluations.  The lattice sum is truncated
-symmetrically; the 1/r-oscillatory tail makes modes near the light cone
-|k| = k0 converge slowest (error roughly ~ 1/M_cut there), and a Cauchy
-convergence estimate (max-norm difference between the M_cut and M_cut/2
-sums) is always reported.  _fourier_sum sums the inner cells |m| <= M_cut/2
-and the outer wings as two parts.  On the grids the runs build (wilson_grid,
-the closed brillouin_grid, the half-step grid) k_j = k_0 + j 2*pi/(L a), so
-each part is folded modulo L, folded[r] = sum_{m = r mod L} e^{-i k_0 m a}
-c(m), and H(k_j) = fft(folded)[j mod L]: O(M d^2 + L log L d^2) with d = 2 N_t
-instead of O(n_k M d^2).  Other grids (a single k, hand-made grids) take
+so each k costs N_t 2x2 eigenproblems, and band 2j + branch has the cell
+eigenvector V_j chi(q_j).  Bands keep this label along k; the two branches
+of a fold, ordered by Re E, swap labels where their spinors say they cross.
+The sum converges slowest at the light cone |k| = k0 (error ~ 1/m_cut);
+_fourier_sum sums |d| <= D/2 and the wings as two parts, and the Cauchy
+estimate ||h_D - h_{D/2}||_max = max|wings| is always reported.  On a
+uniform k grid of period L (every grid the runs build) the folded momenta
+are one uniform grid of period L N_t, summed by one FFT; other grids take
 the direct phase sum.
 
-eigen_sweep is the one path from c(m) to eigenpairs: one lattice sum and
-one batched diagonalization per grid.  band_structure continues its bands by
-overlap; topology.zak_phases runs Wilson loops on its frames.
+C2 rule.  The pi rotation about a radial axis gives h(-q) = sigma_x h(q)
+sigma_x.  At k = 0 and +-pi/a (k a/pi = n, an integer) fold j is therefore
+degenerate with fold j' = (n - j) mod N_t, and its cell vector is written
+as (x_j(chi) +- x_j'(sigma_x chi)) / sqrt(2), + for j < j', with x_j(chi) =
+V_j chi; a self-paired fold (j' = j) takes the sigma_x eigenbasis.  Cross-fold
+S_z terms vanish, so <S_z> = 0 there, as the k -> -k symmetry demands.
 
-Band quantities per mode: energy = Re(eigenvalue), decay Gamma = -2 Im
-(eigenvalue), spin texture <S_z> from right eigenvectors, group velocity by
-finite differences, and a light-cone flag |k| < k0.
+eigen_sweep orders the eigenpairs by Re E at each k (topology.zak_phases
+runs Wilson loops on them); band_structure keeps the labels and adds
+Gamma = -2 Im E, <S_z>, finite-difference velocities and the light-cone
+flag |k| <= k0.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import HelixParams, helix_positions
-from .greens import GAMMA0, K0
-from .hamiltonian import _screw_gather, _screw_tables, spin_z_diagonal
-
-_OVERLAP_AMBIGUOUS = 0.5   # squared-overlap floor below which continuation is ambiguous
+from .greens import K0
+from .hamiltonian import _screw_tables, spin_z_diagonal
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ class BlochSweep:
     vecs: np.ndarray                  # (n_k, 2*N_t, 2*N_t), column n = eigenvector n
     m_cut: int
     hermitian_only: bool
-    convergence: float                # max |outer-wing sum| = ||H_M - H_{M/2}||_max
+    convergence: float                # max |outer-wing sum| = ||h_D - h_{D/2}||_max
 
     @property
     def energies(self) -> np.ndarray:
@@ -62,7 +60,7 @@ class BlochSweep:
 @dataclass
 class BandStructure:
     k: np.ndarray                     # (n_k,)
-    energies: np.ndarray              # (n_k, 2*N_t), continuation-ordered
+    energies: np.ndarray              # (n_k, 2*N_t), band 2j + branch of fold j
     gammas: np.ndarray                # (n_k, 2*N_t)
     sz: np.ndarray                    # (n_k, 2*N_t)
     velocities: np.ndarray            # (n_k, 2*N_t), d(energy)/dk
@@ -78,26 +76,16 @@ class BandStructure:
         return self.energies.shape[1]
 
 
-def cell_couplings(params: HelixParams, m_cut: int,
-                   hermitian_only: bool = False) -> np.ndarray:
-    """Coupling blocks c(m) for m = -m_cut..m_cut, shape (2*m_cut+1, 2N_t, 2N_t).
-
-    c(m) couples sublattice site mu in cell 0 to site nu in cell m; the
-    single self term (mu = nu, m = 0) contributes 0 to J and Gamma_0 to the
-    dissipative diagonal.  c(m) gathers the screw table at d = mu - nu - m N_t,
-    with the gauge U_{nu + m N_t} = U_nu.
-    """
+def chain_table(params: HelixParams, m_cut: int,
+                hermitian_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Gauge diagonals U_mu of one cell (N_t, 2) and the chain hoppings T(d),
+    d = -D..D with D = N_t m_cut, shape (2D + 1, 2, 2); T(0) is the self term."""
     if m_cut < 1:
         raise ValueError("m_cut must be >= 1")
     nt = params.sites_per_turn
-    pos = helix_positions(replace(params, turns=m_cut + 1))
+    pos = helix_positions(replace(params, turns=m_cut + 1))[:nt * m_cut + 1]
     u, t_j, t_g = _screw_tables(pos, np.angle(pos[:, 0] + 1j * pos[:, 1]))
-    sites = np.arange(nt)
-    index = (np.subtract.outer(sites, sites) + len(pos) - 1
-             - nt * np.arange(-m_cut, m_cut + 1)[:, None, None])
-    c = _screw_gather(t_j if hermitian_only else t_j - 0.5j * t_g, index, u[:nt], u[:nt])
-    np.fill_diagonal(c[m_cut], 0.0 if hermitian_only else -0.5j * GAMMA0)
-    return c
+    return u[:nt], t_j if hermitian_only else t_j - 0.5j * t_g
 
 
 def _phase_sum(c: np.ndarray, ms: np.ndarray, k_grid: np.ndarray,
@@ -121,8 +109,8 @@ def _zone_period(k_grid: np.ndarray, pitch: float) -> int:
 
 def _fourier_sum(c: np.ndarray, k_grid: np.ndarray,
                  pitch: float) -> tuple[np.ndarray, float]:
-    """(H(k) over k_grid, convergence): H = inner (|m| <= m_cut // 2) + wings
-    and the estimate max|wings| = ||H_M - H_{M/2}||_max (inf without a half window)."""
+    """(sum_m e^{-i k m a} c(m) over k_grid, convergence), m = -M..M: inner (|m| <=
+    M // 2) + wings and the estimate max|wings| (inf without a half window)."""
     m_cut = (len(c) - 1) // 2
     ms = np.arange(-m_cut, m_cut + 1)
     wing = np.abs(ms) > m_cut // 2
@@ -147,88 +135,95 @@ def brillouin_grid(pitch: float, n_k: int = 401, include_edges: bool = True) -> 
     return -edge + (np.arange(n_k) + 0.5) * step
 
 
+def _folds(params: HelixParams, k_grid: np.ndarray, m_cut: int, hermitian_only: bool):
+    """(q, evals, spinors, u, convergence): q_ij = -k_i + 2 pi j/a, the eigenpairs
+    of h(q) (n_k, N_t, 2) ordered by Re E, spinor columns per branch, u the
+    cell gauge.  On a uniform k grid of period L the momenta k - 2 pi j/a of
+    all folds are one uniform grid of period L N_t from N_t - 1 zones below k_0."""
+    nt, a = params.sites_per_turn, params.pitch
+    u, table = chain_table(params, m_cut, hermitian_only)
+    n, period = len(k_grid), _zone_period(k_grid, a)
+    if period:
+        shift = (nt - 1) * period
+        p = k_grid[0] + (2 * np.pi / (period * a)) * np.arange(-shift, n)
+        index = np.arange(n)[:, None] + shift - period * np.arange(nt)
+    else:
+        p = (k_grid[:, None] - 2 * np.pi / a * np.arange(nt)).ravel()
+        index = np.arange(n * nt).reshape(n, nt)
+    h, conv = _fourier_sum(table[::-1], p, a / nt)   # h(-p) sums T(-d) at p
+    if hermitian_only:
+        evals, chi = np.linalg.eigh(h[index])
+    else:
+        evals, chi = np.linalg.eig(h[index])
+        order = np.argsort(evals.real, axis=-1)
+        evals = np.take_along_axis(evals, order, axis=-1)
+        chi = np.take_along_axis(chi, order[..., None, :], axis=-1)
+    return -p[index], evals, chi, u, conv
+
+
+def _cell_vectors(params: HelixParams, k_grid: np.ndarray, q, chi, u):
+    """Cell eigenvectors (n_k, 2N_t, 2N_t), column 2j + branch, with the C2
+    rule at the invariant points, and the mask of those points."""
+    nt = params.sites_per_turn
+    # x[i, j, mu, s] = U_mu[s] e^{i q_ij b mu} / sqrt(N_t): fold j's cell frame
+    x = u * np.exp(1j * (params.pitch / nt) * q[..., None, None]
+                   * np.arange(nt)[:, None]) / np.sqrt(nt)
+    vecs = np.einsum("ijms,ijsb->imsjb", x, chi)
+    plus_minus = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    turns = k_grid * params.pitch / np.pi
+    invariant = np.abs(turns - np.rint(turns)) < 1e-12
+    for i in np.flatnonzero(invariant):
+        for j in range(nt):
+            partner = (int(np.rint(turns[i])) - j) % nt
+            if partner == j:   # h commutes with sigma_x: its eigenbasis
+                odd = np.vdot(chi[i, j, :, 0], chi[i, j, ::-1, 0]).real < 0
+                vecs[i, :, :, j] = x[i, j][..., None] * (plus_minus[:, ::-1] if odd
+                                                         else plus_minus)
+            else:              # (x_j(chi) +- x_j'(sigma_x chi)) / sqrt(2), + for j < j'
+                mirrored = np.sign(partner - j) * x[i, partner][..., None] * chi[i, j, ::-1]
+                vecs[i, :, :, j] = (vecs[i, :, :, j] + mirrored) / np.sqrt(2.0)
+    return vecs.reshape(len(k_grid), 2 * nt, 2 * nt), invariant
+
+
 def eigen_sweep(params: HelixParams, k_grid, m_cut: int = 2000,
                 hermitian_only: bool = False) -> BlochSweep:
-    """Eigenpairs of H(k) over the grid from one lattice sum (eigh, or eig
-    with the pairs at each k ordered by Re E)."""
+    """Eigenpairs of H(k) over the grid from one chain sum and batched 2x2
+    eigenproblems, ordered by Re E at each k."""
     k_grid = np.asarray(k_grid, dtype=float)
-    c = cell_couplings(params, m_cut, hermitian_only)
-    h_all, conv = _fourier_sum(c, k_grid, params.pitch)
-    if hermitian_only:
-        evals, vecs = np.linalg.eigh(h_all)
-    else:
-        evals, vecs = np.linalg.eig(h_all)
-        order = np.argsort(evals.real, axis=1)
-        evals = np.take_along_axis(evals, order, axis=1)
-        vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    return BlochSweep(k_grid, evals, vecs, m_cut, hermitian_only, conv)
-
-
-def _phase_fix(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real positive."""
-    idx = np.argmax(np.abs(vectors), axis=0)
-    piv = vectors[idx, np.arange(vectors.shape[1])]
-    phase = piv / np.where(np.abs(piv) > 0, np.abs(piv), 1.0)
-    return vectors / phase[None, :]
-
-
-def _continuation(overlap: np.ndarray):
-    """The eigenvector each band continues into, from the squared overlaps
-    overlap[band, eigenvector], or None when that is ambiguous.
-
-    Row maxima that form a permutation are a maximum-weight assignment,
-    since the sum of row maxima bounds every permutation's sum.
-    """
-    bands = np.arange(len(overlap))
-    cols = overlap.argmax(axis=1)
-    if (np.array_equal(np.sort(cols), bands)
-            and overlap[bands, cols].min() >= _OVERLAP_AMBIGUOUS):
-        return cols
-    return None
+    q, evals, chi, u, conv = _folds(params, k_grid, m_cut, hermitian_only)
+    vecs = _cell_vectors(params, k_grid, q, chi, u)[0]
+    evals = evals.reshape(len(k_grid), -1)
+    order = np.argsort(evals.real, axis=1, kind="stable")
+    return BlochSweep(k_grid, np.take_along_axis(evals, order, axis=1),
+                      np.take_along_axis(vecs, order[:, None, :], axis=2),
+                      m_cut, hermitian_only, conv)
 
 
 def band_structure(params: HelixParams, k_grid, m_cut: int = 2000,
                    hermitian_only: bool = False) -> BandStructure:
-    """Diagonalize H(k) over the grid and connect bands by maximal overlap.
+    """Bands over the grid, band 2j + branch following fold j along k.
 
-    Bands are energy-ordered at each k, then reordered along the grid by
-    maximal eigenvector overlap with the previous point: each band takes the
-    eigenvector it overlaps most.  k points where that is ambiguous (two
-    bands pick the same eigenvector, or a squared overlap < 0.5, e.g. at
-    exact degeneracies) keep the energy ordering and are flagged.
+    The two branches of a fold swap labels between neighbouring k where their
+    spinors overlap crosswise more than straight.  The k after a swap and the
+    invariant points (where the C2 rule mixes folds) are flagged.
     """
-    sweep = eigen_sweep(params, k_grid, m_cut, hermitian_only)
-    n_k, dim = sweep.evals.shape
-    evals = np.empty_like(sweep.evals)
-    vecs = np.empty((n_k, dim, dim), dtype=complex)
-    flags = np.zeros(n_k, dtype=bool)
-    for i, (w, v) in enumerate(zip(sweep.evals, sweep.vecs)):
-        if i > 0:
-            cols = _continuation(np.abs(vecs[i - 1].conj().T @ v) ** 2)
-            if cols is None:
-                flags[i] = True  # keep energy ordering
-            else:
-                w, v = w[cols], v[:, cols]
-        evals[i] = w
-        vecs[i] = _phase_fix(v)
-
-    sz_diag = spin_z_diagonal(dim // 2)
+    k_grid, nt = np.asarray(k_grid, dtype=float), params.sites_per_turn
+    q, evals, chi, u, conv = _folds(params, k_grid, m_cut, hermitian_only)
+    overlap = np.abs(np.einsum("ijsa,ijsb->ijab", chi[:-1].conj(), chi[1:])) ** 2
+    swap = np.trace(overlap[..., ::-1], axis1=2, axis2=3) > np.trace(overlap, axis1=2, axis2=3)
+    flip = np.cumsum(np.concatenate([np.zeros_like(swap[:1]), swap]), axis=0) % 2
+    branch = np.arange(2) ^ flip[..., None]
+    evals = np.take_along_axis(evals, branch, axis=-1).reshape(len(k_grid), -1)
+    vecs, invariant = _cell_vectors(params, k_grid, q,
+                                    np.take_along_axis(chi, branch[..., None, :], axis=-1), u)
+    flags = np.concatenate([[False], invariant[1:] | swap.any(axis=1)])
     weight = np.abs(vecs) ** 2
-    sz = np.einsum("kan,a->kn", weight, sz_diag) / weight.sum(axis=1)
+    sz = np.einsum("kan,a->kn", weight, spin_z_diagonal(nt)) / weight.sum(axis=1)
     energies = evals.real
     gammas = np.zeros_like(energies) if hermitian_only else -2.0 * evals.imag
-    velocities = (np.gradient(energies, sweep.k, axis=0) if n_k > 1
+    velocities = (np.gradient(energies, k_grid, axis=0) if len(k_grid) > 1
                   else np.zeros_like(energies))
-    return BandStructure(
-        k=sweep.k,
-        energies=energies,
-        gammas=gammas,
-        sz=sz,
-        velocities=velocities,
-        in_light_cone=np.abs(sweep.k) <= K0,
-        vectors=vecs,
-        continuation_ambiguous=flags,
-        m_cut=m_cut,
-        hermitian_only=hermitian_only,
-        convergence=sweep.convergence,
-    )
+    return BandStructure(k=k_grid, energies=energies, gammas=gammas, sz=sz,
+                         velocities=velocities, in_light_cone=np.abs(k_grid) <= K0,
+                         vectors=vecs, continuation_ambiguous=flags, m_cut=m_cut,
+                         hermitian_only=hermitian_only, convergence=conv)

@@ -198,8 +198,12 @@ class Propagator:
         return evals, vecs, vecs_inv
 
     def propagate(self, a0: np.ndarray, times) -> np.ndarray:
-        """Amplitudes at the requested times, shape (len(times), 2N)."""
+        """Amplitudes at the requested times, shape (len(times), 2N); a time with
+        t ||H||_1 eps >= 1 raises, as no phase E t (|E| <= ||H||_1) keeps a digit."""
         times = np.asarray(times, dtype=float)
+        t_max = np.abs(times).max(initial=0.0)
+        if t_max * np.abs(self.h).sum(axis=0).max() * np.finfo(float).eps >= 1.0:
+            raise FloatingPointError(f"time {t_max:.6g}: no phase E*t keeps a digit")
         if self.use_stepper:
             return self._propagate_expm(a0, times)
         if len(self.blocks) == 1:

@@ -21,14 +21,13 @@ spin-orbit coupling that the chiral geometry induces; the line groups of
 helices, Damnjanovic and Milosevic, Line Groups in Physics, LNP 801, 2010).
 `assemble` therefore evaluates the Green's tensor for the N - 1 separations
 r_d - r_0 only (_screw_tables) and gathers the Toeplitz table T[i - j]
-(_screw_gather); the lattice blocks c(m) of bloch gather the same table.
-An O(N) probe on the positions (constant dz, and x + iy advancing by one
-unit-modulus factor, both within SCREW_TOL of the coordinate scale) selects
-this path; it reads the positions, not how they were made, so a geometry
-file holding a helix takes it too.  Every other geometry takes the pairwise
-N(N - 1) evaluation, which is also the test oracle of both gathers: of the
-finite matrices, and of c(m) as the blocks between the centre cell and
-cell m of a 2 m_cut + 1 turn helix.
+(_screw_gather); bloch reads the same table as the hoppings of the
+infinite helix.  An O(N) probe on the positions (constant dz, and x + iy
+advancing by one unit-modulus factor, both within SCREW_TOL of the
+coordinate scale) selects this path; it reads the positions, not how they
+were made, so a geometry file holding a helix takes it too.  Every other
+geometry takes the pairwise N(N - 1) evaluation, the test oracle of the
+screw table.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ def assemble(geom: EmitterGeometry) -> CouplingTensor:
     u, t_j, t_g = _screw_tables(geom.positions, phi)
     # index[i, j] = i - j + n - 1, a strided view rather than an N x N array
     index = sliding_window_view(np.arange(2 * n - 1)[::-1], n)[::-1]
-    j, gamma = (_screw_gather(t, index, u, u) for t in (t_j, t_g))
+    j, gamma = (_screw_gather(t, index, u) for t in (t_j, t_g))
     np.fill_diagonal(j, 0.0)
     np.fill_diagonal(gamma, GAMMA0)
     return CouplingTensor(j=j, gamma=gamma)
@@ -129,18 +128,16 @@ def _screw_tables(pos: np.ndarray,
     return u, t_j, t_g
 
 
-def _screw_gather(table: np.ndarray, index: np.ndarray, u_row: np.ndarray,
-                  u_col: np.ndarray) -> np.ndarray:
-    """Blocks U_row[a] table[index[..., a, b]] U_col[b]^dag, shape (..., 2R, 2C),
-    for an (..., R, C) index into a _screw_tables table and gauge diagonals
-    u_row (R, 2), u_col (C, 2)."""
-    *lead, rows, cols = index.shape
-    m = np.empty((*lead, rows, 2, cols, 2), dtype=complex)
+def _screw_gather(table: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The 2N x 2N matrix of blocks U_i table[index[i, j]] U_j^dag, for an
+    (N, N) index into a _screw_tables table and gauge diagonals u (N, 2)."""
+    n = len(index)
+    m = np.empty((n, 2, n, 2), dtype=complex)
     for s, s2 in np.ndindex(2, 2):
-        m[..., s, :, s2] = table[:, s, s2][index]
-    m *= u_row[:, :, None, None]
-    m *= u_col.conj()[None, None]
-    return m.reshape(*lead, 2 * rows, 2 * cols)
+        m[:, s, :, s2] = table[:, s, s2][index]
+    m *= u[:, :, None, None]
+    m *= u.conj()[None, None]
+    return m.reshape(2 * n, 2 * n)
 
 
 def _pairwise_assemble(geom: EmitterGeometry) -> CouplingTensor:

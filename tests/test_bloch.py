@@ -2,12 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heliport import bloch, cli, hamiltonian
 from heliport.bloch import (_fourier_sum, band_structure, brillouin_grid,
-                            cell_couplings, eigen_sweep)
+                            chain_table, eigen_sweep)
 from heliport.geometry import HelixParams, build_helix
 from heliport.greens import GAMMA0, K0
 from heliport.hamiltonian import _pairwise_assemble
@@ -20,11 +20,39 @@ def small(n_sites_per_turn, handedness=1):
     return HelixParams(0.05, PITCH, n_sites_per_turn, 1, handedness)
 
 
-def h_at(params, k, m_cut, hermitian_only=False):
-    """(H(k), convergence estimate) at a single quasimomentum."""
-    h, conv = _fourier_sum(cell_couplings(params, m_cut, hermitian_only),
-                           np.array([k]), params.pitch)
+def h_at(params, q, m_cut, hermitian_only=False):
+    """(h(q), convergence estimate): the chain's 2x2 Bloch Hamiltonian at one q."""
+    spacing = params.pitch / params.sites_per_turn
+    h, conv = _fourier_sum(chain_table(params, m_cut, hermitian_only)[1],
+                           np.array([q]), spacing)
     return h[0], conv
+
+
+def long_helix_hamiltonian(params, m_cut, hermitian_only):
+    """H of a helix of 2 m_cut + 3 turns from all pair separations, and the
+    index of the first site of its centre turn."""
+    turns = 2 * m_cut + 3
+    oracle = _pairwise_assemble(build_helix(HelixParams(
+        params.radius, params.pitch, params.sites_per_turn, turns, params.handedness)))
+    h = oracle.j if hermitian_only else oracle.j - 0.5j * oracle.gamma
+    return h, (m_cut + 1) * params.sites_per_turn
+
+
+def windowed_cell_hamiltonian(params, k_grid, m_cut, hermitian_only):
+    """Cell H(k) = sum_m e^{-i k m a} H[mu, nu + m N_t] over the blocks of a
+    long helix whose sites are at most D = N_t m_cut apart: the window the
+    chain sums."""
+    nt = params.sites_per_turn
+    h, centre = long_helix_hamiltonian(params, m_cut, hermitian_only)
+    cell = np.zeros((len(k_grid), 2 * nt, 2 * nt), dtype=complex)
+    for mu in range(nt):
+        i = centre + mu
+        for n in range(max(0, i - nt * m_cut), i + nt * m_cut + 1):
+            m, nu = divmod(n - centre, nt)
+            cell[:, 2 * mu:2 * mu + 2, 2 * nu:2 * nu + 2] += (
+                np.exp(-1j * k_grid * m * params.pitch)[:, None, None]
+                * h[2 * i:2 * i + 2, 2 * n:2 * n + 2])
+    return cell
 
 
 def test_brillouin_grid_edges():
@@ -42,22 +70,27 @@ def test_brillouin_grid_edges():
     assert np.allclose(step, 2 * edge / 400)
 
 
-def test_cell_couplings_shape_and_self_term():
-    c = cell_couplings(small(3), m_cut=40)
-    assert c.shape == (81, 6, 6)
-    # the m = 0 entry carries the on-site decay -i Gamma_0 / 2 on its diagonal
-    assert np.allclose(np.diag(c[40]), -0.5j * GAMMA0)
+def test_chain_table_shape_and_self_term():
+    u, t = chain_table(small(3), m_cut=40)
+    assert u.shape == (3, 2) and t.shape == (241, 2, 2)
+    # T(0) carries the on-site decay -i Gamma_0 / 2 and no spin flip
+    assert np.array_equal(t[120], -0.5j * GAMMA0 * np.eye(2))
+    assert np.array_equal(chain_table(small(3), 40, hermitian_only=True)[1][120],
+                          np.zeros((2, 2)))
     h, conv = h_at(small(3), 0.0, m_cut=40)
-    assert h.shape == (6, 6)
+    assert h.shape == (2, 2)
     assert np.isfinite(conv)
 
 
 def test_bloch_hamiltonian_periodicity():
+    # h(q) has the chain's period 2 pi/b; H(k) the cell's 2 pi/a, which
+    # relabels the folds
     params = small(3)
-    k = 1.234
-    h1, _ = h_at(params, k, m_cut=200)
-    h2, _ = h_at(params, k + 2 * np.pi / PITCH, m_cut=200)
+    h1, _ = h_at(params, 1.234, m_cut=200)
+    h2, _ = h_at(params, 1.234 + 2 * np.pi / (PITCH / 3), m_cut=200)
     assert np.abs(h1 - h2).max() < 1e-10
+    sweep = eigen_sweep(params, [1.234, 1.234 + 2 * np.pi / PITCH], m_cut=200)
+    assert np.abs(sweep.evals[0] - sweep.evals[1]).max() < 1e-10
 
 
 def test_hermitian_variant_is_hermitian():
@@ -130,35 +163,49 @@ def test_continuation_flags_dtype():
     assert not bands.continuation_ambiguous[0]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 3.0))
-def test_continuation_matches_the_assignment_solver_on_orthonormal_frames(dim, seed, spread):
-    # the next frame is the previous one mixed by exp(i spread H) and permuted:
-    # near a permutation for small spread, fully mixed for large
-    from scipy.optimize import linear_sum_assignment
+@pytest.mark.parametrize("hermitian_only", [True, False])
+@pytest.mark.parametrize("handedness", [1, -1])
+@pytest.mark.parametrize("n_sites_per_turn", range(1, 7))
+def test_spin_vanishes_at_the_invariant_points(n_sites_per_turn, handedness, hermitian_only):
+    # k = -pi/a, 0, +pi/a: degenerate folds are mixed by the C2 rule
+    bands = band_structure(small(n_sites_per_turn, handedness), brillouin_grid(PITCH, 81),
+                           m_cut=1000, hermitian_only=hermitian_only)
+    assert np.abs(bands.sz[[0, 40, 80]]).max() < 1e-6
+    assert bands.continuation_ambiguous[[40, 80]].all()
 
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    prev = np.linalg.qr(a)[0]
-    w, v = np.linalg.eigh(a + a.conj().T)
-    mix = (v * np.exp(1j * spread * w)) @ v.conj().T
-    overlap = np.abs(prev.conj().T @ (prev @ mix[:, rng.permutation(dim)])) ** 2
-    rows, oracle = linear_sum_assignment(-overlap)
-    best = overlap[rows, oracle].min()
-    assume(abs(best - bloch._OVERLAP_AMBIGUOUS) > 1e-9)   # exact ties may go either way
-    cols = bloch._continuation(overlap)
-    if best < bloch._OVERLAP_AMBIGUOUS:
-        assert cols is None
-    else:
-        assert np.array_equal(cols, oracle)
+
+@pytest.mark.parametrize("hermitian_only", [True, False])
+def test_bands_follow_their_fold(hermitian_only):
+    # band 2j + branch holds the eigenvalues of h(-k + 2 pi j/a) at every k
+    params = small(3)
+    grid = brillouin_grid(PITCH, 41, include_edges=False)
+    bands = band_structure(params, grid, m_cut=300, hermitian_only=hermitian_only)
+    lam = bands.energies - 0.5j * bands.gammas
+    for j in range(3):
+        h = np.stack([h_at(params, -k + 2 * np.pi * j / PITCH, 300, hermitian_only)[0]
+                      for k in grid])
+        ref = np.sort_complex(np.linalg.eigvals(h))
+        assert np.abs(np.sort_complex(lam[:, 2 * j:2 * j + 2]) - ref).max() < 1e-10
+
+
+def test_branches_swap_labels_where_they_cross(monkeypatch):
+    # a chain with h(q) = cos(q a) sigma_z: its branches cross at q a = +-pi/2,
+    # and each band keeps its spin through the crossing
+    table = np.zeros((3, 2, 2))
+    table[[0, 2]] = 0.5 * np.diag([1.0, -1.0])
+    monkeypatch.setattr(bloch, "chain_table", lambda *_args: (np.ones((1, 2)), table))
+    grid = brillouin_grid(PITCH, 40, include_edges=False)
+    bands = band_structure(small(1), grid, m_cut=1, hermitian_only=True)
+    assert np.allclose(bands.sz, np.tile([1.0, -1.0], (40, 1)))
+    assert np.abs(bands.energies[:, 0] - np.cos(grid * PITCH)).max() < 1e-12
+    assert bands.continuation_ambiguous.sum() == 2
 
 
 @pytest.mark.parametrize("m_cut", [5, 101, 400])
 def test_fourier_sum_is_one_pass_over_inner_cells_and_wings(m_cut):
-    params = small(3)
-    c = cell_couplings(params, m_cut)
+    c = chain_table(small(3), m_cut)[1]
     grid = brillouin_grid(PITCH, 13)
-    ms = np.arange(-m_cut, m_cut + 1)
+    ms = np.arange(-(len(c) // 2), len(c) // 2 + 1)
 
     def direct(window):
         keep = np.abs(ms) <= window
@@ -166,15 +213,15 @@ def test_fourier_sum_is_one_pass_over_inner_cells_and_wings(m_cut):
         return np.einsum("km,mab->kab", phases, c[keep])
 
     h, conv = _fourier_sum(c, grid, PITCH)
-    full = direct(m_cut)
+    full = direct(len(c) // 2)
     assert np.abs(h - full).max() <= 1e-12 * np.abs(full).max()
-    cauchy = np.abs(full - direct(m_cut // 2)).max()
+    cauchy = np.abs(full - direct(len(c) // 4)).max()
     assert abs(conv - cauchy) <= 1e-12 * cauchy
 
 
 def test_fourier_sum_without_half_window_has_no_estimate():
-    h, conv = _fourier_sum(cell_couplings(small(2), 1), brillouin_grid(PITCH, 5), PITCH)
-    assert h.shape == (5, 4, 4) and conv == np.inf
+    h, conv = _fourier_sum(chain_table(small(1), 1)[1], brillouin_grid(PITCH, 5), PITCH)
+    assert h.shape == (5, 2, 2) and conv == np.inf
 
 
 def direct_sum(c, grid, window):
@@ -205,12 +252,12 @@ def test_fourier_sum_matches_direct_sum_on_every_grid_kind(kind, n_sites_per_tur
     if kind != "uneven":   # uniform grids take the folded FFT
         monkeypatch.setattr(bloch, "_phase_sum", refuse_direct_sum)
     grid = GRIDS[kind](40)
-    for m_cut in (3, 64, 257):   # fewer cells than the period, several wraps
-        c = cell_couplings(small(n_sites_per_turn), m_cut, hermitian_only)
+    for m_cut in (3, 64, 257):   # fewer terms than the period, several wraps
+        c = chain_table(small(n_sites_per_turn), m_cut, hermitian_only)[1]
         h, conv = _fourier_sum(c, grid, PITCH)
-        full = direct_sum(c, grid, m_cut)
+        full = direct_sum(c, grid, len(c) // 2)
         assert np.abs(h - full).max() <= 1e-12 * np.abs(full).max()
-        cauchy = np.abs(full - direct_sum(c, grid, m_cut // 2)).max()
+        cauchy = np.abs(full - direct_sum(c, grid, len(c) // 4)).max()
         assert abs(conv - cauchy) <= 1e-12 * cauchy
         if kind == "closed":
             assert np.array_equal(h[-1], h[0])
@@ -220,6 +267,18 @@ def test_fourier_sum_matches_direct_sum_on_every_grid_kind(kind, n_sites_per_tur
 def test_cli_lattice_runs_never_take_the_direct_sum(config, tmp_path, monkeypatch):
     monkeypatch.setattr(bloch, "_phase_sum", refuse_direct_sum)
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("config", ["fig3a_bands", "fig4_N6"])
+def test_cli_lattice_runs_diagonalize_only_2x2_matrices(config, tmp_path, monkeypatch):
+    shapes = []
+    for name in ("eig", "eigh"):
+        def recorded(a, *args, _inner=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return _inner(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert shapes and set(shapes) == {(2, 2)}
 
 
 def test_eigen_sweep_memory_stays_bounded():
@@ -236,44 +295,49 @@ def test_eigen_sweep_memory_stays_bounded():
 @pytest.mark.parametrize("hermitian_only", [True, False])
 @pytest.mark.parametrize("n_sites_per_turn", [1, 3, 6])
 def test_eigen_sweep_equals_per_k_diagonalization(n_sites_per_turn, hermitian_only):
+    # the oracle diagonalizes the cell H(k) of a long helix's pair blocks,
+    # summed over the same window |d| <= N_t m_cut as the chain
     params = small(n_sites_per_turn)
     grid = brillouin_grid(PITCH, 31)
-    sweep = eigen_sweep(params, grid, m_cut=100, hermitian_only=hermitian_only)
-    c = cell_couplings(params, 100, hermitian_only)
-    for i, h in enumerate(_fourier_sum(c, grid, PITCH)[0]):
-        if hermitian_only:
-            w, v = np.linalg.eigh(h)
-        else:
-            w, v = np.linalg.eig(h)
-            order = np.argsort(w.real)
-            w, v = w[order], v[:, order]
-        assert np.array_equal(sweep.evals[i], w)
-        assert np.array_equal(sweep.vecs[i], v)
+    sweep = eigen_sweep(params, grid, m_cut=20, hermitian_only=hermitian_only)
+    cell = windowed_cell_hamiltonian(params, grid, 20, hermitian_only)
+    scale = np.abs(cell).max()
+    residual = cell @ sweep.vecs - sweep.vecs * sweep.evals[:, None, :]
+    assert np.abs(residual).max() <= 1e-10 * scale
+    assert np.abs(np.linalg.norm(sweep.vecs, axis=1) - 1).max() < 1e-12
+    if hermitian_only:
+        ref = np.linalg.eigvalsh(cell)
+    else:
+        ref = np.linalg.eigvals(cell)
+        ref = np.take_along_axis(ref, np.argsort(ref.real, axis=1), axis=1)
+    assert np.abs(sweep.evals - ref).max() <= 1e-10 * scale
     assert np.array_equal(sweep.energies, sweep.evals.real)
+    assert (np.diff(sweep.energies, axis=1) >= 0).all()
 
 
-# ------------------------------------------------- c(m) from the screw table
+# ------------------------------------------------- T(d) from the screw table
 
 @settings(max_examples=25, deadline=None)
 @given(n_t=st.integers(1, 8), handedness=st.sampled_from([1, -1]),
        radius=st.floats(0.02, 0.2), pitch=st.floats(0.1, 0.5),
-       m_cut=st.integers(1, 20), hermitian_only=st.booleans())
-def test_cell_couplings_match_pairwise_blocks_of_a_long_helix(
+       m_cut=st.integers(1, 8), hermitian_only=st.booleans())
+def test_chain_table_matches_pairwise_blocks_of_a_long_helix(
         n_t, handedness, radius, pitch, m_cut, hermitian_only):
     params = HelixParams(radius, pitch, n_t, 1, handedness)
-    c = cell_couplings(params, m_cut, hermitian_only)
-    long = build_helix(HelixParams(radius, pitch, n_t, 2 * m_cut + 1, handedness))
-    oracle = _pairwise_assemble(long)
-    h = oracle.j if hermitian_only else oracle.j - 0.5j * oracle.gamma
-    dim = 2 * n_t
-    centre = slice(m_cut * dim, (m_cut + 1) * dim)
-    # c(m) couples the centre cell to cell m_cut + m of the long helix
-    ref = np.stack([h[centre, (m_cut + m) * dim:(m_cut + m + 1) * dim]
-                    for m in range(-m_cut, m_cut + 1)])
-    assert np.abs(c - ref).max() <= 1e-12 * np.abs(ref).max()
+    u, t = chain_table(params, m_cut, hermitian_only)
+    h, centre = long_helix_hamiltonian(params, m_cut, hermitian_only)
+    pos = build_helix(HelixParams(radius, pitch, n_t, 2 * m_cut + 3, handedness)).positions
+    gauge = np.exp(1j * np.outer(np.angle(pos[:, 0] + 1j * pos[:, 1]), [-1.0, 1.0]))
+    assert np.abs(u - gauge[:n_t]).max() < 1e-12
+    # T(d) = U_i^dag H[i, i - d] U_{i - d} for the centre site i
+    d_max = n_t * m_cut
+    ref = np.stack([gauge[centre, :, None].conj()
+                    * h[2 * centre:2 * centre + 2, 2 * (centre - d):2 * (centre - d) + 2]
+                    * gauge[centre - d][None, :] for d in range(-d_max, d_max + 1)])
+    assert np.abs(t - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_cell_couplings_make_one_kernel_call(monkeypatch):
+def test_chain_table_makes_one_kernel_call(monkeypatch):
     seen = []
     kernel = hamiltonian.coupling_blocks
 
@@ -282,17 +346,17 @@ def test_cell_couplings_make_one_kernel_call(monkeypatch):
         return kernel(sep)
 
     monkeypatch.setattr(hamiltonian, "coupling_blocks", counting)
-    cell_couplings(small(6), m_cut=2000)
-    assert seen == [6 * 2001 - 1]
+    chain_table(small(6), m_cut=2000)
+    assert seen == [6 * 2000]
 
 
-def test_cell_couplings_memory_stays_bounded():
-    # 12 006 sites built as an EmitterGeometry would scan ~3.5 GB of pair
-    # separations, and a separation tensor over 4000 cells takes ~94 MiB
+def test_chain_table_memory_stays_bounded():
+    # 12 001 sites built as an EmitterGeometry would scan ~3.5 GB of pair
+    # separations; the table itself holds 24 001 2x2 blocks (1.5 MB)
     tracemalloc.start()
     try:
-        cell_couplings(small(6), m_cut=2000)
+        chain_table(small(6), m_cut=2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 16 * 2**20

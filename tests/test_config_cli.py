@@ -341,6 +341,20 @@ def test_cli_check_mode_passes(tmp_path):
     assert len(report["checks"]) >= 14
 
 
+@pytest.mark.parametrize("sites_per_turn, turns", [(1, 1), (2, 2)])
+def test_cli_check_passes_on_one_and_two_sites_per_turn(tmp_path, sites_per_turn, turns):
+    # a straight chain is spin-degenerate at every k, and two sites per turn
+    # pair degenerate folds at the invariant points
+    helix = dict(HELIX, sites_per_turn=sites_per_turn, turns=turns)
+    cfg = write_config(tmp_path, {"mode": "check", "geometry": {"helix": helix},
+                                  "bloch": {"n_k": 81, "m_cut": 1000}}, "check.json")
+    out = tmp_path / "check_out"
+    assert run_cli(["check", "--config", cfg, "--out", out]) == 0
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["n_failed"] == 0
+    assert [c["passed"] for c in report["checks"]] == [True] * 15
+
+
 def test_cli_check_failure_exits_2(tmp_path, monkeypatch):
     from heliport import selfcheck
 
@@ -488,7 +502,17 @@ def test_cli_huge_t_max_exits_2_with_only_the_error_line(tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli(["run", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "'z_com'" in err[0], err
+    assert len(err) == 1 and err[0].startswith("error:") and "time 1e+300" in err[0], err
+    assert not out.exists()
+
+
+def test_cli_huge_t_max_of_a_coherent_run_exits_2(tmp_path, capsys):
+    # no phase E*t keeps a digit at t = 1e300; the populations would look finite
+    cfg = write_config(tmp_path, dynamics_dict(hermitian_only=True,
+                                               times={"t_max": 1e300}))
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 2
+    assert "numerical failure: time 1e+300" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -521,7 +545,7 @@ def test_cli_non_finite_geometry_file_names_the_file(tmp_path, capsys, coordinat
 
 def test_cli_zak_sums_the_lattice_once(tmp_path, monkeypatch):
     from heliport import bloch
-    calls = {"cell_couplings": 0, "_fourier_sum": 0, "band_structure": 0}
+    calls = {"chain_table": 0, "_fourier_sum": 0, "band_structure": 0}
     for name in calls:
         inner = getattr(bloch, name)
 
@@ -533,13 +557,13 @@ def test_cli_zak_sums_the_lattice_once(tmp_path, monkeypatch):
                                   "bloch": {"n_k": 61, "m_cut": 100},
                                   "zak": {"n_k": 60}})
     assert run_cli(["zak", "--config", cfg, "--out", tmp_path / "o"]) == 0
-    # one pass gives H(k) and the convergence estimate
-    assert calls == {"cell_couplings": 1, "_fourier_sum": 1, "band_structure": 0}
+    # one pass gives h(q) and the convergence estimate
+    assert calls == {"chain_table": 1, "_fourier_sum": 1, "band_structure": 0}
 
 
 def test_cli_check_sums_the_lattice_twice(tmp_path, monkeypatch):
     from heliport import bloch
-    calls = {"cell_couplings": 0, "_fourier_sum": 0}
+    calls = {"chain_table": 0, "_fourier_sum": 0}
     for name in calls:
         inner = getattr(bloch, name)
 
@@ -552,7 +576,7 @@ def test_cli_check_sums_the_lattice_twice(tmp_path, monkeypatch):
     assert run_cli(["check", "--config", cfg, "--out", tmp_path / "o"]) == 0
     # one full sweep for the k-reversal symmetries, one coherent Wilson-grid
     # sweep for the frame orthonormality and the all-band loop
-    assert calls == {"cell_couplings": 2, "_fourier_sum": 2}
+    assert calls == {"chain_table": 2, "_fourier_sum": 2}
 
 
 def test_cli_zak_gap_matches_the_closed_band_grid(tmp_path):
@@ -613,7 +637,9 @@ def _reject_constant(name):
     ("zak", {"bloch": {"m_cut": 1}, "zak": {"n_k": 60}}),
 ], ids=["bands", "zak"])
 def test_cli_non_finite_convergence_is_null(tmp_path, mode, extra):
-    cfg = write_config(tmp_path, {"mode": mode, "geometry": {"helix": dict(HELIX)},
+    # one site per turn at m_cut 1 sums d = -1..1: no half window to compare
+    helix = dict(HELIX, sites_per_turn=1)
+    cfg = write_config(tmp_path, {"mode": mode, "geometry": {"helix": helix},
                                   **extra})
     out = tmp_path / "o"
     assert run_cli([mode, "--config", cfg, "--out", out]) == 0
