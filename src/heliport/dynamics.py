@@ -199,10 +199,10 @@ class Propagator:
 
     def propagate(self, a0: np.ndarray, times) -> np.ndarray:
         """Amplitudes at the requested times, shape (len(times), 2N); a time with
-        t ||H||_1 eps >= 1 raises, as no phase E t (|E| <= ||H||_1) keeps a digit."""
+        t max|E| eps >= 1 raises, as no phase E t would keep a correct digit."""
         times = np.asarray(times, dtype=float)
         t_max = np.abs(times).max(initial=0.0)
-        if t_max * np.abs(self.h).sum(axis=0).max() * np.finfo(float).eps >= 1.0:
+        if t_max * max(np.abs(e).max() for e, _, _ in self.blocks) * np.finfo(float).eps >= 1:
             raise FloatingPointError(f"time {t_max:.6g}: no phase E*t keeps a digit")
         if self.use_stepper:
             return self._propagate_expm(a0, times)
