@@ -26,10 +26,10 @@ as (x_j(chi) +- x_j'(sigma_x chi)) / sqrt(2), + for j < j', with x_j(chi) =
 V_j chi; a self-paired fold (j' = j) takes the sigma_x eigenbasis.  Cross-fold
 S_z terms vanish, so <S_z> = 0 there, as the k -> -k symmetry demands.
 
-eigen_sweep orders the eigenpairs by Re E at each k (topology.zak_phases
-runs Wilson loops on them); band_structure keeps the labels and adds
-Gamma = -2 Im E, <S_z>, finite-difference velocities and the light-cone
-flag |k| <= k0.
+band_structure is the one sweep: it keeps the labels and adds Gamma =
+-2 Im E, <S_z>, finite-difference velocities and the light-cone flag
+|k| <= k0.  The consumers that need energy order (the gap and the Wilson
+loops of topology.zak_phases) rank the bands at each k themselves.
 """
 
 from __future__ import annotations
@@ -41,20 +41,6 @@ import numpy as np
 from .geometry import HelixParams, helix_positions
 from .greens import K0
 from .hamiltonian import _screw_tables, spin_z_diagonal
-
-
-@dataclass(frozen=True)
-class BlochSweep:
-    k: np.ndarray                     # (n_k,)
-    evals: np.ndarray                 # (n_k, 2*N_t), ordered by Re E at each k
-    vecs: np.ndarray                  # (n_k, 2*N_t, 2*N_t), column n = eigenvector n
-    m_cut: int
-    hermitian_only: bool
-    convergence: float                # max |outer-wing sum| = ||h_D - h_{D/2}||_max
-
-    @property
-    def energies(self) -> np.ndarray:
-        return self.evals.real
 
 
 @dataclass
@@ -125,14 +111,10 @@ def _fourier_sum(c: np.ndarray, k_grid: np.ndarray,
     return h + wings, float(np.abs(wings).max()) if m_cut >= 2 else np.inf
 
 
-def brillouin_grid(pitch: float, n_k: int = 401, include_edges: bool = True) -> np.ndarray:
-    """Symmetric BZ grid.  include_edges=False gives a half-step-offset grid
-    that avoids the exactly degenerate zone-edge/zone-center points."""
+def brillouin_grid(pitch: float, n_k: int = 401) -> np.ndarray:
+    """Closed symmetric BZ grid [-pi/a, pi/a] of n_k points."""
     edge = np.pi / pitch
-    if include_edges:
-        return np.linspace(-edge, edge, n_k)
-    step = 2 * edge / n_k
-    return -edge + (np.arange(n_k) + 0.5) * step
+    return np.linspace(-edge, edge, n_k)
 
 
 def _folds(params: HelixParams, k_grid: np.ndarray, m_cut: int, hermitian_only: bool):
@@ -183,20 +165,6 @@ def _cell_vectors(params: HelixParams, k_grid: np.ndarray, q, chi, u):
                 mirrored = np.sign(partner - j) * x[i, partner][..., None] * chi[i, j, ::-1]
                 vecs[i, :, :, j] = (vecs[i, :, :, j] + mirrored) / np.sqrt(2.0)
     return vecs.reshape(len(k_grid), 2 * nt, 2 * nt), invariant
-
-
-def eigen_sweep(params: HelixParams, k_grid, m_cut: int = 2000,
-                hermitian_only: bool = False) -> BlochSweep:
-    """Eigenpairs of H(k) over the grid from one chain sum and batched 2x2
-    eigenproblems, ordered by Re E at each k."""
-    k_grid = np.asarray(k_grid, dtype=float)
-    q, evals, chi, u, conv = _folds(params, k_grid, m_cut, hermitian_only)
-    vecs = _cell_vectors(params, k_grid, q, chi, u)[0]
-    evals = evals.reshape(len(k_grid), -1)
-    order = np.argsort(evals.real, axis=1, kind="stable")
-    return BlochSweep(k_grid, np.take_along_axis(evals, order, axis=1),
-                      np.take_along_axis(vecs, order[:, None, :], axis=2),
-                      m_cut, hermitian_only, conv)
 
 
 def band_structure(params: HelixParams, k_grid, m_cut: int = 2000,

@@ -138,8 +138,7 @@ def _run_dynamics(cfg, geom):
 
     h, state, prop, prop_keys = _launch(cfg, geom)
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
-    series = dynamics.evolve(state, h, geom, times, deadband=cfg.helicity_deadband,
-                             propagator=prop)
+    series = dynamics.evolve(prop, state, geom, times, deadband=cfg.helicity_deadband)
     products = {"timeseries.csv": (
         ["t", "trace", "P_up", "P_down", "Sz", "z_com", "eta"],
         [series.times, series.trace, series.p_up, series.p_down,
@@ -186,16 +185,16 @@ def _run_zak(cfg, _geom):
     from . import bloch, topology
 
     grid = topology.wilson_grid(cfg.helix.pitch, cfg.zak_n_k)
-    sweep = bloch.eigen_sweep(cfg.helix, grid, m_cut=cfg.bloch_m_cut, hermitian_only=True)
-    gap = topology.detect_gap(sweep)
+    bands = bloch.band_structure(cfg.helix, grid, m_cut=cfg.bloch_m_cut, hermitian_only=True)
+    gap = topology.detect_gap(bands)
     if gap.gapped:
         groups = [("lower", gap.lower_bands), ("upper", gap.upper_bands)]
     else:
         groups = [("all", gap.lower_bands)]
 
     # the gap stays on the coherent sweep; biorthogonal frames need the full H(k)
-    frames = (bloch.eigen_sweep(cfg.helix, grid, m_cut=cfg.bloch_m_cut)
-              if cfg.zak_biorthogonal else sweep)
+    frames = (bloch.band_structure(cfg.helix, grid, m_cut=cfg.bloch_m_cut)
+              if cfg.zak_biorthogonal else bands)
     results = topology.zak_phases(frames, [subset for _, subset in groups],
                                   biorthogonal=cfg.zak_biorthogonal)
     records, ill = [], []
@@ -215,8 +214,8 @@ def _run_zak(cfg, _geom):
         if res.ill_defined:
             ill.append(group_name)
     diagnostics = {
-        "m_cut": sweep.m_cut,
-        "coupling_convergence": _finite_or_none(sweep.convergence),
+        "m_cut": bands.m_cut,
+        "coupling_convergence": _finite_or_none(bands.convergence),
         "gap_width": gap.width,
         "band_groups": [name for name, _ in groups],
         "ill_defined_groups": ill,

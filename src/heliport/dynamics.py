@@ -271,24 +271,13 @@ def populations(prop: Propagator, state: ExcitationState, times) -> np.ndarray:
     return per_site
 
 
-def evolve(state: ExcitationState, h_eff: EffectiveHamiltonian,
-           geom: EmitterGeometry, times,
-           deadband: float = HELICITY_DEADBAND,
-           propagator: Propagator | None = None) -> ObservableSeries:
-    """Propagate all branches and assemble the observable series.
-
-    propagator: an already-built Propagator of h_eff to reuse; by default
-    one is built here.
-    """
+def evolve(prop: Propagator, state: ExcitationState, geom: EmitterGeometry, times,
+           deadband: float = HELICITY_DEADBAND) -> ObservableSeries:
+    """Propagate all branches with prop, the run's built Propagator, and
+    assemble the observable series."""
     times = np.asarray(times, dtype=float)
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("output times must be sorted and non-negative")
-    if propagator is None:
-        prop = Propagator(h_eff)
-    elif propagator.h is h_eff.matrix:
-        prop = propagator
-    else:
-        raise ValueError("propagator was built from a different Hamiltonian")
     per_site = populations(prop, state, times)
     p_spin = per_site.sum(axis=1)
     trace = p_spin.sum(axis=1)
@@ -373,7 +362,7 @@ def master_equation_check(state: ExcitationState, coupling: CouplingTensor,
     z = np.arange(n, dtype=float)
     fake_geom = EmitterGeometry(np.column_stack([np.zeros(n), np.zeros(n), z]),
                                 label="index line")
-    series = evolve(state, h_eff, fake_geom, times)
+    series = evolve(Propagator(h_eff), state, fake_geom, times)
 
     dev = 0.0
     for i in range(len(times)):

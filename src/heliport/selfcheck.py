@@ -4,9 +4,9 @@ Runs a battery of exact and statistical identities of the kernels on the
 configured geometry: Green's-tensor structure, coupling symmetries, norm
 behavior and propagator cross-validation, momentum-space symmetries, Wilson
 loop gauge invariance, and field-map sanity.  Randomized checks use a fixed
-seed; the battery is deterministic.  The lattice checks make two sweeps: a
-full band structure for the k -> -k symmetries, and a coherent Wilson-grid
-sweep for the frame orthonormality and the all-band loop.
+seed; the battery is deterministic.  The lattice checks make two
+bloch.band_structure sweeps: a full one for the k -> -k symmetries, and a
+coherent Wilson-grid one for the frame orthonormality and the all-band loop.
 """
 
 from __future__ import annotations
@@ -132,13 +132,14 @@ def check_norm_behavior(cfg, _rng):
     coup = hamiltonian.assemble(geom)
     state = dynamics.initial_state(geom.n_sites, 0, 0.5)
     times = np.linspace(0.0, 5.0, 120)
-    ser = dynamics.evolve(state, hamiltonian.effective(coup), geom, times)
+    ser = dynamics.evolve(dynamics.Propagator(hamiltonian.effective(coup)), state, geom, times)
     rise = np.diff(ser.trace).max()
     _require(rise <= 1e-10, f"norm increases by {rise:.1e}")
     split = np.abs(ser.p_up + ser.p_down - ser.trace).max()
     _require(split < 1e-10, f"P_up + P_down vs trace deviation {split:.1e}")
     times_h = np.linspace(0.0, 20.0, 80)
-    ser_h = dynamics.evolve(state, hamiltonian.effective(coup, True), geom, times_h)
+    ser_h = dynamics.evolve(dynamics.Propagator(hamiltonian.effective(coup, True)),
+                            state, geom, times_h)
     drift = np.abs(ser_h.trace - 1.0).max()
     return _require(drift < 1e-8, f"hermitian norm drift {drift:.1e}")
 
@@ -148,10 +149,9 @@ def check_mirror_transport(cfg, _rng):
     mirrored = geometry.mirror_xz(geom)
     state = dynamics.initial_state(geom.n_sites, 0, 0.5)
     times = np.linspace(0.0, 5.0, 60)
-    a = dynamics.evolve(state, hamiltonian.effective(hamiltonian.assemble(geom)),
-                        geom, times)
-    b = dynamics.evolve(state, hamiltonian.effective(hamiltonian.assemble(mirrored)),
-                        mirrored, times)
+    a, b = (dynamics.evolve(
+        dynamics.Propagator(hamiltonian.effective(hamiltonian.assemble(g))), state, g, times)
+        for g in (geom, mirrored))
     err = max(np.abs(a.p_up - b.p_down).max(), np.abs(a.p_down - b.p_up).max())
     return _require(err < 1e-10, f"mirror transport deviation {err:.1e}")
 
@@ -196,11 +196,11 @@ def check_zak_gauge_invariance(cfg, rng):
         return "skipped (needs a helix geometry)"
     m_cut = min(cfg.bloch_m_cut, 1000)
     dim = 2 * cfg.helix.sites_per_turn
-    sweep = bloch.eigen_sweep(cfg.helix, topology.wilson_grid(cfg.helix.pitch, 100),
-                              m_cut=m_cut, hermitian_only=True)
-    herm = np.abs(sweep.vecs[0].conj().T @ sweep.vecs[0] - np.eye(dim)).max()
+    bands = bloch.band_structure(cfg.helix, topology.wilson_grid(cfg.helix.pitch, 100),
+                                 m_cut=m_cut, hermitian_only=True)
+    herm = np.abs(bands.vectors[0].conj().T @ bands.vectors[0] - np.eye(dim)).max()
     _require(herm < 1e-10, f"coherent eigenframe orthonormality {herm:.1e}")
-    res = topology.zak_phases(sweep, [range(dim)])[0]
+    res = topology.zak_phases(bands, [range(dim)])[0]
     _require(abs(res.phase) < 1e-8, f"all-band loop phase {res.phase:.1e}")
     # rephasing invariance on synthetic frames
     frames = [np.linalg.qr(rng.normal(size=(6, 6))

@@ -13,9 +13,11 @@ the subset.  A nearly singular overlap (|det M| < 1e-6) signals that the
 subset is not isolated at some k and the result is flagged ill-defined.
 The biorthogonal variant runs the same loop with M^(i) = L_i^dag R_{i+1},
 where the columns of the left frame L are the conjugated rows of V^-1.
+The loop is one batched product: det(L^dag roll(R, -1)) over the k stack.
 
 zak_phases runs every band group's loop on the frames of one
-bloch.eigen_sweep over the open grid wilson_grid.
+bloch.band_structure over the open grid wilson_grid, with the bands ranked
+by energy at each k.
 
 Gap detection scans all energy-ordered band splits for the widest window
 free of states across the whole grid; groups below/above that window are
@@ -31,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bloch import BlochSweep, brillouin_grid
+from .bloch import BandStructure, brillouin_grid
 
 GAP_THRESHOLD = 1e-3        # minimum indirect gap width (units Gamma_0)
 DET_ILL_DEFINED = 1e-6      # |det M| below this marks a non-isolated subset
@@ -63,9 +65,10 @@ class ZakResult:
     biorthogonal: bool
 
 
-def detect_gap(bands, threshold: float = GAP_THRESHOLD) -> GapInfo:
-    """Widest indirect gap in bands.energies (n_k, n_bands), as held by a
-    BandStructure or a BlochSweep, or a gapless descriptor."""
+def detect_gap(bands: BandStructure, threshold: float = GAP_THRESHOLD) -> GapInfo:
+    """Widest indirect gap in bands.energies (n_k, n_bands), or a gapless
+    descriptor.  Band indices count energy order at each k, as zak_phases
+    ranks them."""
     e_sorted = np.sort(bands.energies, axis=1)
     n_bands = e_sorted.shape[1]
     best = (0.0, None)
@@ -87,21 +90,15 @@ def detect_gap(bands, threshold: float = GAP_THRESHOLD) -> GapInfo:
 def wilson_loop(rights, lefts=None) -> tuple[float, float]:
     """Phase in [-pi, pi] and minimum |det| of the overlap-product loop over frames.
 
-    rights: sequence of (dim, n_subset) eigenvector column blocks on an open
-    k grid; the loop closes from the last frame back to the first.  lefts
-    (default: rights) are the dual frames, M^(i) = lefts_i^dag rights_{i+1}.
+    rights: (n_k, dim, n_subset) eigenvector column blocks, or a sequence of
+    them, on an open k grid; the loop closes from the last frame back to the
+    first.  lefts (default: rights) are the dual frames, M^(i) = lefts_i^dag
+    rights_{i+1}.
     """
-    if lefts is None:
-        lefts = rights
-    n = len(rights)
-    det = 1.0 + 0.0j
-    min_det = np.inf
-    for i in range(n):
-        m = lefts[i].conj().T @ rights[(i + 1) % n]
-        d = np.linalg.det(m)
-        min_det = min(min_det, abs(d))
-        det *= d
-    return float(-np.angle(det)), float(min_det)
+    rights = np.asarray(rights)
+    lefts = rights if lefts is None else np.asarray(lefts)
+    dets = np.linalg.det(lefts.conj().transpose(0, 2, 1) @ np.roll(rights, -1, axis=0))
+    return float(-np.angle(np.prod(dets))), float(np.abs(dets).min())
 
 
 def wilson_grid(pitch: float, n_k: int) -> np.ndarray:
@@ -109,28 +106,31 @@ def wilson_grid(pitch: float, n_k: int) -> np.ndarray:
     return brillouin_grid(pitch, n_k + 1)[:-1]
 
 
-def zak_phases(sweep: BlochSweep, band_subsets, biorthogonal: bool = False) -> list[ZakResult]:
-    """Zak phases of several band subsets on the frames of one eigen_sweep
-    over an open grid (wilson_grid).  A Hermitian sweep gives orthonormal
+def zak_phases(bands: BandStructure, band_subsets,
+               biorthogonal: bool = False) -> list[ZakResult]:
+    """Zak phases of several band subsets on the frames of one band_structure
+    over an open grid (wilson_grid).  Band b of a subset is the b-th lowest in
+    energy at each k (stable ranking).  A Hermitian sweep gives orthonormal
     frames; the biorthogonal variant needs a non-Hermitian sweep and carries
     no quantization claim."""
-    n_k, dim = sweep.evals.shape
+    n_k, dim = bands.energies.shape
     if n_k < 50:
         raise ValueError("n_k must be >= 50 for a usable Wilson loop")
-    if biorthogonal and sweep.hermitian_only:
+    if biorthogonal and bands.hermitian_only:
         raise ValueError("biorthogonal Zak phases need a non-Hermitian sweep")
     subsets = [tuple(int(b) for b in subset) for subset in band_subsets]
     for subset in subsets:
         if any(b < 0 or b >= dim for b in subset):
             raise ValueError(f"band subset {subset} out of range for {dim} bands")
-    rights = sweep.vecs
+    rank = np.argsort(bands.energies, axis=1, kind="stable")
     # rows of V^-1 are the dual (left) frame: <l_m | r_n> = delta
-    lefts = np.linalg.inv(rights).conj().transpose(0, 2, 1) if biorthogonal else None
+    lefts = np.linalg.inv(bands.vectors).conj().transpose(0, 2, 1) if biorthogonal else None
 
     results = []
     for subset in subsets:
-        duals = lefts[:, :, subset] if biorthogonal else None
-        raw, min_det = wilson_loop(rights[:, :, subset], duals)
+        cols = rank[:, None, list(subset)]
+        duals = np.take_along_axis(lefts, cols, axis=2) if biorthogonal else None
+        raw, min_det = wilson_loop(np.take_along_axis(bands.vectors, cols, axis=2), duals)
         results.append(ZakResult(
             band_subset=subset,
             n_k=n_k,
@@ -138,7 +138,7 @@ def zak_phases(sweep: BlochSweep, band_subsets, biorthogonal: bool = False) -> l
             residual=float(min(abs(raw), np.pi - abs(raw))),
             min_overlap_det=min_det,
             ill_defined=bool(min_det < DET_ILL_DEFINED),
-            hermitian_only=sweep.hermitian_only,
+            hermitian_only=bands.hermitian_only,
             biorthogonal=biorthogonal,
         ))
     return results

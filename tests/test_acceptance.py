@@ -12,7 +12,7 @@ import contextlib
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from heliport.bloch import band_structure, brillouin_grid, eigen_sweep
+from heliport.bloch import band_structure, brillouin_grid
 from heliport.dynamics import (Propagator, evolve, initial_state,
                                master_equation_check)
 from heliport.field import default_plane, intensity_map
@@ -45,13 +45,13 @@ def transport_series(handedness, site, hermitian_only=False):
     h = effective(assemble(geom), hermitian_only)
     state = initial_state(geom.n_sites, site, 0.5)
     times = np.linspace(0.0, 2 * TAU, 200)
-    return evolve(state, h, geom, times)
+    return evolve(Propagator(h), state, geom, times)
 
 
 def populations_at(geom, site, t, hermitian_only=False):
     h = effective(assemble(geom), hermitian_only)
     state = initial_state(geom.n_sites, site, 0.5)
-    ser = evolve(state, h, geom, np.array([0.0, t]))
+    ser = evolve(Propagator(h), state, geom, np.array([0.0, t]))
     return ser.p_up[1], ser.p_down[1]
 
 
@@ -131,9 +131,9 @@ def test_norm_monotonicity_and_conservation():
         geom = reference()
         state = initial_state(geom.n_sites, 0, 0.5)
         times = np.linspace(0.0, 20.0, 200)
-        ser = evolve(state, effective(assemble(geom)), geom, times)
+        ser = evolve(Propagator(effective(assemble(geom))), state, geom, times)
         assert np.diff(ser.trace).max() <= 1e-10
-        ser_h = evolve(state, effective(assemble(geom), True), geom, times)
+        ser_h = evolve(Propagator(effective(assemble(geom), True)), state, geom, times)
         assert np.abs(ser_h.trace - 1.0).max() < 1e-8
 
 
@@ -149,8 +149,8 @@ def test_chiral_population_transport():
 
         state = initial_state(left.n_sites, 0, 0.5)
         times = np.linspace(0.0, 2 * TAU, 200)
-        ser_l = evolve(state, effective(assemble(left)), left, times)
-        ser_r = evolve(state, effective(assemble(right)), right, times)
+        ser_l = evolve(Propagator(effective(assemble(left))), state, left, times)
+        ser_r = evolve(Propagator(effective(assemble(right))), state, right, times)
         assert np.abs(ser_l.p_up - ser_r.p_down).max() < 1e-10
         assert np.abs(ser_l.p_down - ser_r.p_up).max() < 1e-10
 
@@ -218,7 +218,7 @@ def test_spin_textures_vs_cell_size():
         assert np.abs(one.sz.mean(axis=1)).max() < 1e-6
 
         two = band_structure(HelixParams(RADIUS, PITCH, 2, 1, 1),
-                             brillouin_grid(PITCH, 400, include_edges=False),
+                             wilson_grid(PITCH, 400) + np.pi / (PITCH * 400),
                              m_cut=2000, hermitian_only=True)
         assert np.abs(two.sz).max() < 1e-6
 
@@ -245,18 +245,18 @@ def test_zak_phase_quantization():
             else:
                 assert gap.width > 0.0
                 groups, target = [gap.lower_bands, gap.upper_bands], np.pi
-            sweep = eigen_sweep(params, wilson_grid(PITCH, 400), m_cut=2000,
-                                hermitian_only=True)
-            for res in zak_phases(sweep, groups):
+            loop_bands = band_structure(params, wilson_grid(PITCH, 400), m_cut=2000,
+                                        hermitian_only=True)
+            for res in zak_phases(loop_bands, groups):
                 assert not res.ill_defined
                 assert res.residual < 1e-2
                 assert abs(abs(res.phase) - target) < 1e-2
-            [full] = zak_phases(sweep, [range(2 * nt)])
+            [full] = zak_phases(loop_bands, [range(2 * nt)])
             assert abs(full.phase) < 1e-8
 
         # gauge invariance: random rephasing leaves the loop phase unchanged
         rng = np.random.default_rng(13)
-        open_grid = brillouin_grid(PITCH, 80, include_edges=False)
+        open_grid = wilson_grid(PITCH, 80) + np.pi / (PITCH * 80)
         frames = band_structure(HelixParams(RADIUS, PITCH, 3, 1, 1), open_grid,
                                 m_cut=300, hermitian_only=True).vectors
         frames = [f[:, :3] for f in frames]

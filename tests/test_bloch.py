@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heliport import bloch, cli, hamiltonian
-from heliport.bloch import (_fourier_sum, band_structure, brillouin_grid,
-                            chain_table, eigen_sweep)
+from heliport.bloch import _fourier_sum, band_structure, brillouin_grid, chain_table
 from heliport.geometry import HelixParams, build_helix
 from heliport.greens import GAMMA0, K0
 from heliport.hamiltonian import _pairwise_assemble
-from heliport.topology import wilson_grid
+from heliport.topology import detect_gap, wilson_grid, wilson_loop, zak_phases
 
 PITCH = 0.175
+
+
+def half_step_grid(n_k):
+    """Uniform BZ grid offset by half a step from wilson_grid: no k = 0, +-pi/a."""
+    return wilson_grid(PITCH, n_k) + np.pi / (PITCH * n_k)
 
 
 def small(n_sites_per_turn, handedness=1):
@@ -62,7 +66,7 @@ def test_brillouin_grid_edges():
     assert grid[0] == -edge and grid[-1] == edge
     assert abs(grid[200]) < 1e-14
 
-    mid = brillouin_grid(PITCH, 400, include_edges=False)
+    mid = half_step_grid(400)
     assert len(mid) == 400
     assert np.abs(mid).max() < edge          # strictly interior
     assert np.abs(mid + mid[::-1]).max() < 1e-12  # symmetric about 0
@@ -89,8 +93,10 @@ def test_bloch_hamiltonian_periodicity():
     h1, _ = h_at(params, 1.234, m_cut=200)
     h2, _ = h_at(params, 1.234 + 2 * np.pi / (PITCH / 3), m_cut=200)
     assert np.abs(h1 - h2).max() < 1e-10
-    sweep = eigen_sweep(params, [1.234, 1.234 + 2 * np.pi / PITCH], m_cut=200)
-    assert np.abs(sweep.evals[0] - sweep.evals[1]).max() < 1e-10
+    bands = band_structure(params, [1.234, 1.234 + 2 * np.pi / PITCH], m_cut=200)
+    lam = np.take_along_axis(bands.energies - 0.5j * bands.gammas,
+                             np.argsort(bands.energies, axis=1), axis=1)
+    assert np.abs(lam[0] - lam[1]).max() < 1e-10
 
 
 def test_hermitian_variant_is_hermitian():
@@ -178,7 +184,7 @@ def test_spin_vanishes_at_the_invariant_points(n_sites_per_turn, handedness, her
 def test_bands_follow_their_fold(hermitian_only):
     # band 2j + branch holds the eigenvalues of h(-k + 2 pi j/a) at every k
     params = small(3)
-    grid = brillouin_grid(PITCH, 41, include_edges=False)
+    grid = half_step_grid(41)
     bands = band_structure(params, grid, m_cut=300, hermitian_only=hermitian_only)
     lam = bands.energies - 0.5j * bands.gammas
     for j in range(3):
@@ -194,7 +200,7 @@ def test_branches_swap_labels_where_they_cross(monkeypatch):
     table = np.zeros((3, 2, 2))
     table[[0, 2]] = 0.5 * np.diag([1.0, -1.0])
     monkeypatch.setattr(bloch, "chain_table", lambda *_args: (np.ones((1, 2)), table))
-    grid = brillouin_grid(PITCH, 40, include_edges=False)
+    grid = half_step_grid(40)
     bands = band_structure(small(1), grid, m_cut=1, hermitian_only=True)
     assert np.allclose(bands.sz, np.tile([1.0, -1.0], (40, 1)))
     assert np.abs(bands.energies[:, 0] - np.cos(grid * PITCH)).max() < 1e-12
@@ -239,7 +245,7 @@ def refuse_direct_sum(*_args):
 GRIDS = {
     "wilson": lambda n: wilson_grid(PITCH, n),
     "closed": lambda n: brillouin_grid(PITCH, n + 1),
-    "half_step": lambda n: brillouin_grid(PITCH, n, include_edges=False),
+    "half_step": half_step_grid,
     "uneven": lambda n: np.sort(np.random.default_rng(n).uniform(-20.0, 20.0, n)),
 }
 
@@ -285,7 +291,7 @@ def test_eigen_sweep_memory_stays_bounded():
     # an (n_k, cells) phase matrix of the direct sum alone takes 61 MiB here
     tracemalloc.start()
     try:
-        eigen_sweep(small(6), wilson_grid(PITCH, 2000), m_cut=2000, hermitian_only=True)
+        band_structure(small(6), wilson_grid(PITCH, 2000), m_cut=2000, hermitian_only=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -299,20 +305,39 @@ def test_eigen_sweep_equals_per_k_diagonalization(n_sites_per_turn, hermitian_on
     # summed over the same window |d| <= N_t m_cut as the chain
     params = small(n_sites_per_turn)
     grid = brillouin_grid(PITCH, 31)
-    sweep = eigen_sweep(params, grid, m_cut=20, hermitian_only=hermitian_only)
+    bands = band_structure(params, grid, m_cut=20, hermitian_only=hermitian_only)
+    order = np.argsort(bands.energies, axis=1, kind="stable")
+    evals = np.take_along_axis(bands.energies - 0.5j * bands.gammas, order, axis=1)
+    vecs = np.take_along_axis(bands.vectors, order[:, None, :], axis=2)
     cell = windowed_cell_hamiltonian(params, grid, 20, hermitian_only)
     scale = np.abs(cell).max()
-    residual = cell @ sweep.vecs - sweep.vecs * sweep.evals[:, None, :]
+    residual = cell @ vecs - vecs * evals[:, None, :]
     assert np.abs(residual).max() <= 1e-10 * scale
-    assert np.abs(np.linalg.norm(sweep.vecs, axis=1) - 1).max() < 1e-12
+    assert np.abs(np.linalg.norm(vecs, axis=1) - 1).max() < 1e-12
     if hermitian_only:
         ref = np.linalg.eigvalsh(cell)
     else:
         ref = np.linalg.eigvals(cell)
         ref = np.take_along_axis(ref, np.argsort(ref.real, axis=1), axis=1)
-    assert np.abs(sweep.evals - ref).max() <= 1e-10 * scale
-    assert np.array_equal(sweep.energies, sweep.evals.real)
-    assert (np.diff(sweep.energies, axis=1) >= 0).all()
+    assert np.abs(evals - ref).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n_sites_per_turn", [3, 4, 6])
+def test_zak_phases_rank_bands_per_k(n_sites_per_turn):
+    # band_structure keeps fold labels, which differ from energy order at
+    # every k here; zak_phases must rank them, as eigh orders the oracle
+    params = small(n_sites_per_turn)
+    grid = wilson_grid(PITCH, 60)
+    bands = band_structure(params, grid, m_cut=20, hermitian_only=True)
+    fold_order = np.arange(bands.n_bands)
+    assert (np.argsort(bands.energies, axis=1, kind="stable") != fold_order).any(axis=1).all()
+    gap = detect_gap(bands)
+    assert gap.gapped
+    frames = np.linalg.eigh(windowed_cell_hamiltonian(params, grid, 20, True))[1]
+    for res, subset in zip(zak_phases(bands, [gap.lower_bands, gap.upper_bands]),
+                           (gap.lower_bands, gap.upper_bands)):
+        ref, _ = wilson_loop(frames[:, :, list(subset)])
+        assert abs(np.exp(1j * res.phase) - np.exp(1j * ref)) < 1e-10
 
 
 # ------------------------------------------------- T(d) from the screw table

@@ -141,8 +141,8 @@ def test_cli_snapshot_matches_the_evolve_row_at_its_time(tmp_path):
     assert run_cli(["dynamics", "--config", cfg, "--out", out]) == 0
     snap = np.loadtxt(out / "snapshot_t1.csv", delimiter=",", skiprows=1)
     geom = build_helix(HelixParams(**HELIX))
-    series = dynamics.evolve(dynamics.initial_state(geom.n_sites, 0, 0.5),
-                             hamiltonian.effective(hamiltonian.assemble(geom)),
+    prop = dynamics.Propagator(hamiltonian.effective(hamiltonian.assemble(geom)))
+    series = dynamics.evolve(prop, dynamics.initial_state(geom.n_sites, 0, 0.5),
                              geom, np.linspace(0.0, 2.0, 21))
     assert series.times[10] == 1.0
     assert np.allclose(snap[:, 2:], series.per_site[10], rtol=1e-12, atol=1e-15)
@@ -558,7 +558,7 @@ def test_cli_zak_sums_the_lattice_once(tmp_path, monkeypatch):
                                   "zak": {"n_k": 60}})
     assert run_cli(["zak", "--config", cfg, "--out", tmp_path / "o"]) == 0
     # one pass gives h(q) and the convergence estimate
-    assert calls == {"chain_table": 1, "_fourier_sum": 1, "band_structure": 0}
+    assert calls == {"chain_table": 1, "_fourier_sum": 1, "band_structure": 1}
 
 
 def test_cli_check_sums_the_lattice_twice(tmp_path, monkeypatch):

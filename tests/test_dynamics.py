@@ -35,14 +35,15 @@ def test_single_emitter_decays_exponentially():
     geom = EmitterGeometry(np.zeros((1, 3)))
     h = effective(assemble(geom))
     times = np.linspace(0.0, 8.0, 60)
-    ser = evolve(initial_state(1, 0, 0.5), h, geom, times)
+    ser = evolve(Propagator(h), initial_state(1, 0, 0.5), geom, times)
     assert np.abs(ser.trace - np.exp(-GAMMA0 * times)).max() < 1e-12
 
 
 def test_norm_monotone_and_split(small_helix):
     h = effective(assemble(small_helix))
     times = np.linspace(0.0, 20.0, 150)
-    ser = evolve(initial_state(small_helix.n_sites, 0, 0.5), h, small_helix, times)
+    ser = evolve(Propagator(h), initial_state(small_helix.n_sites, 0, 0.5), small_helix,
+                 times)
     assert np.diff(ser.trace).max() <= 1e-10
     assert np.abs(ser.p_up + ser.p_down - ser.trace).max() < 1e-12
     assert np.abs(ser.per_site.sum(axis=(1, 2)) - ser.trace).max() < 1e-12
@@ -51,7 +52,8 @@ def test_norm_monotone_and_split(small_helix):
 def test_hermitian_norm_conserved(small_helix):
     h = effective(assemble(small_helix), hermitian_only=True)
     times = np.linspace(0.0, 20.0, 80)
-    ser = evolve(initial_state(small_helix.n_sites, 0, 0.5), h, small_helix, times)
+    ser = evolve(Propagator(h), initial_state(small_helix.n_sites, 0, 0.5), small_helix,
+                 times)
     assert np.abs(ser.trace - 1.0).max() < 1e-8
 
 
@@ -59,8 +61,8 @@ def test_mirror_swaps_populations(small_helix):
     mirrored = mirror_xz(small_helix)
     times = np.linspace(0.0, 6.0, 50)
     st = initial_state(small_helix.n_sites, 0, 0.5)
-    a = evolve(st, effective(assemble(small_helix)), small_helix, times)
-    b = evolve(st, effective(assemble(mirrored)), mirrored, times)
+    a = evolve(Propagator(effective(assemble(small_helix))), st, small_helix, times)
+    b = evolve(Propagator(effective(assemble(mirrored))), st, mirrored, times)
     assert np.abs(a.p_up - b.p_down).max() < 1e-13
     assert np.abs(a.p_down - b.p_up).max() < 1e-13
     assert np.abs(a.trace - b.trace).max() < 1e-13
@@ -71,9 +73,10 @@ def test_branch_mixture_is_linear(small_helix):
     h = effective(assemble(small_helix))
     times = np.linspace(0.0, 4.0, 30)
     n = small_helix.n_sites
-    mix = evolve(initial_state(n, 0, 0.3), h, small_helix, times)
-    up = evolve(initial_state(n, 0, 1.0), h, small_helix, times)
-    dn = evolve(initial_state(n, 0, 0.0), h, small_helix, times)
+    prop = Propagator(h)
+    mix = evolve(prop, initial_state(n, 0, 0.3), small_helix, times)
+    up = evolve(prop, initial_state(n, 0, 1.0), small_helix, times)
+    dn = evolve(prop, initial_state(n, 0, 0.0), small_helix, times)
     assert np.abs(mix.per_site - 0.3 * up.per_site - 0.7 * dn.per_site).max() < 1e-14
 
 
@@ -89,12 +92,12 @@ def test_helicity_signs_and_deadband():
 
 
 def test_evolve_rejects_unsorted_times(small_helix):
-    h = effective(assemble(small_helix))
+    prop = Propagator(effective(assemble(small_helix)))
     with pytest.raises(ValueError):
-        evolve(initial_state(small_helix.n_sites, 0, 0.5), h, small_helix,
+        evolve(prop, initial_state(small_helix.n_sites, 0, 0.5), small_helix,
                np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
-        evolve(initial_state(small_helix.n_sites, 0, 0.5), h, small_helix,
+        evolve(prop, initial_state(small_helix.n_sites, 0, 0.5), small_helix,
                np.array([-1.0, 0.5]))
 
 
@@ -126,7 +129,7 @@ def test_arrival_time_of_transport_pulse():
     geom = build_helix(HelixParams(0.05, 0.175, 3, 10, 1))
     h = effective(assemble(geom))
     times = np.linspace(0.0, 8.0, 160)
-    ser = evolve(initial_state(geom.n_sites, 0, 0.5), h, geom, times)
+    ser = evolve(Propagator(h), initial_state(geom.n_sites, 0, 0.5), geom, times)
     t_arr = arrival_time(ser, geom)
     assert t_arr is not None
     assert 0.5 < t_arr < 8.0
@@ -249,14 +252,6 @@ def test_cli_dynamics_builds_one_propagator(tmp_path, monkeypatch):
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["propagator_fallback"] is False
     assert 1.0 <= diag["propagator_condition"] < dynamics.COND_LIMIT
-
-
-def test_evolve_rejects_foreign_propagator(small_helix):
-    h = effective(assemble(small_helix))
-    other = Propagator(effective(assemble(small_helix), hermitian_only=True))
-    with pytest.raises(ValueError):
-        evolve(initial_state(small_helix.n_sites, 0, 0.5), h, small_helix,
-               np.linspace(0.0, 1.0, 5), propagator=other)
 
 
 def test_defective_spectrum_takes_expm_fallback_without_warnings():

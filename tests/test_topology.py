@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heliport import cli
-from heliport.bloch import band_structure, brillouin_grid, eigen_sweep
+from heliport.bloch import band_structure, brillouin_grid
 from heliport.geometry import HelixParams
 from heliport.topology import detect_gap, wilson_grid, wilson_loop, zak_phases
 
@@ -17,9 +17,9 @@ def helix(n_sites_per_turn):
 
 def zak(params, subset, n_k, m_cut, biorthogonal=False):
     """Zak phase of one band group on its own sweep over the Wilson grid."""
-    sweep = eigen_sweep(params, wilson_grid(params.pitch, n_k), m_cut,
-                        hermitian_only=not biorthogonal)
-    return zak_phases(sweep, [subset], biorthogonal)[0]
+    bands = band_structure(params, wilson_grid(params.pitch, n_k), m_cut,
+                           hermitian_only=not biorthogonal)
+    return zak_phases(bands, [subset], biorthogonal)[0]
 
 
 def hermitian_bands(n_sites_per_turn, n_k=81, m_cut=300):
@@ -49,6 +49,33 @@ def test_wilson_loop_flags_orthogonal_jump():
     frames = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])]
     _, min_det = wilson_loop(frames)
     assert min_det < 1e-12
+
+
+def per_k_wilson_loop(rights, lefts):
+    """The loop as a Python product over k: the reference for the batched one."""
+    det, min_det = 1.0 + 0.0j, np.inf
+    for i in range(len(rights)):
+        d = np.linalg.det(lefts[i].conj().T @ rights[(i + 1) % len(rights)])
+        det, min_det = det * d, min(min_det, abs(d))
+    return float(-np.angle(det)), float(min_det)
+
+
+@pytest.mark.parametrize("n_subset", [1, 3, 6])
+def test_wilson_loop_is_one_batched_product(rng, monkeypatch, n_subset):
+    shape = (50, 6, 6)
+    frames = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    frames = frames[:, :, :n_subset]
+    duals = frames + 0.01 * rng.normal(size=frames.shape)
+    for lefts in (frames, duals):
+        expected = per_k_wilson_loop(frames, lefts)
+        calls = []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+        phase, min_det = wilson_loop(frames, lefts)
+        monkeypatch.undo()
+        assert calls == [(50, n_subset, n_subset)]
+        assert abs(np.angle(np.exp(1j * (phase - expected[0])))) < 1e-13
+        assert abs(min_det - expected[1]) < 1e-13
 
 
 def test_gap_detection_by_cell_size():
@@ -137,19 +164,19 @@ def test_wilson_loop_with_right_frames_as_left_frames_is_unchanged(rng):
 @pytest.mark.parametrize("biorthogonal", [False, True])
 def test_zak_phases_matches_one_zak_phase_per_group(biorthogonal):
     lower, upper = (0, 1, 2), (3, 4, 5)
-    sweep = eigen_sweep(helix(3), wilson_grid(PITCH, 80), m_cut=200,
-                        hermitian_only=not biorthogonal)
-    both = zak_phases(sweep, [lower, upper], biorthogonal=biorthogonal)
+    bands = band_structure(helix(3), wilson_grid(PITCH, 80), m_cut=200,
+                           hermitian_only=not biorthogonal)
+    both = zak_phases(bands, [lower, upper], biorthogonal=biorthogonal)
     singles = [zak(helix(3), subset, n_k=80, m_cut=200,
                          biorthogonal=biorthogonal) for subset in (lower, upper)]
     assert both == singles
 
 
 def test_zak_phases_refuses_biorthogonal_frames_of_a_hermitian_sweep():
-    sweep = eigen_sweep(helix(3), wilson_grid(PITCH, 60), m_cut=100,
-                        hermitian_only=True)
+    bands = band_structure(helix(3), wilson_grid(PITCH, 60), m_cut=100,
+                           hermitian_only=True)
     with pytest.raises(ValueError, match="non-Hermitian"):
-        zak_phases(sweep, [(0, 1, 2)], biorthogonal=True)
+        zak_phases(bands, [(0, 1, 2)], biorthogonal=True)
 
 
 def test_wilson_grid_is_open_and_uniform():
