@@ -14,10 +14,10 @@ eigenvector V_j chi(q_j).  Bands keep this label along k; the two branches
 of a fold, ordered by Re E, swap labels where their spinors say they cross.
 The sum converges slowest at the light cone |k| = k0 (error ~ 1/m_cut);
 _fourier_sum sums |d| <= D/2 and the wings as two parts, and the Cauchy
-estimate ||h_D - h_{D/2}||_max = max|wings| is always reported.  On a
-uniform k grid of period L (every grid the runs build) the folded momenta
-are one uniform grid of period L N_t, summed by one FFT; other grids take
-the direct phase sum.
+estimate ||h_D - h_{D/2}||_max = max|wings| is always reported.  Lattice
+sums need a uniform k grid of period L (every grid the runs build); its
+folded momenta are one uniform grid of period L N_t, summed by one FFT.
+Any other grid raises ValueError.
 
 C2 rule.  The pi rotation about a radial axis gives h(-q) = sigma_x h(q)
 sigma_x.  At k = 0 and +-pi/a (k a/pi = n, an integer) fold j is therefore
@@ -74,40 +74,33 @@ def chain_table(params: HelixParams, m_cut: int,
     return u[:nt], t_j if hermitian_only else t_j - 0.5j * t_g
 
 
-def _phase_sum(c: np.ndarray, ms: np.ndarray, k_grid: np.ndarray,
-               pitch: float) -> np.ndarray:
-    """Direct sum of e^{-i k m a} c(m) over the cells ms: one (n_k, cells) phase product."""
-    phases = np.outer(k_grid, ms * (-1j * pitch))
-    return np.tensordot(np.exp(phases, out=phases), c, axes=(1, 0))
-
-
 def _zone_period(k_grid: np.ndarray, pitch: float) -> int:
-    """L when k_grid is k_0 + j 2 pi/(L a) to round-off with n >= L points, else 0."""
+    """L for a grid k_0 + j 2 pi/(L a), j < n, to round-off with 2 <= n and L <= n."""
     n = len(k_grid)
     zones = (k_grid[-1] - k_grid[0]) * pitch / (2 * np.pi) if n > 1 else 0.0  # (n - 1)/L
-    if n < 2 or not zones >= (n - 1) / (n + 0.5):   # L <= n; a NaN span fails too
-        return 0
-    period = max(1, round((n - 1) / zones))
-    ideal = k_grid[0] + np.arange(n) * (2 * np.pi / (period * pitch))
-    tol = 64 * np.finfo(float).eps * max(np.pi / pitch, np.abs(k_grid).max())
-    return period if np.abs(k_grid - ideal).max() <= tol else 0
+    if n >= 2 and zones >= (n - 1) / (n + 0.5):   # L <= n; a NaN span fails too
+        period = max(1, round((n - 1) / zones))
+        ideal = k_grid[0] + np.arange(n) * (2 * np.pi / (period * pitch))
+        tol = 64 * np.finfo(float).eps * max(np.pi / pitch, np.abs(k_grid).max())
+        if np.abs(k_grid - ideal).max() <= tol:
+            return period
+    raise ValueError("lattice sums need a uniform k grid: k_0 + j 2 pi/(L a), "
+                     "j < n, to round-off with 2 <= n and L <= n")
 
 
 def _fourier_sum(c: np.ndarray, k_grid: np.ndarray,
                  pitch: float) -> tuple[np.ndarray, float]:
-    """(sum_m e^{-i k m a} c(m) over k_grid, convergence), m = -M..M: inner (|m| <=
-    M // 2) + wings and the estimate max|wings| (inf without a half window)."""
+    """(sum_m e^{-i k m a} c(m) over the uniform k_grid, convergence), m = -M..M:
+    inner (|m| <= M // 2) + wings and the estimate max|wings| (inf without a
+    half window).  Both parts fold onto the grid's period L and take one FFT."""
     m_cut = (len(c) - 1) // 2
     ms = np.arange(-m_cut, m_cut + 1)
     wing = np.abs(ms) > m_cut // 2
     period = _zone_period(k_grid, pitch)
-    if period:
-        folded = np.zeros((2, period) + c.shape[1:], dtype=complex)
-        np.add.at(folded, (wing.astype(np.intp), ms % period),
-                  np.exp(ms * (-1j * pitch * k_grid[0]))[:, None, None] * c)
-        h, wings = np.fft.fft(folded, axis=1)[:, np.arange(len(k_grid)) % period]
-    else:
-        h, wings = (_phase_sum(c[cells], ms[cells], k_grid, pitch) for cells in (~wing, wing))
+    folded = np.zeros((2, period) + c.shape[1:], dtype=complex)
+    np.add.at(folded, (wing.astype(np.intp), ms % period),
+              np.exp(ms * (-1j * pitch * k_grid[0]))[:, None, None] * c)
+    h, wings = np.fft.fft(folded, axis=1)[:, np.arange(len(k_grid)) % period]
     return h + wings, float(np.abs(wings).max()) if m_cut >= 2 else np.inf
 
 
@@ -120,18 +113,14 @@ def brillouin_grid(pitch: float, n_k: int = 401) -> np.ndarray:
 def _folds(params: HelixParams, k_grid: np.ndarray, m_cut: int, hermitian_only: bool):
     """(q, evals, spinors, u, convergence): q_ij = -k_i + 2 pi j/a, the eigenpairs
     of h(q) (n_k, N_t, 2) ordered by Re E, spinor columns per branch, u the
-    cell gauge.  On a uniform k grid of period L the momenta k - 2 pi j/a of
-    all folds are one uniform grid of period L N_t from N_t - 1 zones below k_0."""
+    cell gauge.  The k grid is uniform of period L, so the momenta k - 2 pi j/a
+    of all folds are one uniform grid of period L N_t from N_t - 1 zones below k_0."""
     nt, a = params.sites_per_turn, params.pitch
-    u, table = chain_table(params, m_cut, hermitian_only)
     n, period = len(k_grid), _zone_period(k_grid, a)
-    if period:
-        shift = (nt - 1) * period
-        p = k_grid[0] + (2 * np.pi / (period * a)) * np.arange(-shift, n)
-        index = np.arange(n)[:, None] + shift - period * np.arange(nt)
-    else:
-        p = (k_grid[:, None] - 2 * np.pi / a * np.arange(nt)).ravel()
-        index = np.arange(n * nt).reshape(n, nt)
+    u, table = chain_table(params, m_cut, hermitian_only)
+    shift = (nt - 1) * period
+    p = k_grid[0] + (2 * np.pi / (period * a)) * np.arange(-shift, n)
+    index = np.arange(n)[:, None] + shift - period * np.arange(nt)
     h, conv = _fourier_sum(table[::-1], p, a / nt)   # h(-p) sums T(-d) at p
     if hermitian_only:
         evals, chi = np.linalg.eigh(h[index])
@@ -173,25 +162,28 @@ def band_structure(params: HelixParams, k_grid, m_cut: int = 2000,
 
     The two branches of a fold swap labels between neighbouring k where their
     spinors overlap crosswise more than straight.  The k after a swap and the
-    invariant points (where the C2 rule mixes folds) are flagged.
+    invariant points (where the C2 rule mixes folds) are flagged, except a
+    swap between branches degenerate (|E_0 - E_1| <= 1e-12 max|E|) at both k,
+    where round-off alone orders them.
     """
     k_grid, nt = np.asarray(k_grid, dtype=float), params.sites_per_turn
     q, evals, chi, u, conv = _folds(params, k_grid, m_cut, hermitian_only)
     overlap = np.abs(np.einsum("ijsa,ijsb->ijab", chi[:-1].conj(), chi[1:])) ** 2
     swap = np.trace(overlap[..., ::-1], axis1=2, axis2=3) > np.trace(overlap, axis1=2, axis2=3)
+    degenerate = np.abs(evals[..., 1] - evals[..., 0]) <= 1e-12 * np.abs(evals).max()
     flip = np.cumsum(np.concatenate([np.zeros_like(swap[:1]), swap]), axis=0) % 2
     branch = np.arange(2) ^ flip[..., None]
     evals = np.take_along_axis(evals, branch, axis=-1).reshape(len(k_grid), -1)
     vecs, invariant = _cell_vectors(params, k_grid, q,
                                     np.take_along_axis(chi, branch[..., None, :], axis=-1), u)
-    flags = np.concatenate([[False], invariant[1:] | swap.any(axis=1)])
+    unsure = swap & ~(degenerate[:-1] & degenerate[1:])
+    flags = np.concatenate([[False], invariant[1:] | unsure.any(axis=1)])
     weight = np.abs(vecs) ** 2
     sz = np.einsum("kan,a->kn", weight, spin_z_diagonal(nt)) / weight.sum(axis=1)
     energies = evals.real
     gammas = np.zeros_like(energies) if hermitian_only else -2.0 * evals.imag
-    velocities = (np.gradient(energies, k_grid, axis=0) if len(k_grid) > 1
-                  else np.zeros_like(energies))
     return BandStructure(k=k_grid, energies=energies, gammas=gammas, sz=sz,
-                         velocities=velocities, in_light_cone=np.abs(k_grid) <= K0,
+                         velocities=np.gradient(energies, k_grid, axis=0),
+                         in_light_cone=np.abs(k_grid) <= K0,
                          vectors=vecs, continuation_ambiguous=flags, m_cut=m_cut,
                          hermitian_only=hermitian_only, convergence=conv)

@@ -89,19 +89,19 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def _launch(cfg, geom):
-    """(H_eff, launch state, Propagator, the propagator's manifest keys)."""
+    """(launch state, Propagator, the propagator's manifest keys)."""
     from . import dynamics, hamiltonian
 
-    h = hamiltonian.effective(hamiltonian.assemble(geom), cfg.hermitian_only)
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
-    prop = dynamics.Propagator(h)
+    prop = dynamics.Propagator(hamiltonian.effective(hamiltonian.assemble(geom),
+                                                     cfg.hermitian_only))
     keys = {
         "propagator_fallback": prop.use_stepper,
         "propagator_condition": _finite_or_none(prop.condition),
         "propagator_blocks": len(prop.blocks),
         "c2_residual": _finite_or_none(prop.c2_residual),
     }
-    return h, state, prop, keys
+    return state, prop, keys
 
 
 # CSV columns that are nan by design: eta inside the helicity deadband, and
@@ -136,7 +136,7 @@ def _run_dynamics(cfg, geom):
     from . import dynamics
     from .config import time_tag
 
-    h, state, prop, prop_keys = _launch(cfg, geom)
+    state, prop, prop_keys = _launch(cfg, geom)
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
     series = dynamics.evolve(prop, state, geom, times, deadband=cfg.helicity_deadband)
     products = {"timeseries.csv": (
@@ -246,7 +246,7 @@ def _run_field(cfg, geom):
     from . import field
     from .config import time_tag
 
-    _, state, prop, prop_keys = _launch(cfg, geom)
+    state, prop, prop_keys = _launch(cfg, geom)
     plane = field.default_plane(geom, axis=fs.plane_axis, offset=fs.plane_offset,
                                 n_u=fs.n_u, n_v=fs.n_v, u_span=fs.u_span,
                                 z_pad=fs.z_pad)

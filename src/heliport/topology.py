@@ -71,20 +71,14 @@ def detect_gap(bands: BandStructure, threshold: float = GAP_THRESHOLD) -> GapInf
     ranks them."""
     e_sorted = np.sort(bands.energies, axis=1)
     n_bands = e_sorted.shape[1]
-    best = (0.0, None)
-    for split in range(1, n_bands):
-        lo = e_sorted[:, :split].max()
-        hi = e_sorted[:, split:].min()
-        if hi - lo > best[0]:
-            best = (hi - lo, split)
-    width, split = best
-    if split is None or width < threshold:
+    # rows are sorted, so the gap above band s - 1 is min E_s - max E_{s-1}
+    lo, hi = e_sorted[:, :-1].max(axis=0), e_sorted[:, 1:].min(axis=0)
+    split = int(np.argmax(hi - lo)) + 1   # the first widest
+    width = hi[split - 1] - lo[split - 1]
+    if not width > 0.0 or width < threshold:
         return GapInfo(0.0, np.nan, np.nan, tuple(range(n_bands)), None)
-    return GapInfo(float(width),
-                   float(e_sorted[:, :split].max()),
-                   float(e_sorted[:, split:].min()),
-                   tuple(range(split)),
-                   tuple(range(split, n_bands)))
+    return GapInfo(float(width), float(lo[split - 1]), float(hi[split - 1]),
+                   tuple(range(split)), tuple(range(split, n_bands)))
 
 
 def wilson_loop(rights, lefts=None) -> tuple[float, float]:

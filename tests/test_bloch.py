@@ -25,10 +25,11 @@ def small(n_sites_per_turn, handedness=1):
 
 
 def h_at(params, q, m_cut, hermitian_only=False):
-    """(h(q), convergence estimate): the chain's 2x2 Bloch Hamiltonian at one q."""
+    """(h(q), convergence estimate): the chain's 2x2 Bloch Hamiltonian at one q,
+    summed on the two-point uniform grid [q, q + 2 pi/b] of period 1."""
     spacing = params.pitch / params.sites_per_turn
     h, conv = _fourier_sum(chain_table(params, m_cut, hermitian_only)[1],
-                           np.array([q]), spacing)
+                           q + np.array([0.0, 2 * np.pi / spacing]), spacing)
     return h[0], conv
 
 
@@ -134,9 +135,10 @@ def test_mirror_image_swaps_spin_texture():
 
 
 def test_light_cone_flags():
-    grid = np.array([-K0 - 1.0, -K0, 0.0, K0, K0 + 1.0])
+    grid = brillouin_grid(PITCH, 401)   # k0 is 70 steps from k = 0, so +-k0 are on it
+    assert grid[130] == -K0 and grid[270] == K0
     bands = band_structure(small(1), grid, m_cut=100)
-    assert bands.in_light_cone.tolist() == [False, True, True, True, False]
+    assert bands.in_light_cone.tolist() == [130 <= i <= 270 for i in range(401)]
 
 
 def test_velocities_match_finite_differences():
@@ -207,6 +209,16 @@ def test_branches_swap_labels_where_they_cross(monkeypatch):
     assert bands.continuation_ambiguous.sum() == 2
 
 
+@pytest.mark.parametrize("hermitian_only", [True, False])
+def test_degenerate_branches_swap_without_a_flag(hermitian_only):
+    # one site per turn: the two spins of the only fold are degenerate to
+    # round-off at every k, so eigh's order is arbitrary; only the invariant
+    # points k = 0, pi/a are flagged
+    bands = band_structure(small(1), brillouin_grid(PITCH, 81), m_cut=1000,
+                           hermitian_only=hermitian_only)
+    assert np.flatnonzero(bands.continuation_ambiguous).tolist() == [40, 80]
+
+
 @pytest.mark.parametrize("m_cut", [5, 101, 400])
 def test_fourier_sum_is_one_pass_over_inner_cells_and_wings(m_cut):
     c = chain_table(small(3), m_cut)[1]
@@ -238,15 +250,14 @@ def direct_sum(c, grid, window):
     return np.einsum("km,mab->kab", np.exp(-1j * np.outer(grid, ms[keep] * PITCH)), c[keep])
 
 
-def refuse_direct_sum(*_args):
-    raise AssertionError("direct phase sum on a uniform grid")
-
-
 GRIDS = {
     "wilson": lambda n: wilson_grid(PITCH, n),
     "closed": lambda n: brillouin_grid(PITCH, n + 1),
     "half_step": half_step_grid,
+    # not k_0 + j 2 pi/(L a) with 2 <= n, L <= n: lattice sums refuse them
     "uneven": lambda n: np.sort(np.random.default_rng(n).uniform(-20.0, 20.0, n)),
+    "one_point": lambda n: np.array([0.3]),
+    "part_zone": lambda n: wilson_grid(PITCH, 2 * n)[:n],
 }
 
 
@@ -254,10 +265,15 @@ GRIDS = {
 @pytest.mark.parametrize("n_sites_per_turn", [1, 3, 6])
 @pytest.mark.parametrize("kind", GRIDS)
 def test_fourier_sum_matches_direct_sum_on_every_grid_kind(kind, n_sites_per_turn,
-                                                           hermitian_only, monkeypatch):
-    if kind != "uneven":   # uniform grids take the folded FFT
-        monkeypatch.setattr(bloch, "_phase_sum", refuse_direct_sum)
+                                                           hermitian_only):
     grid = GRIDS[kind](40)
+    if kind in ("uneven", "one_point", "part_zone"):
+        c = chain_table(small(n_sites_per_turn), 3, hermitian_only)[1]
+        with pytest.raises(ValueError, match="uniform k grid"):
+            _fourier_sum(c, grid, PITCH)
+        with pytest.raises(ValueError, match="uniform k grid"):
+            band_structure(small(n_sites_per_turn), grid, 3, hermitian_only)
+        return
     for m_cut in (3, 64, 257):   # fewer terms than the period, several wraps
         c = chain_table(small(n_sites_per_turn), m_cut, hermitian_only)[1]
         h, conv = _fourier_sum(c, grid, PITCH)
@@ -267,12 +283,6 @@ def test_fourier_sum_matches_direct_sum_on_every_grid_kind(kind, n_sites_per_tur
         assert abs(conv - cauchy) <= 1e-12 * cauchy
         if kind == "closed":
             assert np.array_equal(h[-1], h[0])
-
-
-@pytest.mark.parametrize("config", ["fig3a_bands", "fig4_N6"])
-def test_cli_lattice_runs_never_take_the_direct_sum(config, tmp_path, monkeypatch):
-    monkeypatch.setattr(bloch, "_phase_sum", refuse_direct_sum)
-    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("config", ["fig3a_bands", "fig4_N6"])
@@ -287,8 +297,9 @@ def test_cli_lattice_runs_diagonalize_only_2x2_matrices(config, tmp_path, monkey
     assert shapes and set(shapes) == {(2, 2)}
 
 
-def test_eigen_sweep_memory_stays_bounded():
-    # an (n_k, cells) phase matrix of the direct sum alone takes 61 MiB here
+def test_band_structure_memory_stays_bounded():
+    # the folded FFT holds O(N_t (n_k + m_cut)) 2x2 blocks; a direct phase sum
+    # over the folds would build an (N_t n_k, N_t m_cut) matrix, 2.1 GiB here
     tracemalloc.start()
     try:
         band_structure(small(6), wilson_grid(PITCH, 2000), m_cut=2000, hermitian_only=True)

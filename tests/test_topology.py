@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,6 +90,32 @@ def test_gap_detection_by_cell_size():
     assert gap3.lower_bands == (0, 1, 2)
     assert gap3.upper_bands == (3, 4, 5)
     assert gap3.e_hi - gap3.e_lo == pytest.approx(gap3.width)
+
+
+def loop_gap(energies, threshold):
+    """(width, split) of the widest indirect gap, the first on ties, by
+    scanning every split; (0.0, None) when none is wider than 0 and threshold."""
+    e_sorted = np.sort(energies, axis=1)
+    best = (0.0, None)
+    for split in range(1, e_sorted.shape[1]):
+        width = e_sorted[:, split:].min() - e_sorted[:, :split].max()
+        if width > best[0]:
+            best = (width, split)
+    return best if best[0] >= threshold else (0.0, None)
+
+
+def test_gap_matches_a_scan_over_every_split():
+    # ties and touching bands: levels on a coarse lattice, with and without noise
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n_b, n_k = rng.integers(2, 9), rng.integers(1, 12)
+        levels = rng.integers(0, 4, n_b) * rng.choice([1e-4, 1.0])
+        energies = levels + rng.choice([0.0, 1e-4, 0.3]) * rng.normal(size=(n_k, n_b))
+        threshold = rng.choice([0.0, 1e-3, 0.5])
+        gap = detect_gap(SimpleNamespace(energies=energies), threshold)
+        width, split = loop_gap(energies, threshold)
+        assert gap.width == width
+        assert gap.lower_bands == tuple(range(split or n_b))
 
 
 def test_gapless_descriptor_covers_all_bands():
