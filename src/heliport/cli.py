@@ -88,20 +88,35 @@ def _finite_or_none(x: float) -> float | None:
     return x if x < float("inf") else None
 
 
-def _launch(cfg, geom):
-    """(launch state, Propagator, the propagator's manifest keys)."""
+def _launch(cfg, geom, time_sets):
+    """(launch state, Propagator) for a run that propagates from t = 0 to
+    each of time_sets.  A screw geometry takes the matrix-free path when its
+    cost estimate beats diagonalizing H; it never assembles J and Gamma."""
     from . import dynamics, hamiltonian
 
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
-    prop = dynamics.Propagator(hamiltonian.effective(hamiltonian.assemble(geom),
-                                                     cfg.hermitian_only))
+    screw = hamiltonian.screw_effective(geom, cfg.hermitian_only)
+    if screw is not None and dynamics.prefer_matrix_free(screw, time_sets):
+        return state, dynamics.Propagator(screw)
+    return state, dynamics.Propagator(hamiltonian.effective(hamiltonian.assemble(geom),
+                                                            cfg.hermitian_only))
+
+
+def _propagator_keys(prop) -> dict:
+    """The propagator's manifest keys, read after propagation; the spectral
+    path adds its conditioning and C2 split."""
     keys = {
+        "propagator_path": prop.path,
         "propagator_fallback": prop.use_stepper,
-        "propagator_condition": _finite_or_none(prop.condition),
-        "propagator_blocks": len(prop.blocks),
-        "c2_residual": _finite_or_none(prop.c2_residual),
+        "propagator_matvecs": prop.matvecs,
     }
-    return state, prop, keys
+    if prop.path == "spectral":
+        keys.update({
+            "propagator_condition": _finite_or_none(prop.condition),
+            "propagator_blocks": len(prop.blocks),
+            "c2_residual": _finite_or_none(prop.c2_residual),
+        })
+    return keys
 
 
 # CSV columns that are nan by design: eta inside the helicity deadband, and
@@ -136,8 +151,8 @@ def _run_dynamics(cfg, geom):
     from . import dynamics
     from .config import time_tag
 
-    state, prop, prop_keys = _launch(cfg, geom)
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
+    state, prop = _launch(cfg, geom, [times, cfg.snapshot_times])
     series = dynamics.evolve(prop, state, geom, times, deadband=cfg.helicity_deadband)
     products = {"timeseries.csv": (
         ["t", "trace", "P_up", "P_down", "Sz", "z_com", "eta"],
@@ -149,7 +164,7 @@ def _run_dynamics(cfg, geom):
             ["site", "z", "p_up", "p_down"],
             [np.arange(geom.n_sites), geom.z, per_site[:, 0], per_site[:, 1]])
     diagnostics = {
-        **prop_keys,
+        **_propagator_keys(prop),
         "arrival_time": dynamics.arrival_time(series, geom),
         "final_trace": float(series.trace[-1]),
         "helicity_defined_fraction": float(np.mean(~np.isnan(series.eta))),
@@ -246,11 +261,11 @@ def _run_field(cfg, geom):
     from . import field
     from .config import time_tag
 
-    state, prop, prop_keys = _launch(cfg, geom)
+    times = np.array(fs.times, dtype=float)
+    state, prop = _launch(cfg, geom, [times])
     plane = field.default_plane(geom, axis=fs.plane_axis, offset=fs.plane_offset,
                                 n_u=fs.n_u, n_v=fs.n_v, u_span=fs.u_span,
                                 z_pad=fs.z_pad)
-    times = np.array(fs.times, dtype=float)
     amps = [prop.propagate(a0, times) for a0 in state.amplitudes]
     fmaps = field.intensity_maps(state.weights, amps, geom, plane, times,
                                  normalize=fs.normalize)
@@ -290,7 +305,7 @@ def _run_field(cfg, geom):
     }
     products["field_meta.json"] = meta
     diagnostics = {
-        **prop_keys,
+        **_propagator_keys(prop),
         "n_masked_near_field": frames[0]["n_masked"] if frames else 0,
     }
     return products, diagnostics, 0

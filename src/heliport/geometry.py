@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MIN_SEPARATION = 1e-9  # coincidence threshold for emitter pairs, units of lambda_0
+SCAN_ROWS = 64         # rows per block of the coincidence scan
 
 
 @dataclass(frozen=True)
@@ -81,17 +82,23 @@ class EmitterGeometry:
 
 
 def coincident_pairs(positions: np.ndarray) -> list[tuple[int, int]]:
-    """Return index pairs closer than MIN_SEPARATION (empty list if none)."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    iu = np.triu_indices(len(positions), k=1)
-    close = dist[iu] < MIN_SEPARATION
-    return list(zip(iu[0][close].tolist(), iu[1][close].tolist()))
+    """Return index pairs (i, j), i < j, closer than MIN_SEPARATION, in
+    row-major order (empty list if none).  Rows are scanned in blocks of
+    SCAN_ROWS against the sites from the block on, so memory stays
+    O(SCAN_ROWS * N)."""
+    pairs = []
+    for start in range(0, len(positions), SCAN_ROWS):
+        rows = positions[start:start + SCAN_ROWS]
+        dist = np.linalg.norm(rows[:, None, :] - positions[None, start:, :], axis=-1)
+        i, j = np.nonzero(dist < MIN_SEPARATION)
+        upper = j > i                            # column j is site start + j
+        pairs += zip((i[upper] + start).tolist(), (j[upper] + start).tolist())
+    return pairs
 
 
 def helix_positions(params: HelixParams) -> np.ndarray:
     """Helix site positions (n_sites, 3) by increasing z, without
-    EmitterGeometry's O(N^2) coincidence scan."""
+    EmitterGeometry's O(N^2)-time coincidence scan."""
     errs = params.validation_errors()
     if errs:
         raise ValueError("invalid helix parameters: " + "; ".join(errs))

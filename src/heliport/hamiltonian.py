@@ -27,7 +27,9 @@ advancing by one unit-modulus factor, both within SCREW_TOL of the
 coordinate scale) selects this path; it reads the positions, not how they
 were made, so a geometry file holding a helix takes it too.  Every other
 geometry takes the pairwise N(N - 1) evaluation, the test oracle of the
-screw table.
+screw table.  `screw_effective` hands the gauge and the table of H_eff itself
+(T_J - i T_Gamma / 2) to the matrix-free propagator, which never forms the
+dense matrices.
 """
 
 from __future__ import annotations
@@ -76,6 +78,41 @@ class CouplingTensor:
 class EffectiveHamiltonian:
     matrix: np.ndarray
     hermitian_only: bool
+
+
+@dataclass(frozen=True)
+class ScrewHamiltonian:
+    """H_eff of a screw geometry in the screw gauge: H_ij = U_i T(i - j) U_j^dag
+    with gauge diagonals U (N, 2) and the table T (2N - 1, 2, 2), T(d) at
+    d + N - 1."""
+
+    gauge: np.ndarray
+    table: np.ndarray
+    hermitian_only: bool
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.gauge)
+
+    def norm1(self) -> float:
+        """||H||_1 in O(N): column j of H holds T(d) for d = -j..N-1-j, a
+        window of the table's cumulative column sums of |T|."""
+        n = self.n_sites
+        cum = np.concatenate([np.zeros((1, 2)),
+                              np.cumsum(np.abs(self.table).sum(axis=1), axis=0)])
+        j = np.arange(n)
+        return float((cum[2 * n - 1 - j] - cum[n - 1 - j]).max())
+
+
+def screw_effective(geom: EmitterGeometry,
+                    hermitian_only: bool = False) -> ScrewHamiltonian | None:
+    """The screw-gauge table of H_eff = J - i Gamma/2 (J alone for
+    hermitian_only), or None if geom is not a screw."""
+    phi = _screw_azimuths(geom.positions)
+    if phi is None:
+        return None
+    u, t_j, t_g = _screw_tables(geom.positions, phi)
+    return ScrewHamiltonian(u, t_j if hermitian_only else t_j - 0.5j * t_g, hermitian_only)
 
 
 def assemble(geom: EmitterGeometry) -> CouplingTensor:

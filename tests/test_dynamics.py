@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from heliport import cli, dynamics
+from heliport import cli, dynamics, hamiltonian
 
 from heliport.dynamics import (Propagator, arrival_time, evolve, helicity,
                                initial_state, master_equation_check)
@@ -330,3 +330,154 @@ def test_cli_manifest_reports_propagator_blocks(tmp_path, mode):
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["propagator_blocks"] == 2
     assert 0.0 <= diag["c2_residual"] < dynamics.C2_TOL
+
+
+# ------------------------------------------------- matrix-free propagator
+
+# N -> (sites per turn, turns)
+_MF_HELICES = {1: (1, 1), 2: (2, 1), 3: (3, 1), 7: (7, 1), 60: (3, 20),
+               150: (6, 25), 300: (3, 100)}
+
+
+def _screw_and_dense(n, handedness, hermitian_only):
+    geom = build_helix(HelixParams(0.05, 0.175, *_MF_HELICES[n], handedness))
+    screw = hamiltonian.screw_effective(geom, hermitian_only)
+    return geom, screw, effective(assemble(geom), hermitian_only)
+
+
+@pytest.mark.parametrize("hermitian_only", [False, True], ids=["full", "coherent"])
+@pytest.mark.parametrize("handedness", [1, -1])
+@pytest.mark.parametrize("n", sorted(_MF_HELICES))
+def test_matrix_free_matches_spectral(n, handedness, hermitian_only):
+    geom, screw, h = _screw_and_dense(n, handedness, hermitian_only)
+    free, spectral = Propagator(screw), Propagator(h)
+    assert (free.path, spectral.path) == ("matrix_free", "spectral")
+    times = np.linspace(0.0, 2.5, 11)
+    columns = ("trace", "p_up", "p_down", "sz", "z_com", "per_site")
+    for site in (0, n - 1):
+        for p_up in (0.0, 0.5, 1.0):
+            state = initial_state(n, site, p_up)
+            a, b = (evolve(prop, state, geom, times) for prop in (free, spectral))
+            for col in columns:
+                x, y = getattr(a, col), getattr(b, col)
+                # a column that vanishes by symmetry (S_z of an even mixture)
+                # is held to the population scale, 1 at t = 0
+                scale = max(np.abs(y).max(), 1.0) if col == "sz" else np.abs(y).max()
+                assert np.abs(x - y).max() <= 1e-12 * scale, (site, p_up, col)
+        for a0 in initial_state(n, site, 0.5).amplitudes:    # field runs' amplitudes
+            x, y = (prop.propagate(a0, [0.0, 0.5, 2.0]) for prop in (free, spectral))
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+    assert not free.use_stepper and free.matvecs > 0
+
+
+def test_screw_product_and_norm_match_the_dense_matrix(rng):
+    for n in (1, 7, 60):
+        _, screw, h = _screw_and_dense(n, -1, False)
+        prop = Propagator(screw)
+        dense = np.abs(h.matrix).sum(axis=0).max()
+        assert abs(prop.norm1 - dense) <= 1e-14 * dense
+        x = rng.standard_normal((3, 2 * n)) + 1j * rng.standard_normal((3, 2 * n))
+        b = (x.reshape(3, n, 2) * screw.gauge.conj()).transpose(2, 0, 1)   # U^dag x
+        hx = (prop._apply_screw(b) * screw.gauge.T[:, None, :]).transpose(1, 2, 0)
+        assert np.abs(hx.reshape(3, -1) - x @ h.matrix.T).max() <= 1e-14 * dense * np.abs(x).max()
+
+
+def test_smooth_length():
+    assert [dynamics.smooth_length(n) for n in (0, 1, 7, 11, 13, 599, 803, 1199)] == [
+        1, 1, 8, 12, 15, 600, 810, 1200]
+
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 2000):
+        m = dynamics.smooth_length(n)
+        assert m >= n and smooth(m) and not any(smooth(k) for k in range(n, m))
+
+
+def _n600_times(t_max):
+    return [np.linspace(0.0, t_max, 200), [t_max / 2]]
+
+
+def test_path_choice_follows_the_cost_estimate():
+    screw = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 200, 1)))
+    assert dynamics.prefer_matrix_free(screw, _n600_times(15.8))
+    # the spectral cost does not grow with t; ~1e7 products would
+    for t_max in (1e5, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not dynamics.prefer_matrix_free(screw, _n600_times(t_max))
+    small = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 20, 1)))
+    assert not dynamics.prefer_matrix_free(small, _n600_times(15.8))
+    assert dynamics.estimated_matvecs(screw.norm1(), [0.0, 0.0]) == 2.0
+
+
+def test_matrix_free_huge_time_raises_before_stepping(monkeypatch):
+    _, screw, _ = _screw_and_dense(60, 1, False)
+    prop = Propagator(screw)
+
+    def no_product(self, b):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(Propagator, "_apply_screw", no_product)
+    state = initial_state(60, 0, 0.5)
+    with pytest.raises(FloatingPointError):
+        prop.propagate(state.amplitudes[0], [1e300])
+    with pytest.raises(FloatingPointError):
+        dynamics.populations(prop, state, [0.0, 1e300])
+    assert prop.matvecs == 0
+
+
+def _n600_config(tmp_path, **over):
+    raw = {"mode": "dynamics",
+           "geometry": {"helix": {"radius": 0.05, "pitch": 0.175, "sites_per_turn": 3,
+                                  "turns": 200, "handedness": 1}},
+           "initial_state": {"site": 0, "p_up": 0.5},
+           "tau": 7.9,
+           "times": {"t_max": 15.8, "n_times": 200},
+           "snapshot_times": [7.9]}
+    raw.update(over)
+    cfg = tmp_path / "n600.json"
+    cfg.write_text(json.dumps(raw))
+    return cfg
+
+
+def test_cli_dynamics_n600_runs_matrix_free_without_eig(tmp_path, monkeypatch):
+    def blocked(*_args, **_kwargs):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(np.linalg, "eig", blocked)
+    monkeypatch.setattr(hamiltonian, "assemble", blocked)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(_n600_config(tmp_path)), "--out", str(out)]) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["propagator_path"] == "matrix_free"
+    assert diag["propagator_fallback"] is False and diag["propagator_matvecs"] > 0
+    assert not {"propagator_condition", "propagator_blocks", "c2_residual"} & set(diag)
+    assert 0.0 < diag["final_trace"] < 1.0
+
+
+def test_cli_huge_t_max_takes_the_spectral_path(tmp_path, monkeypatch):
+    built = []
+
+    def record(h_eff):
+        built.append(type(h_eff))
+        raise FloatingPointError("recorded")
+
+    # a stand-in H keeps the 600-site eig out of the test
+    monkeypatch.setattr(hamiltonian, "assemble", lambda geom: hamiltonian.CouplingTensor(
+        np.zeros((2, 2), complex), np.eye(2, dtype=complex)))
+    monkeypatch.setattr(dynamics, "Propagator", record)
+    cfg = _n600_config(tmp_path, times={"t_max": 1e5, "n_times": 200}, snapshot_times=[])
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert built == [EffectiveHamiltonian]
+
+
+def test_packaged_fig2_config_stays_spectral(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", "fig2_left_bottom", "--out", str(out)]) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diag["propagator_path"] == "spectral"
+    assert diag["propagator_matvecs"] == 0 and diag["propagator_blocks"] == 2

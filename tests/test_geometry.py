@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from heliport.geometry import (EmitterGeometry, HelixParams, build_helix,
+from heliport.geometry import (MIN_SEPARATION, EmitterGeometry, HelixParams, build_helix,
                                coincident_pairs, load_geometry_file, mirror_xz,
                                rotate_about_z)
 
@@ -68,6 +69,42 @@ def test_coincident_positions_rejected():
     assert coincident_pairs(pos) == [(0, 1)]
     with pytest.raises(ValueError, match="coincident"):
         EmitterGeometry(pos)
+
+
+def _all_pairs(positions):
+    """The all-pairs coincidence scan, kept as the oracle of the blocked one."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist = np.linalg.norm(diff, axis=-1)
+    iu = np.triu_indices(len(positions), k=1)
+    close = dist[iu] < MIN_SEPARATION
+    return list(zip(iu[0][close].tolist(), iu[1][close].tolist()))
+
+
+def test_coincident_scan_matches_all_pairs(rng):
+    offsets = (0.0, 0.6, 0.99, 1.5)              # in MIN_SEPARATION; the last is apart
+    for n in (1, 2, 65, 300):                    # 65, 300: several row blocks
+        pos = rng.uniform(-1.0, 1.0, size=(n, 3))
+        sites = rng.permutation(n)[:2 * min(n // 2, len(offsets))]
+        for (i, j), offset in zip(sites.reshape(-1, 2), offsets):
+            pos[j] = pos[i] + offset * MIN_SEPARATION * np.array([0.6, 0.0, 0.8])
+        found = coincident_pairs(pos)
+        assert found == _all_pairs(pos)
+        assert len(found) == min(n // 2, 3)
+    pos = np.zeros((70, 3))                       # every pair coincides, across blocks
+    assert coincident_pairs(pos) == _all_pairs(pos) == [
+        (i, j) for i in range(70) for j in range(i + 1, 70)]
+
+
+def test_coincident_scan_memory_is_linear():
+    pos = build_helix(HelixParams(0.05, 0.175, 3, 1000, 1)).positions   # N = 3000
+    tracemalloc.start()
+    try:
+        assert coincident_pairs(pos) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the all-pairs scan holds (N, N, 3) separations: 216 MB here
+    assert peak < 16 * 2**20
 
 
 def test_geometry_shape_validation():
