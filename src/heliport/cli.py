@@ -104,18 +104,14 @@ def _launch(cfg, geom, time_sets):
 
 def _propagator_keys(prop) -> dict:
     """The propagator's manifest keys, read after propagation; the spectral
-    path adds its conditioning and C2 split."""
+    path adds its conditioning."""
     keys = {
         "propagator_path": prop.path,
         "propagator_fallback": prop.use_stepper,
         "propagator_matvecs": prop.matvecs,
     }
     if prop.path == "spectral":
-        keys.update({
-            "propagator_condition": _finite_or_none(prop.condition),
-            "propagator_blocks": len(prop.blocks),
-            "c2_residual": _finite_or_none(prop.c2_residual),
-        })
+        keys["propagator_condition"] = _finite_or_none(prop.condition)
     return keys
 
 
@@ -266,7 +262,7 @@ def _run_field(cfg, geom):
     plane = field.default_plane(geom, axis=fs.plane_axis, offset=fs.plane_offset,
                                 n_u=fs.n_u, n_v=fs.n_v, u_span=fs.u_span,
                                 z_pad=fs.z_pad)
-    amps = [prop.propagate(a0, times) for a0 in state.amplitudes]
+    amps = prop.propagate(np.array(state.amplitudes), times)
     fmaps = field.intensity_maps(state.weights, amps, geom, plane, times,
                                  normalize=fs.normalize)
 

@@ -17,55 +17,35 @@ table is embedded once in a circulant of 5-smooth length L >= 2N - 1
 to L, four 2x2 products in frequency space and one inverse FFT, truncated to
 N sites.  b is held spin-major, (spin, branch, site) with the FFT on the last
 axis, and every launch branch is a column of the one block that is stepped.
-U is applied once per output time, never inside a product.  The sorted output times are stepped with the
-Taylor kernel _expm_apply: each interval dt takes s steps with
+U is applied once per output time, never inside a product.  The sorted
+output times are stepped with the Taylor kernel _expm_apply (Propagator._step,
+which the dense fallback below shares): each interval dt takes s steps with
 ||dt H / s||_1 <= 4, where ||H||_1 comes from the table in O(N)
 (ScrewHamiltonian.norm1).  ||H||_1 >= max|E| also sets the phase guard: a
 time with t ||H||_1 eps >= 1 raises FloatingPointError before any step count
 is formed.  prefer_matrix_free picks the path from a cost estimate, N^3 for
 the eigendecomposition against estimated products times L log L (constants
-measured once, 1 BLAS thread); below the crossover (near N = 400 for the
+measured once, 1 BLAS thread); below the crossover (near N = 250 for the
 packaged helix geometry) the spectral path is cheaper.
 
-A finite helix maps onto itself under the pi rotation about the radial axis
-through its midpoint (azimuth phi_c).  It sends site n to site N-1-n and
-R eps_up = e^{2i phi_c} eps_down, so in the site-major basis the operator C
-maps basis index i to 2N-1-i with phase c = e^{2i phi_c} on spin-up and
-conj(c) on spin-down components; C^2 = 1 and C commutes with J and Gamma.
-The phase is read off H (H_pu = c^2 H_up, with u the spin-up indices 2j and
-p their partners 2N-1-2j) and C is used only if the O(N^2) probe
-||C H C^dag - H||_max <= C2_TOL max|H| passes; this needs no knowledge of how
-the geometry was made.  C's eigenvectors q_j^+- = (e_u_j +- c e_p_j)/sqrt(2)
-split H into two N x N blocks,
-
-    B_+- = (H_uu +- c H_up +- conj(c) H_pu + H_pp) / 2,
-
-gathered in O(N^2), and each block is diagonalized on its own (two N x N
-eig calls instead of one 2N x 2N).  The line-group origin of the symmetry:
-Damnjanovic and Milosevic, Line Groups in Physics, LNP 801 (2010).
-
-The left eigenvectors of a non-Hermitian matrix come from a symmetry rather
-than from inverting the eigenvector matrix V: if M^T = P M P for a
-permutation P, then P v_i is a right eigenvector of M^T and the rows of V^-1
-are (P v_i)^T / (v_i^T P v_i) (the c-product of complex-symmetric problems;
-Moiseyev, Non-Hermitian Quantum Mechanics, CUP 2011).  For the full H_eff,
-P = S swaps the two spins of every site (H_eff^T = S H_eff S); inside a C2
-block, B^T = P B P with P the reversal of the block index j.  This costs
-O(n^2) instead of O(n^3).  It fails under exact degeneracy
-(v_i^T P v_i = 0 within a degenerate pair), so an O(n^2) probe
+The spectral path makes one eig (eigh for hermitian_only) of the whole
+2N x 2N H_eff.  The left eigenvectors of a non-Hermitian matrix come from a
+symmetry rather than from inverting the eigenvector matrix V: if
+M^T = P M P for a permutation P, then P v_i is a right eigenvector of M^T
+and the rows of V^-1 are (P v_i)^T / (v_i^T P v_i) (the c-product of
+complex-symmetric problems; Moiseyev, Non-Hermitian Quantum Mechanics, CUP
+2011).  For H_eff, P = S swaps the two spins of every site
+(H_eff^T = S H_eff S).  This costs O(N^2) instead of O(N^3).  It fails under
+exact degeneracy (v_i^T S v_i = 0 within a degenerate pair, as in the spin
+degeneracy of a single emitter or of an axial chain), so an O(N^2) probe
 ||V^-1 (V x) - x|| >= 1e-6 ||x|| with a fixed-seed x falls back to
-np.linalg.inv for that block; a NaN probe counts as failed.  Under C2 the
-spin degeneracy of a single emitter or a straight chain is split across the
-two blocks, so they need no inv.  Expansion coefficients get one refinement
-step c += V^-1 (a0 - V c).
+np.linalg.inv; a NaN probe counts as failed.  Expansion coefficients get
+one refinement step c += V^-1 (a0 - V c).
 
 If the eigenvector matrix is too ill conditioned, propagation steps
 a <- exp(-i (t_i - t_{i-1}) H_eff) a over the sorted times instead, with the
-same Taylor kernel on the dense matrix (_expm_dense), which the
-master-equation oracle also uses.  The criterion is
-sqrt(sum_b ||V_b||_F^2 * sum_b ||V_b^-1||_F^2) > COND_LIMIT, the Frobenius
-product ||V||_F ||V^-1||_F of the full-basis eigenvector matrix
-V = Q blockdiag(V_b) (Q, the C2 basis change, is unitary); it bounds
+same Taylor stepper as the matrix-free path on the dense matrix.  The
+criterion is ||V||_F ||V^-1||_F > COND_LIMIT; the Frobenius product bounds
 the 2-norm condition number from above, so it trips at least as early as an
 SVD-based test would, and costs no SVD.
 
@@ -86,11 +66,10 @@ from .geometry import EmitterGeometry
 from .hamiltonian import CouplingTensor, EffectiveHamiltonian, ScrewHamiltonian, effective
 
 COND_LIMIT = 1e8       # eigenvector-matrix condition number triggering the fallback
-C2_TOL = 1e-10         # relative residual ||C H C^dag - H|| below which C2 blocks are used
 HELICITY_DEADBAND = 1e-6
 # path-choice cost model, seconds: EIG_S_PER_N3 * N^3 for the spectral build
 # against, per estimated product, MATVEC_S + MATVEC_S_PER_LLOGL * L log2 L
-EIG_S_PER_N3 = 1.2e-8
+EIG_S_PER_N3 = 3.5e-8
 MATVEC_S = 5.3e-5
 MATVEC_S_PER_LLOGL = 6.9e-9
 
@@ -130,14 +109,14 @@ def initial_state(n_sites: int, site: int, p_up: float) -> ExcitationState:
     return ExcitationState(tuple(weights), tuple(amps))
 
 
-def _c_product_inverse(vecs: np.ndarray, perm: np.ndarray):
-    """V^-1 from M^T = P M P: rows (P v_i)^T / (v_i^T P v_i), or None.
+def _c_product_inverse(vecs: np.ndarray):
+    """V^-1 from H^T = S H S, S the spin swap: rows (S v_i)^T / (v_i^T S v_i),
+    or None.
 
-    perm is the index permutation of P.  None means the probe
-    ||V^-1 (V x) - x|| < 1e-6 ||x|| failed (or gave NaN), as it does under
-    exact degeneracy.
+    None means the probe ||V^-1 (V x) - x|| < 1e-6 ||x|| failed (or gave
+    NaN), as it does under exact degeneracy.
     """
-    swapped = vecs[perm]
+    swapped = vecs[np.arange(len(vecs)) ^ 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = swapped.T / np.sum(vecs * swapped, axis=0)[:, None]
         x = np.random.default_rng(0).standard_normal(len(vecs)).astype(complex)
@@ -145,46 +124,21 @@ def _c_product_inverse(vecs: np.ndarray, perm: np.ndarray):
     return inv if err < 1e-6 * np.linalg.norm(x) else None
 
 
-def _c2_quadrants(h: np.ndarray):
-    """Views (H_uu, H_up, H_pu, H_pp); u = spin-up indices 2j, p = partners 2N-1-2j."""
-    return h[0::2, 0::2], h[0::2, ::-2], h[::-2, 0::2], h[::-2, ::-2]
-
-
-def _c2_symmetry(h: np.ndarray) -> tuple[complex, float]:
-    """Phase c of the C2 operator read off h, and the relative probe residual.
-
-    Returns (c, ||C h C^dag - h||_max / max|h|); a zero matrix has residual 0.
-    """
-    h_uu, h_up, h_pu, h_pp = _c2_quadrants(h)
-    overlap = np.vdot(h_up, h_pu)                     # ~ c^2 ||H_up||^2
-    c = np.sqrt(overlap / abs(overlap)) if overlap != 0 else 1.0 + 0j
-    scale = np.abs(h).max()
-    if not scale > 0:
-        return c, 0.0 if scale == 0 else float("nan")
-    resid = max(np.abs(h_uu - h_pp).max(), np.abs(h_pu - c * c * h_up).max())
-    return c, float(resid / scale)
-
-
 class Propagator:
     """a(t) = exp(-i H t) a(0), built once per run on one of two paths.
 
-    From an EffectiveHamiltonian (path "spectral"): exact in time via
-    diagonalization.  H is split into the two C2 blocks when the probe
-    passes (module docstring) and diagonalized whole otherwise.  Attributes
-    of this path: blocks, a list of (evals, vecs, vecs_inv) per block, with
-    vecs_inv None when V_b is singular; c2_phase and c2_residual, the C2
-    phase and probe residual; use_stepper (dense Taylor fallback taken) and
-    condition, the full-basis bound
-    sqrt(sum_b ||V_b||_F^2 * sum_b ||V_b^-1||_F^2) on the eigenvector
-    condition number compared against COND_LIMIT (exactly 1 for the
-    Hermitian branch, whose eigenvectors are unitary).  The non-Hermitian
-    V_b^-1 comes from the c-product with P = S for the whole H and P = the
-    index reversal inside a C2 block, with a probe that falls back to
-    np.linalg.inv.
+    From an EffectiveHamiltonian (path "spectral"): exact in time via one
+    diagonalization of the whole H (module docstring).  Attributes of this
+    path: evals, vecs and vecs_inv (None when V is singular), the latter
+    from the c-product with P = S or, failing its probe, np.linalg.inv;
+    use_stepper (dense Taylor fallback taken) and condition, the bound
+    ||V||_F ||V^-1||_F on the eigenvector condition number compared against
+    COND_LIMIT (exactly 1 for the Hermitian branch, whose eigenvectors are
+    unitary).
 
     From a ScrewHamiltonian (path "matrix_free"): Taylor steps of the
-    circulant-embedded FFT product (module docstring); norm1 is ||H||_1 and
-    use_stepper is False.  On both paths matvecs counts the products with H
+    circulant-embedded FFT product (module docstring); use_stepper is False.
+    On both paths norm1 is ||H||_1 and matvecs counts the products with H
     that the Taylor stepper made.
     """
 
@@ -198,31 +152,28 @@ class Propagator:
             return
         self.path = "spectral"
         self.h = h_eff.matrix
-        self.c2_phase, self.c2_residual = _c2_symmetry(self.h)
-        dim = len(self.h)
-        if self.c2_residual <= C2_TOL:
-            c = self.c2_phase
-            h_uu, h_up, h_pu, h_pp = _c2_quadrants(self.h)
-            mean, mix = h_uu + h_pp, c * h_up + np.conj(c) * h_pu
-            matrices = [0.5 * (mean + mix), 0.5 * (mean - mix)]
-            perm = np.arange(dim // 2)[::-1]         # B^T = P B P, P reverses j
-        else:
-            matrices = [self.h]
-            perm = np.arange(dim) ^ 1                # H^T = S H S, S swaps spins
-        self.blocks = [self._diagonalize(m, perm) for m in matrices]
-        self._phase_scale = max(np.abs(e).max() for e, _, _ in self.blocks)
+        self.norm1 = np.abs(self.h).sum(axis=0).max()
         if self.hermitian:
+            self.evals, self.vecs = np.linalg.eigh(self.h)
+            self.vecs_inv = self.vecs.conj().T
             self.condition = 1.0
-            return
-        if any(vi is None for _, _, vi in self.blocks):
-            self.condition = np.inf
         else:
-            with np.errstate(over="ignore"):   # defective spectrum: ||V^-1|| overflows
-                self.condition = float(np.sqrt(
-                    sum(np.linalg.norm(v) ** 2 for _, v, _ in self.blocks)
-                    * sum(np.linalg.norm(vi) ** 2 for _, _, vi in self.blocks)))
-        # near-defective spectrum: spectral reconstruction unreliable
-        self.use_stepper = not self.condition <= COND_LIMIT
+            self.evals, self.vecs = np.linalg.eig(self.h)
+            self.vecs_inv = _c_product_inverse(self.vecs)
+            if self.vecs_inv is None:
+                try:
+                    self.vecs_inv = np.linalg.inv(self.vecs)
+                except np.linalg.LinAlgError:
+                    pass
+            if self.vecs_inv is None:
+                self.condition = np.inf
+            else:
+                with np.errstate(over="ignore"):   # defective spectrum: ||V^-1|| overflows
+                    self.condition = float(np.linalg.norm(self.vecs)
+                                           * np.linalg.norm(self.vecs_inv))
+            # near-defective spectrum: spectral reconstruction unreliable
+            self.use_stepper = not self.condition <= COND_LIMIT
+        self._phase_scale = np.abs(self.evals).max()
 
     def _init_matrix_free(self, screw: ScrewHamiltonian):
         n = self.n_sites = screw.n_sites
@@ -235,19 +186,6 @@ class Propagator:
         self._spectrum = np.fft.fft(circulant, axis=0).transpose(1, 2, 0)[:, :, None, :]
         self.norm1 = self._phase_scale = screw.norm1()
 
-    def _diagonalize(self, m: np.ndarray, perm: np.ndarray):
-        if self.hermitian:
-            evals, vecs = np.linalg.eigh(m)
-            return evals, vecs, vecs.conj().T
-        evals, vecs = np.linalg.eig(m)
-        vecs_inv = _c_product_inverse(vecs, perm)
-        if vecs_inv is None:
-            try:
-                vecs_inv = np.linalg.inv(vecs)
-            except np.linalg.LinAlgError:
-                pass
-        return evals, vecs, vecs_inv
-
     def _checked_times(self, times) -> np.ndarray:
         """times as floats; a time with t * scale * eps >= 1 raises, as no
         phase E t would keep a correct digit (scale: max|E|, or ||H||_1 >=
@@ -259,54 +197,31 @@ class Propagator:
         return times
 
     def propagate(self, a0: np.ndarray, times) -> np.ndarray:
-        """Amplitudes at the requested times: shape (len(times), 2N) for one
-        a0 of length 2N, (B, len(times), 2N) for a stack of B, which the
-        matrix-free path steps as one block."""
+        """Amplitudes at the requested times: shape (B, len(times), 2N) for a
+        stack of B branches a0 of shape (B, 2N), which every path propagates
+        as one block, or (len(times), 2N) for one a0 of length 2N."""
         times = self._checked_times(times)
         a0 = np.asarray(a0)
-        if self.path == "spectral":
-            if a0.ndim == 1:
-                return self._propagate_spectral(a0, times)
-            return np.array([self._propagate_spectral(a, times) for a in a0])
         a0s = np.atleast_2d(a0)
-        out = np.empty((len(a0s), len(times), self.n_sites, 2), dtype=complex)
-        for idx, b in self._step_screw(a0s, times):
-            out[:, idx] = (b * self._gauge[:, None, :]).transpose(1, 2, 0)
-        out = out.reshape(len(a0s), len(times), -1)
+        n_b, dim = a0s.shape
+        out = np.empty((n_b, len(times), dim), dtype=complex)
+        if self.path == "matrix_free":
+            b0 = (a0s.reshape(n_b, -1, 2) * self._gauge.T.conj()).transpose(2, 0, 1)
+            sites = out.reshape(n_b, len(times), dim // 2, 2)
+            for idx, b in self._step(self._apply_screw, np.ascontiguousarray(b0), times,
+                                     axis=(0, 2)):
+                sites[:, idx] = (b * self._gauge[:, None, :]).transpose(1, 2, 0)
+        elif self.use_stepper:
+            for idx, x in self._step(lambda x: self.h @ x, a0s.T, times, axis=0):
+                out[:, idx] = x.T
+        else:
+            coef = self.vecs_inv @ a0s.T                 # (2N, B)
+            if not self.hermitian:
+                coef += self.vecs_inv @ (a0s.T - self.vecs @ coef)
+            phases = np.exp(-1j * np.outer(times, self.evals))
+            np.matmul((phases * coef.T[:, None, :]).reshape(-1, dim), self.vecs.T,
+                      out=out.reshape(-1, dim))
         return out if a0.ndim == 2 else out[0]
-
-    def _propagate_spectral(self, a0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        if self.use_stepper:
-            return self._propagate_expm(a0, times)
-        if len(self.blocks) == 1:
-            return self._propagate_block(self.blocks[0], a0, times)
-        # a0 in the C2 eigenbasis q_j^+- = (e_u_j +- c e_p_j) / sqrt(2)
-        c = self.c2_phase
-        up, partner = a0[0::2], np.conj(c) * a0[::-2]
-        plus, minus = [self._propagate_block(block, y / np.sqrt(2.0), times)
-                       for block, y in zip(self.blocks, (up + partner, up - partner))]
-        out = np.empty((len(times), len(a0)), dtype=complex)
-        out[:, 0::2] = (plus + minus) / np.sqrt(2.0)
-        out[:, ::-2] = c * (plus - minus) / np.sqrt(2.0)
-        return out
-
-    def _propagate_block(self, block, a0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        evals, vecs, vecs_inv = block
-        coef = vecs_inv @ a0
-        if not self.hermitian:
-            coef += vecs_inv @ (a0 - vecs @ coef)
-        phases = np.exp(-1j * np.outer(times, evals))
-        return phases * coef @ vecs.T
-
-    def _propagate_expm(self, a0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        out = np.empty((len(times), len(a0)), dtype=complex)
-        a, t_cur = a0, 0.0
-        for idx in np.argsort(times):
-            a, products = _expm_dense(-1j * (times[idx] - t_cur) * self.h, a)
-            out[idx] = a
-            self.matvecs += products
-            t_cur = times[idx]
-        return out
 
     def _apply_screw(self, b: np.ndarray) -> np.ndarray:
         """H in the screw gauge on b (spin, branch, site): one FFT, four 2x2
@@ -320,21 +235,20 @@ class Propagator:
         hf[1] += c11 * f[1]
         return np.fft.ifft(hf, axis=-1)[..., :self.n_sites]
 
-    def _step_screw(self, a0s: np.ndarray, times: np.ndarray):
-        """Yield (index into times, b = U^dag a(t) as (spin, branch, site)),
-        stepping the sorted times with all branches as columns."""
-        b = np.ascontiguousarray(
-            (a0s.reshape(len(a0s), self.n_sites, 2) * self._gauge.T.conj()).transpose(2, 0, 1))
+    def _step(self, apply, x: np.ndarray, times: np.ndarray, axis):
+        """Yield (index into times, x(t)) from x(0) = x, stepping the sorted
+        times with the Taylor kernel; apply(x) is H x, with H's columns
+        summed over `axis` of x, and every other axis a column."""
         t_cur = 0.0
         for idx in np.argsort(times):
             dt = times[idx] - t_cur
             steps = _taylor_steps(abs(dt) * self.norm1)
             scale = -1j * dt / steps
-            b, products = _expm_apply(lambda x, scale=scale: scale * self._apply_screw(x),
-                                      b, steps, axis=(0, 2))
+            x, products = _expm_apply(lambda y, scale=scale: scale * apply(y), x, steps,
+                                      axis=axis)
             self.matvecs += products
             t_cur = times[idx]
-            yield idx, b
+            yield idx, x
 
 
 @dataclass
@@ -443,13 +357,13 @@ def _expm_apply(apply, v: np.ndarray, steps: int, axis=0) -> tuple[np.ndarray, i
     return out, products
 
 
-def _expm_dense(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
-    """_expm_apply for a dense matrix a, prescaled by its step count.  v is a
-    vector (Propagator fallback) or the identity (the master-equation oracle,
-    which checks the spectral path)."""
+def _expm_dense(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a dense matrix a: _expm_apply on the identity, prescaled by
+    the step count.  Only the master-equation oracle uses it, for the step
+    matrix that checks the Propagator."""
     steps = _taylor_steps(np.abs(a).sum(axis=0).max())
     a = a / steps
-    return _expm_apply(lambda x: a @ x, v, steps)
+    return _expm_apply(lambda x: a @ x, np.eye(len(a), dtype=complex), steps)[0]
 
 
 def smooth_length(n: int) -> int:
@@ -511,7 +425,7 @@ def master_equation_check(state: ExcitationState, coupling: CouplingTensor,
         rho += w * np.outer(a, a.conj())
 
     times = np.linspace(0.0, t_final, n_eval + 1)
-    step, _ = _expm_dense(-1j * (times[1] - times[0]) * h_eff.matrix, np.eye(dim))
+    step = _expm_dense(-1j * (times[1] - times[0]) * h_eff.matrix)
 
     # geometry is only needed for z_com; a placeholder z = site index works
     # for the comparison since both sides use the same values

@@ -147,10 +147,11 @@ def intensity_maps(weights, branch_amplitudes, geom: EmitterGeometry,
     """Branch-weighted intensities I_up, I_down on the plane at every time.
 
     branch_amplitudes[b][t] is the amplitude vector (length 2N) of branch b
-    at times[t], e.g. Propagator.propagate(a0_b, times); weights[b] is the
-    branch's probability.  The kernel is evaluated once per chunk of plane
-    points, and one matrix product per chunk applies it to every (time,
-    branch) column of both spins.  normalize: "none" keeps the raw values,
+    at times[t], e.g. Propagator.propagate(a0s, times) for the (B, 2N) stack
+    a0s of launch branches; weights[b] is the branch's probability.  The
+    kernel is evaluated once per chunk of plane points, and one matrix
+    product per chunk applies it to every (time, branch) column of both
+    spins.  normalize: "none" keeps the raw values,
     "global" scales both polarizations of a time by their common maximum,
     "per_map" scales each map by its own maximum.
     """

@@ -290,7 +290,7 @@ def test_cli_field_builds_kernel_once_per_chunk(tmp_path, monkeypatch):
     assert chunk < 41 * 51                      # the plane spans several chunks
     assert len(kernel_calls) == -(-41 * 51 // chunk)
     assert sum(kernel_calls) == 41 * 51
-    assert propagate_calls == [3, 3]            # once per branch, all times at once
+    assert propagate_calls == [3]               # all branches and times at once
 
 
 def test_cli_field_nan_intensity_exits_2_and_names_file(tmp_path, monkeypatch, capsys):

@@ -108,10 +108,11 @@ def test_expm_fallback_matches_spectral(small_helix, monkeypatch):
     monkeypatch.setattr(dynamics, "COND_LIMIT", 0.0)   # force the Taylor-step fallback
     stepped = Propagator(h)
     assert stepped.use_stepper
-    a0 = initial_state(small_helix.n_sites, 0, 1.0).amplitudes[0]
     times = np.array([0.0, 0.7, 1.9])
-    assert np.abs(spectral.propagate(a0, times)
-                  - stepped.propagate(a0, times)).max() < 1e-8
+    branches = np.array(initial_state(small_helix.n_sites, 0, 0.5).amplitudes)
+    for a0 in (branches[0], branches):                 # one vector, the two-branch stack
+        assert np.abs(spectral.propagate(a0, times)
+                      - stepped.propagate(a0, times)).max() < 1e-8
 
 
 @pytest.mark.parametrize("hermitian_only", [False, True], ids=["full", "coherent"])
@@ -160,22 +161,22 @@ def _expm_reference(h, a0, times):
     return np.array([expm(-1j * h.matrix * t) @ a0 for t in times])
 
 
-def _count_inv(monkeypatch):
+def _count_calls(monkeypatch, name="inv"):
     calls = []
-    inv = np.linalg.inv
+    func = getattr(np.linalg, name)
 
     def counting(a):
         calls.append(1)
-        return inv(a)
+        return func(a)
 
-    monkeypatch.setattr(np.linalg, "inv", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
 def test_spin_swap_left_eigenvectors_match_expm(monkeypatch):
     geom = build_helix(HelixParams(0.05, 0.175, 3, 10, 1))   # N = 30
     h = effective(assemble(geom))
-    inv_calls = _count_inv(monkeypatch)
+    inv_calls = _count_calls(monkeypatch)
     prop = Propagator(h)
     assert not inv_calls and not prop.use_stepper
     assert 1.0 <= prop.condition < 1e4
@@ -190,33 +191,18 @@ def _axial(z):
     return np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
 
 
-@pytest.mark.parametrize("geom", [
-    EmitterGeometry(np.zeros((1, 3)), label="single emitter"),
-    build_helix(HelixParams(0.05, 0.175, 1, 12, 1)),          # straight chain
-], ids=["single_emitter", "straight_chain"])
-def test_c2_blocks_split_spin_degeneracy(geom, monkeypatch):
-    h = effective(assemble(geom))
-    inv_calls = _count_inv(monkeypatch)
-    a0 = initial_state(geom.n_sites, 0, 0.5).amplitudes[0]
-    times = np.array([0.0, 0.8, 3.1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        prop = Propagator(h)
-        amps = prop.propagate(a0, times)
-    assert len(prop.blocks) == 2
-    assert not inv_calls and not prop.use_stepper
-    assert np.abs(amps - _expm_reference(h, a0, times)).max() < 1e-12
-
-
-# spin-degenerate (axial separations) and neither a screw nor C2-symmetric
+# spin-degenerate spectra: a single emitter, axial separations (a straight
+# chain, evenly or unevenly spaced) and a chain shifted off the axis
 @pytest.mark.parametrize("geom", [
     EmitterGeometry(_axial([0.0, 0.1, 0.25, 0.45, 0.7]), label="uneven axial chain"),
     EmitterGeometry(_axial([0.0, 0.1, 0.25, 0.45, 0.7]) + [0.05, 0.0, 0.0],
                     label="uneven off-axis chain"),
-], ids=["uneven_axial_chain", "uneven_offaxis_chain"])
+    EmitterGeometry(np.zeros((1, 3)), label="single emitter"),
+    build_helix(HelixParams(0.05, 0.175, 1, 12, 1)),          # straight chain
+], ids=["uneven_axial_chain", "uneven_offaxis_chain", "single_emitter", "straight_chain"])
 def test_spin_degenerate_spectra_fall_back_to_inv(geom, monkeypatch):
     h = effective(assemble(geom))
-    inv_calls = _count_inv(monkeypatch)
+    inv_calls = _count_calls(monkeypatch)
     a0 = initial_state(geom.n_sites, 0, 0.5).amplitudes[0]
     times = np.array([0.0, 0.8, 3.1])
     with warnings.catch_warnings():
@@ -266,20 +252,22 @@ def test_defective_spectrum_takes_expm_fallback_without_warnings():
     assert np.abs(amps - _expm_reference(h, a0, [0.0, 1.0])).max() < 1e-10
 
 
-# ------------------------------------------------------- C2 block propagator
+# ------------------------------------------- spectral propagator on helices
 
+# a finite helix is C2-symmetric (the pi rotation about its midpoint's radial
+# axis maps the first site onto the last): both launch ends are covered
 @pytest.mark.parametrize("hermitian_only", [False, True], ids=["full", "coherent"])
 @pytest.mark.parametrize("launch", ["first", "last"])
 @pytest.mark.parametrize("handedness", [1, -1])
 @pytest.mark.parametrize("n_t", range(1, 7))
-def test_c2_propagator_matches_expm(n_t, handedness, launch, hermitian_only):
+def test_c2_propagator_matches_expm(n_t, handedness, launch, hermitian_only, monkeypatch):
     geom = build_helix(HelixParams(0.05, 0.175, n_t, 30 // n_t, handedness))
     h = effective(assemble(geom), hermitian_only)
+    eig_calls = _count_calls(monkeypatch, "eigh" if hermitian_only else "eig")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         prop = Propagator(h)
-    assert len(prop.blocks) == 2 and not prop.use_stepper
-    assert prop.c2_residual < dynamics.C2_TOL
+    assert len(eig_calls) == 1 and not prop.use_stepper    # one diagonalization of H
     site = 0 if launch == "first" else geom.n_sites - 1
     times = np.array([0.0, 0.4, 2.5, 7.9])
     for a0 in initial_state(geom.n_sites, site, 0.5).amplitudes:
@@ -287,11 +275,12 @@ def test_c2_propagator_matches_expm(n_t, handedness, launch, hermitian_only):
                       - _expm_reference(h, a0, times)).max() < 1e-12
 
 
-def test_asymmetric_geometry_takes_one_block(rng):
-    geom = EmitterGeometry(rng.uniform(-0.3, 0.3, size=(12, 3)), label="random")
+@pytest.mark.parametrize("kind", ["random", "helix"])
+def test_condition_is_the_full_basis_bound(kind, rng):
+    geom = (EmitterGeometry(rng.uniform(-0.3, 0.3, size=(12, 3)), label="random")
+            if kind == "random" else build_helix(HelixParams(0.05, 0.175, 3, 10, -1)))
     h = effective(assemble(geom))
     prop = Propagator(h)
-    assert len(prop.blocks) == 1 and prop.c2_residual > dynamics.C2_TOL
     vecs = np.linalg.eig(h.matrix)[1]
     full = np.linalg.norm(vecs) * np.linalg.norm(np.linalg.inv(vecs))
     assert abs(prop.condition - full) < 1e-9 * full
@@ -301,16 +290,7 @@ def test_asymmetric_geometry_takes_one_block(rng):
                   - _expm_reference(h, a0, times)).max() < 1e-12
 
 
-def test_c2_condition_is_the_full_basis_bound():
-    geom = build_helix(HelixParams(0.05, 0.175, 3, 10, -1))
-    h = effective(assemble(geom))
-    prop = Propagator(h)
-    assert len(prop.blocks) == 2
-    vecs = np.linalg.eig(h.matrix)[1]
-    full = np.linalg.norm(vecs) * np.linalg.norm(np.linalg.inv(vecs))
-    assert abs(prop.condition - full) < 1e-9 * full
-
-
+# no propagator_blocks key is written: the spectral path reports exactly these
 @pytest.mark.parametrize("mode", ["dynamics", "field"])
 def test_cli_manifest_reports_propagator_blocks(tmp_path, mode):
     raw = {
@@ -328,8 +308,10 @@ def test_cli_manifest_reports_propagator_blocks(tmp_path, mode):
     out = tmp_path / "out"
     assert cli.main([mode, "--config", str(cfg), "--out", str(out)]) == 0
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
-    assert diag["propagator_blocks"] == 2
-    assert 0.0 <= diag["c2_residual"] < dynamics.C2_TOL
+    keys = {k for k in diag if k.startswith("propagator_")}
+    assert keys == {"propagator_path", "propagator_fallback", "propagator_matvecs",
+                    "propagator_condition"}
+    assert diag["propagator_path"] == "spectral"
 
 
 # ------------------------------------------------- matrix-free propagator
@@ -409,6 +391,9 @@ def test_path_choice_follows_the_cost_estimate():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not dynamics.prefer_matrix_free(screw, _n600_times(t_max))
+    # the whole-H eig puts the crossover near N = 250
+    n300 = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 100, 1)))
+    assert dynamics.prefer_matrix_free(n300, _n600_times(15.8))
     small = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 20, 1)))
     assert not dynamics.prefer_matrix_free(small, _n600_times(15.8))
     assert dynamics.estimated_matvecs(screw.norm1(), [0.0, 0.0]) == 2.0
@@ -455,7 +440,7 @@ def test_cli_dynamics_n600_runs_matrix_free_without_eig(tmp_path, monkeypatch):
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["propagator_path"] == "matrix_free"
     assert diag["propagator_fallback"] is False and diag["propagator_matvecs"] > 0
-    assert not {"propagator_condition", "propagator_blocks", "c2_residual"} & set(diag)
+    assert "propagator_condition" not in diag
     assert 0.0 < diag["final_trace"] < 1.0
 
 
@@ -480,4 +465,4 @@ def test_packaged_fig2_config_stays_spectral(tmp_path):
     assert cli.main(["run", "--config", "fig2_left_bottom", "--out", str(out)]) == 0
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["propagator_path"] == "spectral"
-    assert diag["propagator_matvecs"] == 0 and diag["propagator_blocks"] == 2
+    assert diag["propagator_matvecs"] == 0
