@@ -212,7 +212,7 @@ class Propagator:
                                      axis=(0, 2)):
                 sites[:, idx] = (b * self._gauge[:, None, :]).transpose(1, 2, 0)
         elif self.use_stepper:
-            for idx, x in self._step(lambda x: self.h @ x, a0s.T, times, axis=0):
+            for idx, x in self._step(self.h.dot, a0s.T, times, axis=0):
                 out[:, idx] = x.T
         else:
             coef = self.vecs_inv @ a0s.T                 # (2N, B)
@@ -237,8 +237,8 @@ class Propagator:
 
     def _step(self, apply, x: np.ndarray, times: np.ndarray, axis):
         """Yield (index into times, x(t)) from x(0) = x, stepping the sorted
-        times with the Taylor kernel; apply(x) is H x, with H's columns
-        summed over `axis` of x, and every other axis a column."""
+        times with the Taylor kernel; apply(x) is H x, and `axis` holds the
+        axes of x that one column's 1-norm sums over."""
         t_cur = 0.0
         for idx in np.argsort(times):
             dt = times[idx] - t_cur
