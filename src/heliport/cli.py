@@ -88,15 +88,15 @@ def _finite_or_none(x: float) -> float | None:
     return x if x < float("inf") else None
 
 
-def _launch(cfg, geom, time_sets):
-    """(launch state, Propagator) for a run that propagates from t = 0 to
-    each of time_sets.  A screw geometry takes the matrix-free path when its
-    cost estimate beats diagonalizing H; it never assembles J and Gamma."""
+def _launch(cfg, geom, times):
+    """(launch state, Propagator) for a run that propagates once, from t = 0
+    over the given times.  A screw geometry takes the matrix-free path when
+    its cost estimate beats diagonalizing H; it never assembles J and Gamma."""
     from . import dynamics, hamiltonian
 
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
     screw = hamiltonian.screw_effective(geom, cfg.hermitian_only)
-    if screw is not None and dynamics.prefer_matrix_free(screw, time_sets):
+    if screw is not None and dynamics.prefer_matrix_free(screw, times):
         return state, dynamics.Propagator(screw)
     return state, dynamics.Propagator(hamiltonian.effective(hamiltonian.assemble(geom),
                                                             cfg.hermitian_only))
@@ -147,18 +147,21 @@ def _run_dynamics(cfg, geom):
     from . import dynamics
     from .config import time_tag
 
+    # one propagation: the series times, then the snapshot times
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
-    state, prop = _launch(cfg, geom, [times, cfg.snapshot_times])
-    series = dynamics.evolve(prop, state, geom, times, deadband=cfg.helicity_deadband)
+    grid = np.concatenate([times, cfg.snapshot_times])
+    state, prop = _launch(cfg, geom, grid)
+    per_site = dynamics.populations(prop, state, grid)
+    series = dynamics.observables(per_site[:cfg.n_times], geom, times,
+                                  deadband=cfg.helicity_deadband)
     products = {"timeseries.csv": (
         ["t", "trace", "P_up", "P_down", "Sz", "z_com", "eta"],
         [series.times, series.trace, series.p_up, series.p_down,
          series.sz, series.z_com, series.eta])}
-    snapshots = dynamics.populations(prop, state, cfg.snapshot_times)
-    for t, per_site in zip(cfg.snapshot_times, snapshots):
+    for t, snapshot in zip(cfg.snapshot_times, per_site[cfg.n_times:]):
         products[f"snapshot_t{time_tag(t)}.csv"] = (
             ["site", "z", "p_up", "p_down"],
-            [np.arange(geom.n_sites), geom.z, per_site[:, 0], per_site[:, 1]])
+            [np.arange(geom.n_sites), geom.z, snapshot[:, 0], snapshot[:, 1]])
     diagnostics = {
         **_propagator_keys(prop),
         "arrival_time": dynamics.arrival_time(series, geom),
@@ -258,7 +261,7 @@ def _run_field(cfg, geom):
     from .config import time_tag
 
     times = np.array(fs.times, dtype=float)
-    state, prop = _launch(cfg, geom, [times])
+    state, prop = _launch(cfg, geom, times)
     plane = field.default_plane(geom, axis=fs.plane_axis, offset=fs.plane_offset,
                                 n_u=fs.n_u, n_v=fs.n_v, u_span=fs.u_span,
                                 z_pad=fs.z_pad)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .geometry import EmitterGeometry, HelixParams, build_helix, load_geometry_file
+from .geometry import (EmitterGeometry, HelixParams, build_helix, is_number,
+                       load_geometry_file)
 
 MODES = ("dynamics", "bands", "zak", "field", "check")
 _NORMALIZE_MODES = ("none", "global", "per_map")
@@ -86,19 +87,12 @@ def _reject_shared_tags(times, key, errs) -> None:
                     f"(t{{t:g}}); shared: {', '.join('t' + tag for tag in shared)}")
 
 
-def _is_number(x) -> bool:
-    try:
-        return not isinstance(x, bool) and math.isfinite(x)
-    except (TypeError, OverflowError):   # not a number, or an int beyond float range
-        return False
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _positive(x) -> bool:
-    return _is_number(x) and x > 0
+    return is_number(x) and x > 0
 
 
 def _int_from(lo: int) -> Callable[[object], bool]:
@@ -106,7 +100,7 @@ def _int_from(lo: int) -> Callable[[object], bool]:
 
 
 def _times(x) -> bool:
-    return isinstance(x, list) and all(_is_number(t) and t >= 0 for t in x)
+    return isinstance(x, list) and all(is_number(t) and t >= 0 for t in x)
 
 
 def _floats(ts) -> tuple[float, ...]:
@@ -142,7 +136,7 @@ _KEYS = (
          "hermitian_only"),
     _Key("initial_state.site", _int_from(0), "must be a non-negative integer",
          "site", required=True),
-    _Key("initial_state.p_up", lambda x: _is_number(x) and 0.0 <= x <= 1.0,
+    _Key("initial_state.p_up", lambda x: is_number(x) and 0.0 <= x <= 1.0,
          "must lie in the range [0, 1]", "p_up", float, required=True),
     _Key("times.t_max", _positive, "must be a positive number", "t_max", float),
     _Key("times.n_times", _int_from(2), "must be an integer >= 2", "n_times"),
@@ -161,7 +155,7 @@ _KEYS = (
          "must be a non-empty list of times >= 0", "field.times", _floats),
     _Key("field.plane_axis", lambda x: x in ("x", "y", "z"), "must be 'x', 'y' or 'z'",
          "field.plane_axis"),
-    _Key("field.plane_offset", _is_number, "must be a number", "field.plane_offset", float),
+    _Key("field.plane_offset", is_number, "must be a number", "field.plane_offset", float),
     _Key("field.n_u", _int_from(2), "must be an integer >= 2", "field.n_u"),
     _Key("field.n_v", _int_from(2), "must be an integer >= 2", "field.n_v"),
     _Key("field.u_span", _positive, "must be a positive number", "field.u_span", float),

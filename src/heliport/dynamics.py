@@ -25,22 +25,13 @@ which the dense fallback below shares): each interval dt takes s steps with
 time with t ||H||_1 eps >= 1 raises FloatingPointError before any step count
 is formed.  prefer_matrix_free picks the path from a cost estimate, N^3 for
 the eigendecomposition against estimated products times L log L (constants
-measured once, 1 BLAS thread); below the crossover (near N = 250 for the
+measured once, 1 BLAS thread); below the crossover (near N = 225 for the
 packaged helix geometry) the spectral path is cheaper.
 
 The spectral path makes one eig (eigh for hermitian_only) of the whole
-2N x 2N H_eff.  The left eigenvectors of a non-Hermitian matrix come from a
-symmetry rather than from inverting the eigenvector matrix V: if
-M^T = P M P for a permutation P, then P v_i is a right eigenvector of M^T
-and the rows of V^-1 are (P v_i)^T / (v_i^T P v_i) (the c-product of
-complex-symmetric problems; Moiseyev, Non-Hermitian Quantum Mechanics, CUP
-2011).  For H_eff, P = S swaps the two spins of every site
-(H_eff^T = S H_eff S).  This costs O(N^2) instead of O(N^3).  It fails under
-exact degeneracy (v_i^T S v_i = 0 within a degenerate pair, as in the spin
-degeneracy of a single emitter or of an axial chain), so an O(N^2) probe
-||V^-1 (V x) - x|| >= 1e-6 ||x|| with a fixed-seed x falls back to
-np.linalg.inv; a NaN probe counts as failed.  Expansion coefficients get
-one refinement step c += V^-1 (a0 - V c).
+2N x 2N H_eff.  For a non-Hermitian H_eff, V^-1 is np.linalg.inv of the
+eigenvector matrix V, and expansion coefficients get one refinement step
+c += V^-1 (a0 - V c).
 
 If the eigenvector matrix is too ill conditioned, propagation steps
 a <- exp(-i (t_i - t_{i-1}) H_eff) a over the sorted times instead, with the
@@ -52,8 +43,9 @@ SVD-based test would, and costs no SVD.
 Observables follow the transport picture: per-spin populations P_up/P_down,
 per-site populations, <S_z> = P_up - P_down, the surviving-excitation center
 of mass <z> (normalized by the instantaneous norm), and the helicity
-eta = sign(<S_z> * v) with v the discrete d<z>/dt.  populations() is the one
-loop over branches: evolve and the CLI's snapshot writer both call it.
+eta = sign(<S_z> * v) with v the discrete d<z>/dt.  populations() gives the
+branch-weighted site populations on any time grid and observables() the
+series on a sorted one; evolve composes the two.
 """
 
 from __future__ import annotations
@@ -109,32 +101,16 @@ def initial_state(n_sites: int, site: int, p_up: float) -> ExcitationState:
     return ExcitationState(tuple(weights), tuple(amps))
 
 
-def _c_product_inverse(vecs: np.ndarray):
-    """V^-1 from H^T = S H S, S the spin swap: rows (S v_i)^T / (v_i^T S v_i),
-    or None.
-
-    None means the probe ||V^-1 (V x) - x|| < 1e-6 ||x|| failed (or gave
-    NaN), as it does under exact degeneracy.
-    """
-    swapped = vecs[np.arange(len(vecs)) ^ 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = swapped.T / np.sum(vecs * swapped, axis=0)[:, None]
-        x = np.random.default_rng(0).standard_normal(len(vecs)).astype(complex)
-        err = np.linalg.norm(inv @ (vecs @ x) - x)
-    return inv if err < 1e-6 * np.linalg.norm(x) else None
-
-
 class Propagator:
     """a(t) = exp(-i H t) a(0), built once per run on one of two paths.
 
     From an EffectiveHamiltonian (path "spectral"): exact in time via one
     diagonalization of the whole H (module docstring).  Attributes of this
-    path: evals, vecs and vecs_inv (None when V is singular), the latter
-    from the c-product with P = S or, failing its probe, np.linalg.inv;
-    use_stepper (dense Taylor fallback taken) and condition, the bound
-    ||V||_F ||V^-1||_F on the eigenvector condition number compared against
-    COND_LIMIT (exactly 1 for the Hermitian branch, whose eigenvectors are
-    unitary).
+    path: evals, vecs and vecs_inv (np.linalg.inv of V; None when V is
+    singular); use_stepper (dense Taylor fallback taken) and condition, the
+    bound ||V||_F ||V^-1||_F on the eigenvector condition number compared
+    against COND_LIMIT (exactly 1 for the Hermitian branch, whose
+    eigenvectors are unitary).
 
     From a ScrewHamiltonian (path "matrix_free"): Taylor steps of the
     circulant-embedded FFT product (module docstring); use_stepper is False.
@@ -159,14 +135,10 @@ class Propagator:
             self.condition = 1.0
         else:
             self.evals, self.vecs = np.linalg.eig(self.h)
-            self.vecs_inv = _c_product_inverse(self.vecs)
-            if self.vecs_inv is None:
-                try:
-                    self.vecs_inv = np.linalg.inv(self.vecs)
-                except np.linalg.LinAlgError:
-                    pass
-            if self.vecs_inv is None:
-                self.condition = np.inf
+            try:
+                self.vecs_inv = np.linalg.inv(self.vecs)
+            except np.linalg.LinAlgError:
+                self.vecs_inv, self.condition = None, np.inf
             else:
                 with np.errstate(over="ignore"):   # defective spectrum: ||V^-1|| overflows
                     self.condition = float(np.linalg.norm(self.vecs)
@@ -288,14 +260,13 @@ def populations(prop: Propagator, state: ExcitationState, times) -> np.ndarray:
     return per_site
 
 
-def evolve(prop: Propagator, state: ExcitationState, geom: EmitterGeometry, times,
-           deadband: float = HELICITY_DEADBAND) -> ObservableSeries:
-    """Propagate all branches with prop, the run's built Propagator, and
-    assemble the observable series."""
+def observables(per_site: np.ndarray, geom: EmitterGeometry, times,
+                deadband: float = HELICITY_DEADBAND) -> ObservableSeries:
+    """The observable series from the site populations per_site, shape
+    (len(times), N, 2), at the sorted, non-negative times."""
     times = np.asarray(times, dtype=float)
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("output times must be sorted and non-negative")
-    per_site = populations(prop, state, times)
     p_spin = per_site.sum(axis=1)
     trace = p_spin.sum(axis=1)
     p_site = per_site.sum(axis=2)
@@ -312,6 +283,13 @@ def evolve(prop: Propagator, state: ExcitationState, geom: EmitterGeometry, time
         eta=eta,
         per_site=per_site,
     )
+
+
+def evolve(prop: Propagator, state: ExcitationState, geom: EmitterGeometry, times,
+           deadband: float = HELICITY_DEADBAND) -> ObservableSeries:
+    """Propagate all branches with prop, the run's built Propagator, and
+    assemble the observable series."""
+    return observables(populations(prop, state, times), geom, times, deadband)
 
 
 def arrival_time(series: ObservableSeries, geom: EmitterGeometry):
@@ -394,13 +372,13 @@ def estimated_matvecs(norm1: float, times) -> float:
         return float(np.sum(steps * terms)) if np.all(np.isfinite(x)) else np.inf
 
 
-def prefer_matrix_free(screw: ScrewHamiltonian, time_sets) -> bool:
-    """True when Taylor stepping the FFT product over each of time_sets (each
-    stepped from t = 0) is expected to cost less than diagonalizing H; the
-    constants are timings on one BLAS thread."""
+def prefer_matrix_free(screw: ScrewHamiltonian, times) -> bool:
+    """True when Taylor stepping the FFT product over the sorted times is
+    expected to cost less than diagonalizing H; the constants are timings on
+    one BLAS thread."""
     n = screw.n_sites
     length = smooth_length(2 * n - 1)
-    matvecs = sum(estimated_matvecs(screw.norm1(), times) for times in time_sets)
+    matvecs = estimated_matvecs(screw.norm1(), times)
     per_product = MATVEC_S + MATVEC_S_PER_LLOGL * length * np.log2(length)
     return matvecs * per_product < EIG_S_PER_N3 * n ** 3
 

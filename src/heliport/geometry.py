@@ -16,12 +16,21 @@ fixed here once and used consistently everywhere.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 MIN_SEPARATION = 1e-9  # coincidence threshold for emitter pairs, units of lambda_0
 SCAN_ROWS = 64         # rows per block of the coincidence scan
+
+
+def is_number(x) -> bool:
+    """A finite int or float (not a bool), as a JSON number parses."""
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except (TypeError, OverflowError):   # not a number, or an int beyond float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -152,12 +161,14 @@ def load_geometry_file(path) -> EmitterGeometry:
         raise ValueError(f"{path}: unknown geometry keys {sorted(unknown)}")
     if "positions" not in data:
         raise ValueError(f"{path}: missing required key 'positions'")
-    pos = np.asarray(data["positions"], dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 3:
+    pos = data["positions"]
+    if not (isinstance(pos, list) and pos
+            and all(isinstance(p, list) and len(p) == 3 for p in pos)):
         raise ValueError(f"{path}: positions must be a list of [x, y, z] triples")
-    if not np.isfinite(pos).all():
-        raise ValueError(f"{path}: positions must be finite numbers")
+    if not all(is_number(x) for p in pos for x in p):
+        raise ValueError(f"{path}: positions must be finite numbers, "
+                         "not strings, booleans or null")
     label = data.get("label", "")
     if not isinstance(label, str):
         raise ValueError(f"{path}: label must be a string")
-    return EmitterGeometry(pos, label=label)
+    return EmitterGeometry(np.array(pos, dtype=float), label=label)

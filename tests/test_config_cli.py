@@ -543,6 +543,27 @@ def test_cli_non_finite_geometry_file_names_the_file(tmp_path, capsys, coordinat
     assert "odd_geom.json" in err and "finite" in err
 
 
+@pytest.mark.parametrize("positions", [
+    '[["1", "0", "0"], ["0", "0", "0.1"]]',
+    '[[true, false, false], [0, 0, 0.1]]',
+    '[[null, 0, 0], [0, 0, 0.1]]',
+    '[[1%s, 0, 0], [0, 0, 0.1]]' % ("0" * 400),
+    '{"a": 1}',
+    '[{"x": 1}]',
+    '[[0, 0], [0, 0, 0.1]]',
+    '[]',
+], ids=["strings", "booleans", "null", "huge_integer", "object", "list_of_objects",
+        "pair", "empty"])
+def test_cli_geometry_file_takes_json_numbers_only(tmp_path, capsys, positions):
+    (tmp_path / "odd_geom.json").write_text(f'{{"positions": {positions}}}')
+    cfg = write_config(tmp_path, dynamics_dict(geometry={"file": "odd_geom.json"}))
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "odd_geom.json" in err[0], err
+    assert not out.exists()
+
+
 def test_cli_zak_sums_the_lattice_once(tmp_path, monkeypatch):
     from heliport import bloch
     calls = {"chain_table": 0, "_fourier_sum": 0, "band_structure": 0}

@@ -178,7 +178,7 @@ def test_spin_swap_left_eigenvectors_match_expm(monkeypatch):
     h = effective(assemble(geom))
     inv_calls = _count_calls(monkeypatch)
     prop = Propagator(h)
-    assert not inv_calls and not prop.use_stepper
+    assert len(inv_calls) == 1 and not prop.use_stepper
     assert 1.0 <= prop.condition < 1e4
     a0 = initial_state(geom.n_sites, 4, 1.0).amplitudes[0]
     times = np.array([0.0, 0.3, 2.5, 7.9])
@@ -214,12 +214,16 @@ def test_spin_degenerate_spectra_fall_back_to_inv(geom, monkeypatch):
 
 
 def test_cli_dynamics_builds_one_propagator(tmp_path, monkeypatch):
-    built = []
+    built, grids = [], []
 
     class Counting(Propagator):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
+
+        def propagate(self, a0, times):
+            grids.append(len(times))
+            return super().propagate(a0, times)
 
     monkeypatch.setattr(dynamics, "Propagator", Counting)
     cfg = tmp_path / "run.json"
@@ -235,6 +239,8 @@ def test_cli_dynamics_builds_one_propagator(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(built) == 1
+    # one propagation over the 20 series times and the 2 snapshot times
+    assert grids == [20 + 2]
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["propagator_fallback"] is False
     assert 1.0 <= diag["propagator_condition"] < dynamics.COND_LIMIT
@@ -380,7 +386,8 @@ def test_smooth_length():
 
 
 def _n600_times(t_max):
-    return [np.linspace(0.0, t_max, 200), [t_max / 2]]
+    """The dynamics run's one grid: 200 series times and the tau snapshot."""
+    return np.append(np.linspace(0.0, t_max, 200), t_max / 2)
 
 
 def test_path_choice_follows_the_cost_estimate():
@@ -391,7 +398,7 @@ def test_path_choice_follows_the_cost_estimate():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not dynamics.prefer_matrix_free(screw, _n600_times(t_max))
-    # the whole-H eig puts the crossover near N = 250
+    # the crossover sits near N = 225
     n300 = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 100, 1)))
     assert dynamics.prefer_matrix_free(n300, _n600_times(15.8))
     small = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 20, 1)))
