@@ -241,9 +241,9 @@ def _field_preflight(fs) -> None:
     """Refuse a field plane whose arrays alone would exceed physical memory."""
     n_points = fs.n_u * fs.n_v
     # bytes per plane point: its coordinates (3 floats), the raw and scaled
-    # maps of both spins at every time, the u/v CSV columns and write_csv's
-    # three columns of Python floats (about 32 bytes each)
-    need = n_points * (3 * 8 + 2 * 2 * len(fs.times) * 8 + 2 * 8 + 3 * 32)
+    # maps of both spins at every time and the u/v CSV columns; write_csv
+    # formats one 4096-row block at a time, whatever the plane size
+    need = n_points * (3 * 8 + 2 * 2 * len(fs.times) * 8 + 2 * 8)
     phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > phys:
         raise ValueError(f"field.n_u x field.n_v = {fs.n_u} x {fs.n_v} needs about "

@@ -24,9 +24,9 @@ which the dense fallback below shares): each interval dt takes s steps with
 (ScrewHamiltonian.norm1).  ||H||_1 >= max|E| also sets the phase guard: a
 time with t ||H||_1 eps >= 1 raises FloatingPointError before any step count
 is formed.  prefer_matrix_free picks the path from a cost estimate, N^3 for
-the eigendecomposition against estimated products times L log L (constants
-measured once, 1 BLAS thread); below the crossover (near N = 225 for the
-packaged helix geometry) the spectral path is cheaper.
+the spectral build (assemble, eig and inv) against estimated products times
+L log L (constants measured once, 1 BLAS thread); below the crossover (near
+N = 205 for the packaged helix geometry) the spectral path is cheaper.
 
 The spectral path makes one eig (eigh for hermitian_only) of the whole
 2N x 2N H_eff.  For a non-Hermitian H_eff, V^-1 is np.linalg.inv of the
@@ -60,8 +60,9 @@ from .hamiltonian import CouplingTensor, EffectiveHamiltonian, ScrewHamiltonian,
 COND_LIMIT = 1e8       # eigenvector-matrix condition number triggering the fallback
 HELICITY_DEADBAND = 1e-6
 # path-choice cost model, seconds: EIG_S_PER_N3 * N^3 for the spectral build
-# against, per estimated product, MATVEC_S + MATVEC_S_PER_LLOGL * L log2 L
-EIG_S_PER_N3 = 3.5e-8
+# (assemble, eig and inv) against, per estimated product, MATVEC_S +
+# MATVEC_S_PER_LLOGL * L log2 L
+EIG_S_PER_N3 = 4.3e-8
 MATVEC_S = 5.3e-5
 MATVEC_S_PER_LLOGL = 6.9e-9
 
@@ -374,8 +375,8 @@ def estimated_matvecs(norm1: float, times) -> float:
 
 def prefer_matrix_free(screw: ScrewHamiltonian, times) -> bool:
     """True when Taylor stepping the FFT product over the sorted times is
-    expected to cost less than diagonalizing H; the constants are timings on
-    one BLAS thread."""
+    expected to cost less than building the spectral propagator (assemble,
+    eig and inv); the constants are timings on one BLAS thread."""
     n = screw.n_sites
     length = smooth_length(2 * n - 1)
     matvecs = estimated_matvecs(screw.norm1(), times)

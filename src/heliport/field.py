@@ -11,14 +11,19 @@ state branches (relative units; optional normalization for plotting).
 Points closer than 1e-3 lambda_0 to an emitter are masked (nan) to keep the
 1/r^3 near field out of the maps.
 
-The kernel K_sigma(p, j) = G(r_p - r_j) . eps_sigma is built in closed form,
-pref * [a eps_sigma - b rhat (rhat . eps_sigma)], from the scalar factors of
-greens._green_factors, without forming the 3x3 tensor.  It is evaluated once
-per chunk of plane points (about _KERNEL_PAIRS point-emitter pairs, so the
-chunk shrinks as N grows), and one matrix product per chunk,
-K.reshape(2, 3 * chunk, N) @ A with a column of A per (time, branch), gives
-the field of every time and branch at once: intensity_maps is a single pass
-over the plane whatever the number of times.
+With G = pref * (a 1 - b rhat rhat) from greens._green_factors and eps_sigma
+in the x-y plane, each Cartesian component c of the field is
+
+    F_c = eps_c * (pa @ A) - Q_cx @ (eps_x A) - Q_cy @ (eps_y A),
+    pa = pref a,  Q_cd = pref b rhat_c rhat_d,
+
+so five Q_cd (xx, xy, yy, zx, zy) and pa are all of G a field map needs;
+neither the 3x3 tensor nor K_sigma = G . eps_sigma is formed.  The factors
+are evaluated once per chunk of plane points (about _KERNEL_PAIRS
+point-emitter pairs, so the chunk shrinks as N grows) and applied to the
+amplitudes of both spins at every (time, branch) side by side, one column
+each: intensity_maps is a single pass over the plane whatever the number of
+times.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .greens import GAMMA0, LAMBDA0, POLARIZATION, _green_factors
 EPS0 = 1.0
 FIELD_PREFACTOR = np.sqrt(6.0 * np.pi**2 * GAMMA0 / (LAMBDA0 * EPS0))
 NEAR_FIELD_RADIUS = 1e-3 * LAMBDA0
-_KERNEL_PAIRS = 1024 * 60   # point-emitter pairs per kernel chunk (~3 MB per spin)
+_KERNEL_PAIRS = 1024 * 16   # point-emitter pairs per kernel chunk (~3 MB of factors)
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -107,30 +112,20 @@ def _chunk_points(n_sites: int) -> int:
 
 
 def _field_kernel(positions: np.ndarray, pts: np.ndarray):
-    """(K, near) for one chunk of points.
+    """(pa, q, near) for one chunk of points.
 
-    K has shape (2, len(pts), 3, N): K[s, p, :, j] = G(pts[p] - r_j) . eps_s
-    in closed form, pref * [a eps_s - b rhat (rhat . eps_s)].  near flags the
-    points closer than NEAR_FIELD_RADIUS to an emitter; their separations get
-    a placeholder and the caller masks them.
+    pa[p, j] = pref * a and q[i, p, j] = pref * b * rhat_c rhat_d of
+    G(pts[p] - r_j) for (c, d) = xx, xy, yy, zx, zy, in that order.  near
+    flags the points closer than NEAR_FIELD_RADIUS to an emitter; their
+    separations get a placeholder and the caller masks them.
     """
     sep = pts[:, None, :] - positions[None, :, :]
     close = np.linalg.norm(sep, axis=-1) < NEAR_FIELD_RADIUS
     sep[close] = [LAMBDA0, 0.0, 0.0]
     pref, a, b, rhat = _green_factors(sep)
-    eps = np.array(POLARIZATION)                       # (2, 3)
-    pb_proj = (pref * b)[..., None] * (rhat @ eps.T)   # (points, N, 2)
-    k = ((pref * a)[None, :, None, :] * eps[:, None, :, None]
-         - pb_proj.transpose(2, 0, 1)[:, :, None, :] * rhat.transpose(0, 2, 1)[None])
-    return k, close.any(axis=1)
-
-
-def _kernel_chunks(positions: np.ndarray, pts_flat: np.ndarray):
-    """Yield (slice, K, near) of _field_kernel over chunks of the points."""
-    step = _chunk_points(len(positions))
-    for lo in range(0, len(pts_flat), step):
-        k, near = _field_kernel(positions, pts_flat[lo:lo + step])
-        yield slice(lo, lo + len(near)), k, near
+    x, y, z = rhat.transpose(2, 0, 1)
+    q = (pref * b) * np.stack([x * x, x * y, y * y, z * x, z * y])
+    return pref * a, q, close.any(axis=1)
 
 
 @dataclass
@@ -149,27 +144,37 @@ def intensity_maps(weights, branch_amplitudes, geom: EmitterGeometry,
     branch_amplitudes[b][t] is the amplitude vector (length 2N) of branch b
     at times[t], e.g. Propagator.propagate(a0s, times) for the (B, 2N) stack
     a0s of launch branches; weights[b] is the branch's probability.  The
-    kernel is evaluated once per chunk of plane points, and one matrix
-    product per chunk applies it to every (time, branch) column of both
-    spins.  normalize: "none" keeps the raw values,
-    "global" scales both polarizations of a time by their common maximum,
-    "per_map" scales each map by its own maximum.
+    factors of G are evaluated once per chunk of plane points and applied
+    to every (time, branch) column of both spins (module docstring).
+    normalize: "none" keeps the raw values, "global" scales both
+    polarizations of a time by their common maximum, "per_map" scales each
+    map by its own maximum.
     """
     if normalize not in ("none", "global", "per_map"):
         raise ValueError(f"unknown normalization mode {normalize!r}")
     pts = plane.points()
     pts_flat = pts.reshape(-1, 3)
-    n, n_t = geom.n_sites, len(times)
     w = np.asarray(weights, dtype=float)
-    # amps[s, j, t * n_b + b] = a_{j s} of branch b at time t
-    amps = np.asarray(branch_amplitudes, dtype=complex).reshape(len(w), n_t, n, 2)
-    amps = amps.transpose(3, 2, 1, 0).reshape(2, n, n_t * len(w))
+    n, n_t, n_b = geom.n_sites, len(times), len(w)
+    # a0[j, (s * n_t + t) * n_b + b] = a_{j s} of branch b at time t
+    amps = np.asarray(branch_amplitudes, dtype=complex).reshape(n_b, n_t, n, 2)
+    a0 = amps.transpose(2, 3, 1, 0).reshape(n, 2 * n_t * n_b)
+    # eps_x and eps_y of each column's spin (eps_sigma has no z component)
+    ex, ey = np.repeat(np.array(POLARIZATION)[:, :2], n_t * n_b, axis=0).T
+    ax, ay = a0 * ex, a0 * ey
     maps = np.zeros((2, n_t, len(pts_flat)))
     near = np.zeros(len(pts_flat), dtype=bool)
-    for sl, k, near_chunk in _kernel_chunks(geom.positions, pts_flat):
-        near[sl] = near_chunk
-        f = (k.reshape(2, -1, n) @ amps).reshape(2, -1, 3, n_t, len(w))
-        maps[:, :, sl] = ((f.real**2 + f.imag**2).sum(axis=2) @ w).transpose(0, 2, 1)
+    step = _chunk_points(n)
+    for lo in range(0, len(pts_flat), step):
+        sl = slice(lo, lo + step)
+        pa, (qxx, qxy, qyy, qzx, qzy), near[sl] = _field_kernel(geom.positions,
+                                                                pts_flat[sl])
+        f0 = pa @ a0
+        fx = ex * f0 - qxx @ ax - qxy @ ay
+        fy = ey * f0 - qxy @ ax - qyy @ ay
+        fz = -(qzx @ ax) - qzy @ ay
+        power = sum(f.real**2 + f.imag**2 for f in (fx, fy, fz))
+        maps[:, :, sl] = (power.reshape(-1, 2, n_t, n_b) @ w).transpose(1, 2, 0)
     maps[:, :, near] = np.nan
     maps = (FIELD_PREFACTOR**2 * maps).reshape((2, n_t) + pts.shape[:-1])
     n_masked = int(near.sum())

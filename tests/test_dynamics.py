@@ -398,7 +398,7 @@ def test_path_choice_follows_the_cost_estimate():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not dynamics.prefer_matrix_free(screw, _n600_times(t_max))
-    # the crossover sits near N = 225
+    # the crossover sits near N = 205
     n300 = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 100, 1)))
     assert dynamics.prefer_matrix_free(n300, _n600_times(15.8))
     small = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 20, 1)))

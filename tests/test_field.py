@@ -3,8 +3,8 @@ import pytest
 
 from heliport.dynamics import Propagator, initial_state
 from heliport.field import (FIELD_PREFACTOR, NEAR_FIELD_RADIUS, FieldPlane,
-                            _field_kernel, default_plane, intensity_map,
-                            intensity_maps)
+                            _chunk_points, _field_kernel, default_plane,
+                            intensity_map, intensity_maps)
 from heliport.geometry import EmitterGeometry, build_helix, mirror_xz
 from heliport.greens import POLARIZATION, green_tensor
 from heliport.hamiltonian import assemble, effective
@@ -67,9 +67,12 @@ def test_circular_dipole_field_axially_symmetric(rng):
     angles = rng.uniform(0, 2 * np.pi, size=8)
     pts = np.column_stack([d * np.cos(angles), d * np.sin(angles),
                            np.full(8, 0.7)])
-    k, near = _field_kernel(geom.positions, pts)
+    pa, (qxx, qxy, qyy, qzx, qzy), near = _field_kernel(geom.positions, pts)
     assert not near.any()
-    f = FIELD_PREFACTOR * k[0, :, :, 0]     # F_up of the one spin-up emitter
+    ex, ey = POLARIZATION[0][:2]            # F_up of the one spin-up emitter
+    f = FIELD_PREFACTOR * np.column_stack([ex * pa - qxx * ex - qxy * ey,
+                                           ey * pa - qxy * ex - qyy * ey,
+                                           -qzx * ex - qzy * ey])
     intensity = np.sum(np.abs(f) ** 2, axis=1)
     assert np.ptp(intensity) < 1e-12 * intensity[0]
 
@@ -121,6 +124,21 @@ def test_mirror_swaps_polarization_maps(small_helix):
     assert np.nanmax(np.abs(fm.i_down[::-1, :] - fo.i_up)) < 1e-12
 
 
+def green_sum_intensities(geom, pts, weights, amps):
+    """(I_up, I_down) of one time from the explicit sum
+    sum_j green_tensor(r_p - r_j) @ eps_sigma a_{j sigma} over every point."""
+    g = green_tensor(pts[..., None, :] - geom.positions)   # (..., N, 3, 3)
+    out = []
+    for spin in range(2):
+        want = np.zeros(pts.shape[:-1])
+        for w, a in zip(weights, amps):
+            f = FIELD_PREFACTOR * np.einsum("...jab,b,j->...a", g, POLARIZATION[spin],
+                                            a.reshape(-1, 2)[:, spin])
+            want += w * np.sum(np.abs(f) ** 2, axis=-1)
+        out.append(want)
+    return out
+
+
 def test_multi_time_maps_match_green_tensor_oracle(small_helix, rng):
     geom = small_helix
     n, times, weights = geom.n_sites, [0.0, 0.7, 2.5], [0.3, 0.7]
@@ -133,13 +151,33 @@ def test_multi_time_maps_match_green_tensor_oracle(small_helix, rng):
     amps = rng.normal(size=(2, 3, 2 * n)) + 1j * rng.normal(size=(2, 3, 2 * n))
     maps = intensity_maps(weights, amps, geom, plane, times)
 
-    g = green_tensor(sep)                              # (n_u, n_v, N, 3, 3)
     for t_idx, fmap in enumerate(maps):
         assert fmap.time == times[t_idx] and fmap.n_masked == 0
-        for spin, got in enumerate((fmap.i_up, fmap.i_down)):
-            want = np.zeros(pts.shape[:-1])
-            for w, a in zip(weights, amps[:, t_idx]):
-                f = FIELD_PREFACTOR * np.einsum("uvjab,b,j->uva", g, POLARIZATION[spin],
-                                                a.reshape(n, 2)[:, spin])
-                want += w * np.sum(np.abs(f) ** 2, axis=-1)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        want = green_sum_intensities(geom, pts, weights, amps[:, t_idx])
+        for got, want_spin in zip((fmap.i_up, fmap.i_down), want):
+            np.testing.assert_allclose(got, want_spin, rtol=1e-12, atol=0.0)
+
+
+def test_chunked_maps_match_green_sum_with_a_masked_point(rng):
+    # random emitters; a z plane through emitter 0 with one grid point on it
+    geom = EmitterGeometry(rng.uniform(-0.3, 0.3, size=(120, 3)))
+    x0, y0, z0 = geom.positions[0]
+    plane = FieldPlane("z", z0, np.sort(np.append(rng.uniform(-0.5, 0.5, 29), x0)),
+                       np.sort(np.append(rng.uniform(-0.5, 0.5, 39), y0)))
+    assert plane.u.size * plane.v.size > 2 * _chunk_points(geom.n_sites)
+    times, weights = [0.0, 1.3, 4.0], [0.6, 0.4]
+    amps = rng.normal(size=(2, 3, 240)) + 1j * rng.normal(size=(2, 3, 240))
+    maps = intensity_maps(weights, amps, geom, plane, times)
+
+    pts = plane.points()
+    on_emitter = (pts[..., 0] == x0) & (pts[..., 1] == y0)
+    assert on_emitter.sum() == 1
+    keep = ~on_emitter
+    dist = np.linalg.norm(pts[keep][:, None, :] - geom.positions, axis=-1)
+    assert dist.min() > NEAR_FIELD_RADIUS
+    for t_idx, fmap in enumerate(maps):
+        assert fmap.n_masked == 1
+        want = green_sum_intensities(geom, pts[keep], weights, amps[:, t_idx])
+        for got, want_spin in zip((fmap.i_up, fmap.i_down), want):
+            assert np.isnan(got[on_emitter]).all()
+            np.testing.assert_allclose(got[keep], want_spin, rtol=1e-12, atol=0.0)
