@@ -12,8 +12,10 @@ runner functions, and each runner imports only the modules it calls.
 
 Runners return (products, diagnostics, exit code) and write nothing; main
 alone checks every product for non-finite numbers, then creates the output
-directory and writes the products, manifest.json last (a stale one is
-removed first), so a directory without a manifest is incomplete.
+directory and writes the products: every CSV table in one
+output.write_tables pass, then the JSON documents, manifest.json last (a
+stale one is removed first), so a directory without a manifest is
+incomplete.
 
 Exit codes: 0 success (and --help), 1 usage/configuration error (argparse
 errors, a --threads or HELIPORT_THREADS value that is not a positive
@@ -158,10 +160,11 @@ def _run_dynamics(cfg, geom):
         ["t", "trace", "P_up", "P_down", "Sz", "z_com", "eta"],
         [series.times, series.trace, series.p_up, series.p_down,
          series.sz, series.z_com, series.eta])}
+    # every snapshot holds the same site and z objects, formatted once
+    site, z = np.arange(geom.n_sites), geom.z
     for t, snapshot in zip(cfg.snapshot_times, per_site[cfg.n_times:]):
         products[f"snapshot_t{time_tag(t)}.csv"] = (
-            ["site", "z", "p_up", "p_down"],
-            [np.arange(geom.n_sites), geom.z, snapshot[:, 0], snapshot[:, 1]])
+            ["site", "z", "p_up", "p_down"], [site, z, snapshot[:, 0], snapshot[:, 1]])
     diagnostics = {
         **_propagator_keys(prop),
         "arrival_time": dynamics.arrival_time(series, geom),
@@ -239,11 +242,15 @@ def _run_zak(cfg, _geom):
 
 def _field_preflight(fs) -> None:
     """Refuse a field plane whose arrays alone would exceed physical memory."""
+    from .output import BLOCK_ROWS
+
     n_points = fs.n_u * fs.n_v
     # bytes per plane point: its coordinates (3 floats), the raw and scaled
-    # maps of both spins at every time and the u/v CSV columns; write_csv
-    # formats one 4096-row block at a time, whatever the plane size
-    need = n_points * (3 * 8 + 2 * 2 * len(fs.times) * 8 + 2 * 8)
+    # maps of both spins at every time and the u/v CSV columns; the CSV
+    # writer adds one formatted block of u, v and the intensity it is
+    # writing (under 120 bytes a cell), whatever the plane size
+    need = (n_points * (3 * 8 + 2 * 2 * len(fs.times) * 8 + 2 * 8)
+            + BLOCK_ROWS * 3 * 120)
     phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > phys:
         raise ValueError(f"field.n_u x field.n_v = {fs.n_u} x {fs.n_v} needs about "
@@ -385,17 +392,17 @@ def main(argv=None) -> int:
         return _fail([str(exc)], 1)
 
     from . import __version__
-    from .output import write_csv, write_json
+    from .output import write_json, write_tables
 
     out_dir = Path(args.out) if args.out else Path(f"{cfg_path.stem}_out")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         # the manifest marks a complete directory, so it goes first and comes last
         (out_dir / "manifest.json").unlink(missing_ok=True)
+        write_tables((out_dir / name, *product) for name, product in products.items()
+                     if name.endswith(".csv"))
         for name, product in products.items():
-            if name.endswith(".csv"):
-                write_csv(out_dir / name, *product)
-            else:
+            if not name.endswith(".csv"):
                 write_json(out_dir / name, product)
         write_json(out_dir / "manifest.json", {
             "tool": "heliport",

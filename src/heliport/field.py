@@ -11,19 +11,22 @@ state branches (relative units; optional normalization for plotting).
 Points closer than 1e-3 lambda_0 to an emitter are masked (nan) to keep the
 1/r^3 near field out of the maps.
 
-With G = pref * (a 1 - b rhat rhat) from greens._green_factors and eps_sigma
-in the x-y plane, each Cartesian component c of the field is
+With G(r) = pa * 1 - s * r r^T from greens._green_factors (r the raw
+separation, pa and s functions of |r|^2 only) and eps_sigma in the x-y
+plane, each Cartesian component c of the field is
 
     F_c = eps_c * (pa @ A) - Q_cx @ (eps_x A) - Q_cy @ (eps_y A),
-    pa = pref a,  Q_cd = pref b rhat_c rhat_d,
+    Q_cd = s r_c r_d,
 
 so five Q_cd (xx, xy, yy, zx, zy) and pa are all of G a field map needs;
-neither the 3x3 tensor nor K_sigma = G . eps_sigma is formed.  The factors
-are evaluated once per chunk of plane points (about _KERNEL_PAIRS
-point-emitter pairs, so the chunk shrinks as N grows) and applied to the
-amplitudes of both spins at every (time, branch) side by side, one column
-each: intensity_maps is a single pass over the plane whatever the number of
-times.
+neither the 3x3 tensor nor K_sigma = G . eps_sigma is formed, and no unit
+vector is.  |r|^2 is computed once per point-emitter pair and serves both
+the near-field mask and the factors.  The factors are evaluated once per
+chunk of plane points (about _KERNEL_PAIRS point-emitter pairs, so the
+chunk shrinks as N grows), the Q_cd into one preallocated array, and
+applied to the amplitudes of both spins at every (time, branch) side by
+side, one column each: intensity_maps is a single pass over the plane
+whatever the number of times.
 """
 
 from __future__ import annotations
@@ -111,21 +114,25 @@ def _chunk_points(n_sites: int) -> int:
     return max(1, _KERNEL_PAIRS // n_sites)
 
 
-def _field_kernel(positions: np.ndarray, pts: np.ndarray):
-    """(pa, q, near) for one chunk of points.
+def _field_kernel(positions: np.ndarray, pts: np.ndarray, q: np.ndarray):
+    """(pa, near) for one chunk of points; fills q in place.
 
-    pa[p, j] = pref * a and q[i, p, j] = pref * b * rhat_c rhat_d of
-    G(pts[p] - r_j) for (c, d) = xx, xy, yy, zx, zy, in that order.  near
+    pa[p, j] and q[i, p, j] = s * r_c r_d are the factors of G(r) at
+    r = pts[p] - r_j, for (c, d) = xx, xy, yy, zx, zy in that order; q is a
+    preallocated complex array of shape (5, len(pts), len(positions)).  near
     flags the points closer than NEAR_FIELD_RADIUS to an emitter; their
     separations get a placeholder and the caller masks them.
     """
-    sep = pts[:, None, :] - positions[None, :, :]
-    close = np.linalg.norm(sep, axis=-1) < NEAR_FIELD_RADIUS
-    sep[close] = [LAMBDA0, 0.0, 0.0]
-    pref, a, b, rhat = _green_factors(sep)
-    x, y, z = rhat.transpose(2, 0, 1)
-    q = (pref * b) * np.stack([x * x, x * y, y * y, z * x, z * y])
-    return pref * a, q, close.any(axis=1)
+    x, y, z = (pts[:, c, None] - positions[:, c] for c in range(3))
+    r2 = x * x + y * y + z * z
+    close = r2 < NEAR_FIELD_RADIUS**2
+    if close.any():
+        x[close], y[close], z[close], r2[close] = LAMBDA0, 0.0, 0.0, LAMBDA0**2
+    pa, s = _green_factors(r2)
+    for out, c, d in zip(q, (x, x, y, z, z), (x, y, y, x, y)):
+        np.multiply(c, d, out=out)
+    q *= s
+    return pa, close.any(axis=1)
 
 
 @dataclass
@@ -165,10 +172,12 @@ def intensity_maps(weights, branch_amplitudes, geom: EmitterGeometry,
     maps = np.zeros((2, n_t, len(pts_flat)))
     near = np.zeros(len(pts_flat), dtype=bool)
     step = _chunk_points(n)
+    q_buf = np.empty((5, step, n), dtype=complex)
     for lo in range(0, len(pts_flat), step):
         sl = slice(lo, lo + step)
-        pa, (qxx, qxy, qyy, qzx, qzy), near[sl] = _field_kernel(geom.positions,
-                                                                pts_flat[sl])
+        q = q_buf[:, :len(pts_flat[sl])]
+        pa, near[sl] = _field_kernel(geom.positions, pts_flat[sl], q)
+        qxx, qxy, qyy, qzx, qzy = q
         f0 = pa @ a0
         fx = ex * f0 - qxx @ ax - qxy @ ay
         fy = ey * f0 - qxy @ ax - qyy @ ay

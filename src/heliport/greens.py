@@ -21,18 +21,20 @@ assembled J and Gamma matrices Hermitian while J^{ud} stays genuinely
 complex (it carries the azimuthal phase e^{-2i delta} under rigid rotation
 about z).
 
-With G = pref (a 1 - b rhat rhat), rhat real and w = rhat_x + i rhat_y
-(so eps_up^dag rhat = conj(w)/sqrt(2)), coupling_blocks contracts in closed
-form without building the 3x3 tensor:
+In terms of the raw separation r (not the unit vector rhat), the tensor is
 
-    J     = -(3/2) lambda_0 Gamma_0 [Re(pref a) 1 - Re(pref b) M]
-    Gamma =     3  lambda_0 Gamma_0 [Im(pref a) 1 - Im(pref b) M]
+    G(r) = pa * 1 - s * r r^T,  pa = pref a,  s = pref b / |r|^2,
+
+with pref = e^{i k0 r} / (4 pi r), a and b the two brackets above.  pa and s
+depend on |r|^2 alone; _green_factors returns them, and coupling_blocks,
+green_tensor (the explicit oracle of the self-checks and tests) and the
+emitted-field kernel (field.py) all call it, so the formula for G lives in
+one place.  With w = r_x + i r_y (so eps_up^dag r = conj(w)/sqrt(2)),
+coupling_blocks contracts in closed form without building the 3x3 tensor:
+
+    J     = -(3/2) lambda_0 Gamma_0 [Re(pa) 1 - Re(s) M]
+    Gamma =     3  lambda_0 Gamma_0 [Im(pa) 1 - Im(s) M]
     M     = (1/2) [[|w|^2, conj(w)^2], [w^2, |w|^2]].
-
-pref, a, b and rhat come from one private helper, _green_factors, which
-coupling_blocks, green_tensor (the explicit oracle of the self-checks and
-tests) and the emitted-field kernel (field.py) all call, so the formula for
-G lives in one place.
 """
 
 from __future__ import annotations
@@ -50,21 +52,27 @@ EPS_DOWN = np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0)
 POLARIZATION = (EPS_UP, EPS_DOWN)
 
 
-def _green_factors(r: np.ndarray):
-    """(pref, a, b, rhat) with G(r) = pref * (a * 1 - b * rhat rhat).
+def _green_factors(r2: np.ndarray):
+    """(pa, s) with G(r) = pa * 1 - s * r r^T, from r2 = |r|^2.
 
-    r has shape (..., 3); pref, a and b have shape (...) and rhat (..., 3).
-    Zero-length separations are rejected (the self term is handled
-    analytically by the Hamiltonian assembly).
+    r2 has any shape, and so do pa and s.  Zero-length separations are
+    rejected (the self term is handled analytically by the Hamiltonian
+    assembly).
     """
-    d = np.linalg.norm(r, axis=-1)
-    if np.any(d == 0.0):
+    if np.any(r2 == 0.0):
         raise ValueError("green_tensor: zero-length separation (self term excluded)")
+    d = np.sqrt(r2)
     u = K0 * d
-    pref = np.exp(1j * u) / (4.0 * np.pi * d)
-    a = 1.0 + 1j / u - 1.0 / u**2
-    b = 1.0 + 3j / u - 3.0 / u**2
-    return pref, a, b, r / d[..., None]
+    inv_u = 1.0 / u
+    amp = 1.0 / (4.0 * np.pi * d)               # |pref|
+    # pa and s as |pref| times their brackets, in real arithmetic, then one
+    # complex product with the phase of pref
+    f = np.empty((2,) + np.shape(r2), dtype=complex)
+    f.real[0], f.imag[0] = amp * (1.0 - inv_u**2), amp * inv_u
+    amp = amp / r2
+    f.real[1], f.imag[1] = amp * (1.0 - 3.0 * inv_u**2), 3.0 * amp * inv_u
+    f *= np.exp(1j * u)
+    return f[0], f[1]
 
 
 def green_tensor(r) -> np.ndarray:
@@ -74,15 +82,9 @@ def green_tensor(r) -> np.ndarray:
     shape (..., 3, 3).  Zero-length separations are rejected.
     """
     r = np.asarray(r, dtype=float)
-    single = r.ndim == 1
-    if single:
-        r = r[None, :]
-    pref, a, b, rhat = _green_factors(r)
-    outer = rhat[..., :, None] * rhat[..., None, :]
-    g = pref[..., None, None] * (
-        a[..., None, None] * np.eye(3) - b[..., None, None] * outer
-    )
-    return g[0] if single else g
+    pa, s = _green_factors(np.einsum("...i,...i->...", r, r))
+    return (pa[..., None, None] * np.eye(3)
+            - s[..., None, None] * r[..., :, None] * r[..., None, :])
 
 
 def coupling_blocks(sep) -> tuple[np.ndarray, np.ndarray]:
@@ -91,13 +93,14 @@ def coupling_blocks(sep) -> tuple[np.ndarray, np.ndarray]:
     Returns (j, gamma), each of shape (..., 2, 2), in units of Gamma_0;
     closed form in the factors of G (module docstring).
     """
-    pref, a, b, rhat = _green_factors(np.asarray(sep, dtype=float))
-    w = rhat[..., 0] + 1j * rhat[..., 1]
+    sep = np.asarray(sep, dtype=float)
+    pa, s = _green_factors(np.einsum("...i,...i->...", sep, sep))
+    w = sep[..., 0] + 1j * sep[..., 1]
     m_diag, m_off = 0.5 * (w.real**2 + w.imag**2), 0.5 * np.conj(w) ** 2
     j, gamma = (np.empty(np.shape(w) + (2, 2), dtype=complex) for _ in range(2))
     for out, scale, part in ((j, -1.5, np.real), (gamma, 3.0, np.imag)):
-        pa, pb = part(pref * a), part(pref * b)
-        out[..., 0, 0] = out[..., 1, 1] = scale * LAMBDA0 * GAMMA0 * (pa - pb * m_diag)
-        out[..., 0, 1] = -scale * LAMBDA0 * GAMMA0 * pb * m_off
+        fa, fs = part(pa), part(s)
+        out[..., 0, 0] = out[..., 1, 1] = scale * LAMBDA0 * GAMMA0 * (fa - fs * m_diag)
+        out[..., 0, 1] = -scale * LAMBDA0 * GAMMA0 * fs * m_off
         out[..., 1, 0] = np.conj(out[..., 0, 1])
     return j, gamma

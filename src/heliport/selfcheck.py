@@ -3,8 +3,9 @@
 Runs a battery of exact and statistical identities of the kernels on the
 configured geometry: Green's-tensor structure, coupling symmetries, norm
 behavior and propagator cross-validation, momentum-space symmetries, Wilson
-loop gauge invariance, and field-map sanity.  Randomized checks use a fixed
-seed; the battery is deterministic.  The lattice checks make two
+loop gauge invariance, and field-map sanity (which includes the field
+kernel's factors against an explicit Green's-tensor sum).  Randomized checks
+use a fixed seed; the battery is deterministic.  The lattice checks make two
 bloch.band_structure sweeps: a full one for the k -> -k symmetries, and a
 coherent Wilson-grid one for the frame orthonormality and the all-band loop.
 """
@@ -212,7 +213,47 @@ def check_zak_gauge_invariance(cfg, rng):
     return _require(err < 1e-10, f"gauge sensitivity {err:.1e}")
 
 
-def check_field_sanity(cfg, _rng):
+def green_sum_intensities(geom, pts, weights, amps):
+    """(I_up, I_down) of one time at points pts (..., 3) from the explicit sum
+    sum_j green_tensor(r_p - r_j) @ eps_sigma a_{j sigma}, branch-weighted;
+    amps[b] is the amplitude vector (length 2N) of branch b."""
+    g = greens.green_tensor(pts[..., None, :] - geom.positions)   # (..., N, 3, 3)
+    out = []
+    for spin in range(2):
+        want = np.zeros(pts.shape[:-1])
+        for w, a in zip(weights, amps):
+            f = field.FIELD_PREFACTOR * np.einsum(
+                "...jab,b,j->...a", g, greens.POLARIZATION[spin], a.reshape(-1, 2)[:, spin])
+            want += w * np.sum(np.abs(f) ** 2, axis=-1)
+        out.append(want)
+    return out
+
+
+def check_field_factors(cfg, rng):
+    # intensity_maps' factor contraction (pa, Q_cd) against the explicit
+    # green_tensor sum, two random branches at two times, on a small z plane
+    # through emitter 0 whose grid holds that emitter (a masked point)
+    geom = cfg.build_geometry()
+    x0, y0, z0 = geom.positions[0]
+    plane = field.FieldPlane("z", z0, np.sort(np.append(x0 + rng.uniform(-0.5, 0.5, 4), x0)),
+                             np.sort(np.append(y0 + rng.uniform(-0.5, 0.5, 3), y0)))
+    weights, shape = [0.6, 0.4], (2, 2, 2 * geom.n_sites)    # branch, time, amplitude
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    maps = field.intensity_maps(weights, amps, geom, plane, [0.0, 1.0])
+    pts = plane.points()
+    dist = np.linalg.norm(pts[..., None, :] - geom.positions, axis=-1)
+    keep = dist.min(axis=-1) >= field.NEAR_FIELD_RADIUS
+    _require(not keep.all(), "the emitter's grid point is not masked")
+    err = 0.0
+    for t_idx, fmap in enumerate(maps):
+        want = green_sum_intensities(geom, pts[keep], weights, amps[:, t_idx])
+        for got, want_spin in zip((fmap.i_up, fmap.i_down), want):
+            _require(np.array_equal(np.isnan(got), ~keep), "near-field mask mismatch")
+            err = max(err, np.abs(got[keep] - want_spin).max() / want_spin.max())
+    return _require(err < 1e-12, f"deviation {err:.1e} of the map maximum")
+
+
+def check_field_sanity(cfg, rng):
     geom = cfg.build_geometry()
     a = np.zeros(2 * geom.n_sites, dtype=complex)
     a[0] = 1.0  # pure spin-up excitation on site 0
@@ -234,8 +275,9 @@ def check_field_sanity(cfg, _rng):
     ia = field.intensity_map([1.0], [a], geom, plane)
     ib = field.intensity_map([1.0], [b], geom, plane)
     err = np.nanmax(np.abs(half.i_up - 0.5 * (ia.i_up + ib.i_up)))
-    return _require(err < 1e-12 * max(1.0, np.nanmax(ia.i_up)),
-                    f"mixture linearity deviation {err:.1e}")
+    linear = _require(err < 1e-12 * max(1.0, np.nanmax(ia.i_up)),
+                      f"mixture linearity deviation {err:.1e}")
+    return f"{linear}; green sum {check_field_factors(cfg, rng)}"
 
 
 CHECKS = [

@@ -271,12 +271,13 @@ def field_run_dict(**field_over):
 def test_cli_field_builds_kernel_once_per_chunk(tmp_path, monkeypatch):
     from heliport import dynamics, field
 
-    kernel_calls, propagate_calls = [], []
+    kernel_calls, propagate_calls, buffers = [], [], set()
     kernel, propagate = field._field_kernel, dynamics.Propagator.propagate
 
-    def counted_kernel(positions, pts):
+    def counted_kernel(positions, pts, q):
         kernel_calls.append(len(pts))
-        return kernel(positions, pts)
+        buffers.add(q.__array_interface__["data"][0])
+        return kernel(positions, pts, q)
 
     def counted_propagate(self, a0, times):
         propagate_calls.append(len(times))
@@ -290,6 +291,7 @@ def test_cli_field_builds_kernel_once_per_chunk(tmp_path, monkeypatch):
     assert chunk < 41 * 51                      # the plane spans several chunks
     assert len(kernel_calls) == -(-41 * 51 // chunk)
     assert sum(kernel_calls) == 41 * 51
+    assert len(buffers) == 1                    # every chunk fills the same Q_cd array
     assert propagate_calls == [3]               # all branches and times at once
 
 
@@ -801,6 +803,21 @@ def test_cli_out_naming_a_file_exits_1(tmp_path, capsys):
     assert out.read_text() == "not a directory"
 
 
+def test_snapshots_and_matrix_dumps_share_their_index_columns():
+    # the writer formats a column object once however many files hold it
+    from heliport import cli
+
+    cfg, errs = parse_config(dynamics_dict(snapshot_times=[0.5, 1.0]))
+    assert errs == []
+    geom = cfg.build_geometry()
+    products, _, _ = cli._run_dynamics(cfg, geom)
+    first, second = (products[n][1] for n in ("snapshot_t0.5.csv", "snapshot_t1.csv"))
+    assert first[0] is second[0] and first[1] is second[1]         # site, z
+    dumps = cli._dump_matrices(geom)
+    j, gamma = (dumps[n][1] for n in ("J.csv", "Gamma.csv"))
+    assert j[0] is gamma[0] and j[1] is gamma[1]                   # row, col
+
+
 def test_cli_failed_write_leaves_no_manifest(tmp_path, monkeypatch, capsys):
     from heliport import output
 
@@ -808,18 +825,32 @@ def test_cli_failed_write_leaves_no_manifest(tmp_path, monkeypatch, capsys):
     out = tmp_path / "o"
     assert run_cli(["run", "--config", cfg, "--out", out]) == 0
     assert (out / "manifest.json").exists()
-    write_csv, written = output.write_csv, []
+    opened = []
 
-    def fails_on_second(path, header, columns):
-        if written:
+    class FullDisk:
+        """A file whose writes fail as on a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, _text):
             raise OSError(28, "No space left on device")
-        written.append(path)
-        write_csv(path, header, columns)
 
-    monkeypatch.setattr(output, "write_csv", fails_on_second)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def second_file_fails(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        opened.append(path)
+        return FullDisk(fh) if len(opened) == 2 else fh
+
+    monkeypatch.setattr(output, "open", second_file_fails, raising=False)
     assert run_cli(["run", "--config", cfg, "--out", out]) == 1
     assert "error: cannot write outputs:" in capsys.readouterr().err
-    assert written == [out / "timeseries.csv"]
+    assert opened == [out / "timeseries.csv", out / "snapshot_t1.csv"]
     assert not (out / "manifest.json").exists()
 
 

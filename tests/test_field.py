@@ -6,8 +6,9 @@ from heliport.field import (FIELD_PREFACTOR, NEAR_FIELD_RADIUS, FieldPlane,
                             _chunk_points, _field_kernel, default_plane,
                             intensity_map, intensity_maps)
 from heliport.geometry import EmitterGeometry, build_helix, mirror_xz
-from heliport.greens import POLARIZATION, green_tensor
+from heliport.greens import POLARIZATION
 from heliport.hamiltonian import assemble, effective
+from heliport.selfcheck import green_sum_intensities
 
 
 def single_emitter():
@@ -67,7 +68,9 @@ def test_circular_dipole_field_axially_symmetric(rng):
     angles = rng.uniform(0, 2 * np.pi, size=8)
     pts = np.column_stack([d * np.cos(angles), d * np.sin(angles),
                            np.full(8, 0.7)])
-    pa, (qxx, qxy, qyy, qzx, qzy), near = _field_kernel(geom.positions, pts)
+    q = np.empty((5, len(pts), geom.n_sites), dtype=complex)
+    pa, near = _field_kernel(geom.positions, pts, q)
+    qxx, qxy, qyy, qzx, qzy = q
     assert not near.any()
     ex, ey = POLARIZATION[0][:2]            # F_up of the one spin-up emitter
     f = FIELD_PREFACTOR * np.column_stack([ex * pa - qxx * ex - qxy * ey,
@@ -122,21 +125,6 @@ def test_mirror_swaps_polarization_maps(small_helix):
     # mirroring the geometry swaps polarizations after reflecting y -> -y
     assert np.nanmax(np.abs(fm.i_up[::-1, :] - fo.i_down)) < 1e-12
     assert np.nanmax(np.abs(fm.i_down[::-1, :] - fo.i_up)) < 1e-12
-
-
-def green_sum_intensities(geom, pts, weights, amps):
-    """(I_up, I_down) of one time from the explicit sum
-    sum_j green_tensor(r_p - r_j) @ eps_sigma a_{j sigma} over every point."""
-    g = green_tensor(pts[..., None, :] - geom.positions)   # (..., N, 3, 3)
-    out = []
-    for spin in range(2):
-        want = np.zeros(pts.shape[:-1])
-        for w, a in zip(weights, amps):
-            f = FIELD_PREFACTOR * np.einsum("...jab,b,j->...a", g, POLARIZATION[spin],
-                                            a.reshape(-1, 2)[:, spin])
-            want += w * np.sum(np.abs(f) ** 2, axis=-1)
-        out.append(want)
-    return out
 
 
 def test_multi_time_maps_match_green_tensor_oracle(small_helix, rng):

@@ -114,3 +114,41 @@ def test_closed_form_blocks_match_tensor_contraction(rng, kind):
     sep *= rng.uniform(0.05, 3.0, size=(200, 1)) / np.linalg.norm(sep, axis=1, keepdims=True)
     for closed, ref in zip(coupling_blocks(sep), _contracted_blocks(sep)):
         assert np.abs(closed - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def textbook_green(r):
+    """pref * (a 1 - b rhat rhat), written out from the module docstring."""
+    d = np.linalg.norm(r, axis=-1)[..., None, None]
+    rhat = r / d[..., 0]
+    u = K0 * d
+    pref = np.exp(1j * u) / (4.0 * np.pi * d)
+    a = 1.0 + 1j / u - 1.0 / u**2
+    b = 1.0 + 3j / u - 3.0 / u**2
+    return pref * (a * np.eye(3) - b * rhat[..., :, None] * rhat[..., None, :])
+
+
+def wide_separations(rng, n=400):
+    """Random directions at lengths log-uniform from 1e-3 to 10 lambda_0."""
+    sep = rng.normal(size=(n, 3))
+    length = 10.0 ** rng.uniform(-3.0, 1.0, size=(n, 1))
+    return sep * length / np.linalg.norm(sep, axis=1, keepdims=True)
+
+
+def test_factored_tensor_matches_textbook_form(rng):
+    sep = wide_separations(rng)
+    got, want = green_tensor(sep), textbook_green(sep)
+    scale = np.abs(want).max(axis=(1, 2))
+    assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale).all()
+
+
+def test_factored_blocks_match_textbook_contraction(rng):
+    sep = wide_separations(rng)
+    g = textbook_green(sep)
+    eps = np.array([EPS_UP, EPS_DOWN])
+    want_j = -1.5 * np.einsum("sa,...ab,tb->...st", eps.conj(), g.real, eps)
+    want_gam = 3.0 * np.einsum("sa,...ab,tb->...st", eps.conj(), g.imag, eps)
+    # Re G grows as 1/r^3 while Im G stays finite, so round-off is measured
+    # against the tensor's scale at each separation
+    scale = 3.0 * np.abs(g).max(axis=(1, 2))
+    for got, want in zip(coupling_blocks(sep), (want_j, want_gam)):
+        assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale).all()

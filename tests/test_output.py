@@ -4,11 +4,12 @@ import inspect
 import numpy as np
 import pytest
 
-from heliport.output import write_csv
+from heliport import output
+from heliport.output import write_tables
 
 
 def csv_writer_oracle(path, header, columns):
-    """The standard-library writer that write_csv must match byte for byte."""
+    """The standard-library writer that write_tables must match byte for byte."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -18,7 +19,7 @@ def csv_writer_oracle(path, header, columns):
 def test_write_csv_header_row_ends_and_repr_floats(tmp_path):
     path = tmp_path / "table.csv"
     floats = np.array([np.nan, -0.0, 1e-300, 0.1 + 0.2])
-    write_csv(path, ["i", "x", "flag"], [np.arange(4), floats, np.array([1, 0, 0, 1])])
+    write_tables([(path, ["i", "x", "flag"], [np.arange(4), floats, np.array([1, 0, 0, 1])])])
     raw = path.read_bytes()
     assert raw.startswith(b"i,x,flag\r\n")
     assert raw.count(b"\r\n") == 5 and raw.endswith(b"\r\n")
@@ -45,9 +46,74 @@ _BLOCKS = _RNG.normal(size=_ROWS) * 10.0 ** _RNG.integers(-300, 300, size=_ROWS)
     (["row", "value", "flag"], [np.arange(_ROWS), _BLOCKS, np.arange(_ROWS) % 7 == 0]),
 ], ids=["special_values", "single_column", "zero_rows", "several_blocks"])
 def test_write_csv_matches_csv_writer_bytes(tmp_path, header, columns):
-    write_csv(tmp_path / "new.csv", header, columns)
+    write_tables([(tmp_path / "new.csv", header, columns)])
     csv_writer_oracle(tmp_path / "oracle.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def assert_tables_match_oracle(tmp_path, tables):
+    """write_tables on all tables at once, each file against the oracle."""
+    write_tables([(tmp_path / f"new{i}.csv", header, columns)
+                  for i, (header, columns) in enumerate(tables)])
+    for i, (header, columns) in enumerate(tables):
+        csv_writer_oracle(tmp_path / f"oracle{i}.csv", header, columns)
+        assert ((tmp_path / f"new{i}.csv").read_bytes()
+                == (tmp_path / f"oracle{i}.csv").read_bytes()), f"table {i}"
+
+
+def test_tables_sharing_column_objects_match_csv_writer_bytes(tmp_path):
+    # the field layout: every map shares the u and v objects, several blocks long
+    u, v = np.repeat(np.linspace(-1.0, 1.0, 97), 97), np.tile(np.linspace(0.0, 3.0, 97), 97)
+    assert len(u) > 2 * output.BLOCK_ROWS
+    maps = [_RNG.normal(size=len(u)) * 10.0 ** _RNG.integers(-20, 20, size=len(u))
+            for _ in range(4)]
+    assert_tables_match_oracle(tmp_path, [(["y", "z", "intensity"], [u, v, m]) for m in maps])
+
+
+def test_tables_of_unequal_lengths_match_csv_writer_bytes(tmp_path):
+    # a dynamics run: a long series, short snapshots sharing site and z, and
+    # an empty table; bool, int and the special float values included
+    site, z = np.arange(8), _SPECIAL
+    tables = [
+        (["row", "value", "flag"], [np.arange(_ROWS), _BLOCKS, np.arange(_ROWS) % 7 == 0]),
+        (["site", "z", "p"], [site, z, np.linspace(0.0, 1.0, 8)]),
+        (["a", "b"], [np.array([]), np.array([], dtype=int)]),
+        (["site", "z", "flag", "p"], [site, z, site % 2 == 0, _SPECIAL[::-1]]),
+        (["t"], [np.arange(4097) * 0.1]),
+    ]
+    assert_tables_match_oracle(tmp_path, tables)
+
+
+def test_column_twice_in_one_table_matches_csv_writer_bytes(tmp_path):
+    # --dump-matrices: J and Gamma share row and col; here one table also
+    # holds the same object twice
+    rows, cols = np.repeat(np.arange(70), 70), np.tile(np.arange(70), 70)
+    tables = [(["row", "col", "re", "im"], [rows, cols, _BLOCKS[:4900], _BLOCKS[1:4901]]),
+              (["row", "col", "re", "again"], [rows, cols, _BLOCKS[:4900], rows])]
+    assert_tables_match_oracle(tmp_path, tables)
+
+
+def test_more_tables_than_open_files_match_csv_writer_bytes(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        assert sum(not f.closed for f in opened) <= 2
+        return fh
+
+    monkeypatch.setattr(output, "MAX_OPEN_FILES", 2)
+    monkeypatch.setattr(output, "open", counting_open, raising=False)
+    shared = np.arange(5000) * 0.25
+    tables = ([(["x", "y"], [shared, _BLOCKS[i:i + 5000]]) for i in range(3)]
+              + [(["x"], [np.arange(n) * 0.5]) for n in (0, 4097)])
+    assert_tables_match_oracle(tmp_path, tables)
+    assert len(opened) == 5
+
+
+def test_columns_of_unequal_length_write_the_shortest_as_csv_writer(tmp_path):
+    long, short = np.arange(5000) * 0.25, _BLOCKS[:4100]
+    assert_tables_match_oracle(tmp_path, [(["x", "y"], [long, short]), (["x"], [long])])
 
 
 def test_output_imports_only_the_formats(fresh_python):
@@ -57,8 +123,26 @@ def test_output_imports_only_the_formats(fresh_python):
 
     writers = {n for n, v in vars(output).items()
                if inspect.isfunction(v) and v.__module__ == output.__name__}
-    assert writers == {"write_csv", "write_json"}
+    assert writers == {"write_tables", "write_json"}
     loaded = fresh_python("import sys, heliport.output; "
                           "print(sorted(m for m in sys.modules if m.startswith('heliport.')), "
                           "'csv' in sys.modules)")
     assert loaded.strip() == "['heliport.output'] False"
+
+
+def test_formatted_blocks_are_dropped_after_their_last_file(tmp_path):
+    # twelve one-block tables sharing u and v: the writer holds the shared
+    # blocks plus the table it is writing (~1 MB of cells each three
+    # columns), not all fourteen distinct columns (~4.5 MB)
+    import tracemalloc
+
+    u, v = _RNG.normal(size=4096), _RNG.normal(size=4096)
+    tables = [(tmp_path / f"t{i}.csv", ["u", "v", "m"], [u, v, _RNG.normal(size=4096)])
+              for i in range(12)]
+    tracemalloc.start()
+    try:
+        write_tables(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20

@@ -44,3 +44,39 @@ def test_check_battery_passes_on_helices_with_many_sites_per_turn(sites_per_turn
     assert errs == []
     n_fail, report = selfcheck.run_checks(cfg, log=lambda _line: None)
     assert n_fail == 0, [r for r in report if not r["passed"]]
+
+
+def _check_config():
+    cfg, errs = parse_config({"mode": "check", "geometry": {"helix": {
+        "radius": 0.05, "pitch": 0.175, "sites_per_turn": 3, "turns": 4}}})
+    assert errs == []
+    return cfg
+
+
+def _drop_qzy(kernel):
+    def faulty(positions, pts, q):
+        out = kernel(positions, pts, q)
+        q[4] = 0.0
+        return out
+    return faulty
+
+
+def _s_without_inverse_r2(factors):
+    def faulty(r2):
+        pa, s = factors(r2)
+        return pa, s * r2
+    return faulty
+
+
+@pytest.mark.parametrize("target, plant", [("_field_kernel", _drop_qzy),
+                                           ("_green_factors", _s_without_inverse_r2)],
+                         ids=["dropped_Q_zy", "s_without_1/r2"])
+def test_field_factor_check_fails_on_a_planted_fault(monkeypatch, target, plant):
+    from heliport import field
+
+    monkeypatch.setattr(field, target, plant(getattr(field, target)))
+    with pytest.raises(selfcheck.CheckFailure, match="of the map maximum"):
+        selfcheck.check_field_factors(_check_config(), np.random.default_rng(7))
+    # the battery reports it under "field map sanity"
+    n_fail, report = selfcheck.run_checks(_check_config(), log=lambda _line: None)
+    assert [r["name"] for r in report if not r["passed"]] == ["field map sanity"]
