@@ -104,13 +104,18 @@ def _launch(cfg, geom, times):
                                                             cfg.hermitian_only))
 
 
-def _propagator_keys(prop) -> dict:
-    """The propagator's manifest keys, read after propagation; the spectral
-    path adds its conditioning."""
+def _propagator_keys(prop, times) -> dict:
+    """The propagator's manifest keys, read after propagation over the
+    times: the products the stepper made beside the path-choice model's
+    estimate of them; the spectral path adds its conditioning."""
+    from . import dynamics
+
+    estimate = dynamics.estimated_matvecs(prop.norm1, times)
     keys = {
         "propagator_path": prop.path,
         "propagator_fallback": prop.use_stepper,
         "propagator_matvecs": prop.matvecs,
+        "propagator_estimated_matvecs": int(estimate) if estimate < float("inf") else None,
     }
     if prop.path == "spectral":
         keys["propagator_condition"] = _finite_or_none(prop.condition)
@@ -166,7 +171,7 @@ def _run_dynamics(cfg, geom):
         products[f"snapshot_t{time_tag(t)}.csv"] = (
             ["site", "z", "p_up", "p_down"], [site, z, snapshot[:, 0], snapshot[:, 1]])
     diagnostics = {
-        **_propagator_keys(prop),
+        **_propagator_keys(prop, grid),
         "arrival_time": dynamics.arrival_time(series, geom),
         "final_trace": float(series.trace[-1]),
         "helicity_defined_fraction": float(np.mean(~np.isnan(series.eta))),
@@ -311,7 +316,7 @@ def _run_field(cfg, geom):
     }
     products["field_meta.json"] = meta
     diagnostics = {
-        **_propagator_keys(prop),
+        **_propagator_keys(prop, times),
         "n_masked_near_field": frames[0]["n_masked"] if frames else 0,
     }
     return products, diagnostics, 0

@@ -14,19 +14,29 @@ evolves b = U^dag a under the Toeplitz matrix of the blocks T(d).  The
 table is embedded once in a circulant of 5-smooth length L >= 2N - 1
 (T(d) at d mod L, zeros elsewhere; R. H. Chan and M. K. Ng, SIAM Rev. 38,
 427 (1996)) and Fourier transformed, so a product is one FFT of b zero-padded
-to L, four 2x2 products in frequency space and one inverse FFT, truncated to
-N sites.  b is held spin-major, (spin, branch, site) with the FFT on the last
-axis, and every launch branch is a column of the one block that is stepped.
-U is applied once per output time, never inside a product.  The sorted
-output times are stepped with the Taylor kernel _expm_apply (Propagator._step,
-which the dense fallback below shares): each interval dt takes s steps with
-||dt H / s||_1 <= 4, where ||H||_1 comes from the table in O(N)
-(ScrewHamiltonian.norm1).  ||H||_1 >= max|E| also sets the phase guard: a
-time with t ||H||_1 eps >= 1 raises FloatingPointError before any step count
-is formed.  prefer_matrix_free picks the path from a cost estimate, N^3 for
-the spectral build (assemble, eig and inv) against estimated products times
-L log L (constants measured once, 1 BLAS thread); below the crossover (near
-N = 205 for the packaged helix geometry) the spectral path is cheaper.
+to L (one padded buffer per propagation), four 2x2 products in frequency
+space and one inverse FFT, truncated to N sites.  b is held spin-major,
+(spin, branch, site) with the FFT on the last axis, and every launch branch
+is a column of the one block that is stepped.  U is applied once per output
+time, never inside a product.
+
+The stepper (Propagator._step, which the dense fallback below shares) takes
+s = ceil(t_max ||H||_1 / 4) uniform steps of dt = t_max / s from 0 to the
+largest output time, whatever the grid, so ||dt H||_1 <= 4; ||H||_1 comes
+from the table in O(N) (ScrewHamiltonian.norm1).  Each step is one series
+of the Taylor kernel _expm_apply, and a time t = k dt + tau dt inside step k
+sums tau^n times the n-th term as the terms are made, the evaluation of
+exp(tA)B on a grid of times from shared steps (Al-Mohy and Higham, SIAM J.
+Sci. Comput. 33, 488 (2011), sec. 5).  Amplitudes are yielded time by time
+(Propagator.stream) and populations() squares each as it arrives, so a run
+holds the amplitudes of the times inside one step, never all T of them.
+||H||_1 >= max|E| also sets the phase guard: a time with
+t ||H||_1 eps >= 1 raises FloatingPointError, and a negative time
+ValueError, before any step count is formed.  prefer_matrix_free picks the
+path from a cost estimate, N^3 for the spectral build (assemble, eig and
+inv) against estimated products times L log L (constants measured once,
+1 BLAS thread); below the crossover (near N = 177 for the packaged helix
+geometry) the spectral path is cheaper.
 
 The spectral path makes one eig (eigh for hermitian_only) of the whole
 2N x 2N H_eff.  For a non-Hermitian H_eff, V^-1 is np.linalg.inv of the
@@ -34,8 +44,8 @@ eigenvector matrix V, and expansion coefficients get one refinement step
 c += V^-1 (a0 - V c).
 
 If the eigenvector matrix is too ill conditioned, propagation steps
-a <- exp(-i (t_i - t_{i-1}) H_eff) a over the sorted times instead, with the
-same Taylor stepper as the matrix-free path on the dense matrix.  The
+a <- exp(-i dt H_eff) a instead, with the same Taylor stepper as the
+matrix-free path on the dense matrix.  The
 criterion is ||V||_F ||V^-1||_F > COND_LIMIT; the Frobenius product bounds
 the 2-norm condition number from above, so it trips at least as early as an
 SVD-based test would, and costs no SVD.
@@ -116,7 +126,8 @@ class Propagator:
     From a ScrewHamiltonian (path "matrix_free"): Taylor steps of the
     circulant-embedded FFT product (module docstring); use_stepper is False.
     On both paths norm1 is ||H||_1 and matvecs counts the products with H
-    that the Taylor stepper made.
+    that the Taylor stepper made.  stream yields the amplitudes time by time;
+    propagate collects them into one array.
     """
 
     def __init__(self, h_eff: EffectiveHamiltonian | ScrewHamiltonian):
@@ -160,46 +171,64 @@ class Propagator:
         self.norm1 = self._phase_scale = screw.norm1()
 
     def _checked_times(self, times) -> np.ndarray:
-        """times as floats; a time with t * scale * eps >= 1 raises, as no
-        phase E t would keep a correct digit (scale: max|E|, or ||H||_1 >=
-        max|E| on the matrix-free path)."""
+        """times as floats.  A negative (or nan) time raises ValueError, as
+        the stepper marches forward from 0; a time with t * scale * eps >= 1
+        raises FloatingPointError, as no phase E t would keep a correct digit
+        (scale: max|E|, or ||H||_1 >= max|E| on the matrix-free path)."""
         times = np.asarray(times, dtype=float)
-        t_max = np.abs(times).max(initial=0.0)
+        if not np.all(times >= 0):
+            raise ValueError("output times must be non-negative")
+        t_max = times.max(initial=0.0)
         if t_max * self._phase_scale * np.finfo(float).eps >= 1:
             raise FloatingPointError(f"time {t_max:.6g}: no phase E*t keeps a digit")
         return times
 
-    def propagate(self, a0: np.ndarray, times) -> np.ndarray:
-        """Amplitudes at the requested times: shape (B, len(times), 2N) for a
-        stack of B branches a0 of shape (B, 2N), which every path propagates
-        as one block, or (len(times), 2N) for one a0 of length 2N."""
+    def stream(self, a0s: np.ndarray, times):
+        """Yield (index into times, amplitudes of shape (B, 2N)) once per
+        time for the stack a0s of B branches, shape (B, 2N), which every path
+        propagates as one block: the stepping paths in order of time, holding
+        no more than the times of one step, the spectral path in order of
+        index from its one matrix product."""
         times = self._checked_times(times)
-        a0 = np.asarray(a0)
-        a0s = np.atleast_2d(a0)
         n_b, dim = a0s.shape
-        out = np.empty((n_b, len(times), dim), dtype=complex)
         if self.path == "matrix_free":
             b0 = (a0s.reshape(n_b, -1, 2) * self._gauge.T.conj()).transpose(2, 0, 1)
-            sites = out.reshape(n_b, len(times), dim // 2, 2)
-            for idx, b in self._step(self._apply_screw, np.ascontiguousarray(b0), times,
-                                     axis=(0, 2)):
-                sites[:, idx] = (b * self._gauge[:, None, :]).transpose(1, 2, 0)
+            padded = np.zeros((2, n_b, self._length), dtype=complex)
+            for idx, b in self._step(lambda b: self._apply_screw(b, padded),
+                                     np.ascontiguousarray(b0), times, axis=(0, 2)):
+                yield idx, (b * self._gauge[:, None, :]).transpose(1, 2, 0).reshape(n_b, dim)
         elif self.use_stepper:
             for idx, x in self._step(self.h.dot, a0s.T, times, axis=0):
-                out[:, idx] = x.T
+                yield idx, x.T
         else:
             coef = self.vecs_inv @ a0s.T                 # (2N, B)
             if not self.hermitian:
                 coef += self.vecs_inv @ (a0s.T - self.vecs @ coef)
             phases = np.exp(-1j * np.outer(times, self.evals))
+            out = np.empty((n_b, len(times), dim), dtype=complex)
             np.matmul((phases * coef.T[:, None, :]).reshape(-1, dim), self.vecs.T,
                       out=out.reshape(-1, dim))
+            for idx in range(len(times)):
+                yield idx, out[:, idx]
+
+    def propagate(self, a0: np.ndarray, times) -> np.ndarray:
+        """Amplitudes at the requested times: shape (B, len(times), 2N) for a
+        stack of B branches a0 of shape (B, 2N), or (len(times), 2N) for one
+        a0 of length 2N."""
+        a0 = np.asarray(a0)
+        a0s = np.atleast_2d(a0)
+        out = np.empty((len(a0s), len(times), a0s.shape[1]), dtype=complex)
+        for idx, a in self.stream(a0s, times):
+            out[:, idx] = a
         return out if a0.ndim == 2 else out[0]
 
-    def _apply_screw(self, b: np.ndarray) -> np.ndarray:
+    def _apply_screw(self, b: np.ndarray, padded: np.ndarray) -> np.ndarray:
         """H in the screw gauge on b (spin, branch, site): one FFT, four 2x2
-        products in frequency space, one inverse FFT."""
-        f = np.fft.fft(b, n=self._length, axis=-1)
+        products in frequency space, one inverse FFT.  padded is a zero
+        (spin, branch, L) buffer, reused across one propagation, whose first
+        N sites take b."""
+        padded[..., :self.n_sites] = b
+        f = np.fft.fft(padded, axis=-1)
         (c00, c01), (c10, c11) = self._spectrum
         hf = np.empty_like(f)
         np.multiply(c00, f[0], out=hf[0])
@@ -209,18 +238,28 @@ class Propagator:
         return np.fft.ifft(hf, axis=-1)[..., :self.n_sites]
 
     def _step(self, apply, x: np.ndarray, times: np.ndarray, axis):
-        """Yield (index into times, x(t)) from x(0) = x, stepping the sorted
-        times with the Taylor kernel; apply(x) is H x, and `axis` holds the
-        axes of x that one column's 1-norm sums over."""
-        t_cur = 0.0
-        for idx in np.argsort(times):
-            dt = times[idx] - t_cur
-            steps = _taylor_steps(abs(dt) * self.norm1)
-            scale = -1j * dt / steps
-            x, products = _expm_apply(lambda y, scale=scale: scale * apply(y), x, steps,
-                                      axis=axis)
+        """Yield (index into times, x(t)) from x(0) = x in order of time;
+        apply(x) is H x, and `axis` holds the axes of x that one column's
+        1-norm sums over.  The s = ceil(t_max ||H||_1 / 4) uniform steps of
+        dt = t_max / s run from 0 to the largest time, and a time
+        t = k dt + tau dt in step k is summed from that step's Taylor terms
+        (_expm_apply with the step's fractions tau)."""
+        order = np.argsort(times, kind="stable")
+        ordered = times[order]
+        t_max = times.max(initial=0.0)
+        steps = _taylor_steps(t_max * self.norm1)
+        dt = t_max / max(steps, 1)
+        first = 0
+        for k in range(steps):
+            # the times in [k dt, (k + 1) dt), and every time left in the last step
+            last = (len(ordered) if k == steps - 1
+                    else int(np.searchsorted(ordered, (k + 1) * dt)))
+            x, partials, products = _expm_apply(lambda y: -1j * dt * apply(y), x,
+                                                (ordered[first:last] - k * dt) / dt, axis)
             self.matvecs += products
-            t_cur = times[idx]
+            yield from zip(order[first:last], partials)
+            first = last
+        for idx in order[first:]:                        # no step: t_max ||H||_1 = 0
             yield idx, x
 
 
@@ -253,11 +292,12 @@ def helicity(sz: np.ndarray, z_com: np.ndarray, times: np.ndarray,
 
 def populations(prop: Propagator, state: ExcitationState, times) -> np.ndarray:
     """Branch-weighted site and spin populations sum_b w_b |a_b(t)|^2 at the
-    given times, shape (len(times), N, 2)."""
+    given times, shape (len(times), N, 2), added up as each time is reached:
+    no amplitudes beyond one step's times are held."""
     per_site = np.zeros((len(times), state.n_sites, 2))
-    amps = prop.propagate(np.array(state.amplitudes), times)
-    for w, a in zip(state.weights, amps):
-        per_site += w * np.abs(a.reshape(per_site.shape)) ** 2
+    for idx, amps in prop.stream(np.array(state.amplitudes), times):
+        for w, a in zip(state.weights, amps):
+            per_site[idx] += w * np.abs(a.reshape(per_site.shape[1:])) ** 2
     return per_site
 
 
@@ -312,37 +352,44 @@ def arrival_time(series: ObservableSeries, geom: EmitterGeometry):
 
 
 def _taylor_steps(norm: float) -> int:
-    """The fewest Taylor steps s with norm / s <= 4."""
-    return max(1, int(np.ceil(norm / 4.0)))
+    """The fewest Taylor steps s with norm / s <= 4 (none for a zero norm)."""
+    return int(np.ceil(norm / 4.0))
 
 
-def _expm_apply(apply, v: np.ndarray, steps: int, axis=0) -> tuple[np.ndarray, int]:
-    """(exp(A) @ v, products made) from `steps` Taylor steps, apply(x) being
-    (A / steps) x with ||A / steps||_1 <= 4: numpy only, no
-    eigendecomposition and no squaring.  Each step's series stops once a term
+def _expm_apply(apply, v: np.ndarray, fractions=(), axis=0):
+    """(exp(A) @ v, [exp(tau A) @ v for tau in fractions], products made)
+    from one Taylor series, apply(x) being A x with ||A||_1 <= 4: numpy only,
+    no eigendecomposition and no squaring.  The series stops once a term
     falls below round-off of the sum in the 1-norm of every column (the sum
     over `axis`); the remaining terms then add at most e^4 times that
-    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011))."""
+    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Each
+    fraction 0 <= tau <= 1 sums tau^n times the n-th term as it is made, so
+    its remainder is at most the full step's."""
     out, products = v.astype(complex), 0
-    for _ in range(steps):
-        term = out
-        for n in range(1, 60):
-            term = apply(term) / n
-            out += term
-            products += 1
-            if (np.abs(term).sum(axis=axis).max()
-                    <= np.finfo(float).eps * np.abs(out).sum(axis=axis).max()):
-                break
-    return out, products
+    partials = [out.copy() for _ in fractions]
+    term = out
+    for n in range(1, 60):
+        term = apply(term) / n
+        out += term
+        for part, tau in zip(partials, fractions):
+            part += tau ** n * term
+        products += 1
+        if (np.abs(term).sum(axis=axis).max()
+                <= np.finfo(float).eps * np.abs(out).sum(axis=axis).max()):
+            break
+    return out, partials, products
 
 
 def _expm_dense(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a dense matrix a: _expm_apply on the identity, prescaled by
-    the step count.  Only the master-equation oracle uses it, for the step
-    matrix that checks the Propagator."""
+    """exp(a) for a dense matrix a: _expm_apply on the identity, once per
+    step of a prescaled by the step count.  Only the master-equation oracle
+    uses it, for the step matrix that checks the Propagator."""
     steps = _taylor_steps(np.abs(a).sum(axis=0).max())
-    a = a / steps
-    return _expm_apply(lambda x: a @ x, np.eye(len(a), dtype=complex), steps)[0]
+    a = a / max(steps, 1)
+    out = np.eye(len(a), dtype=complex)
+    for _ in range(steps):
+        out = _expm_apply(lambda x: a @ x, out)[0]
+    return out
 
 
 def smooth_length(n: int) -> int:
@@ -360,21 +407,25 @@ def smooth_length(n: int) -> int:
 
 
 def estimated_matvecs(norm1: float, times) -> float:
-    """Products with H that Taylor stepping from t = 0 over the sorted times
-    needs, for ||H||_1 = norm1: per step of theta = |dt| norm1 / s <= 4, the
-    terms until the bound theta^n / n! falls to round-off.  A float, so a
-    huge time gives a huge (or infinite) count rather than an integer loop."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = np.abs(np.diff(np.sort(np.asarray(times, dtype=float)), prepend=0.0)) * norm1
-        steps = np.maximum(1.0, np.ceil(x / 4.0))
-        n = np.arange(1, 60)
-        log_bound = n * np.log(x / steps)[:, None] - np.cumsum(np.log(n))
-        terms = 1 + np.count_nonzero(log_bound > np.log(np.finfo(float).eps), axis=1)
-        return float(np.sum(steps * terms)) if np.all(np.isfinite(x)) else np.inf
+    """Products with H that Taylor stepping from t = 0 to the largest time
+    needs, for ||H||_1 = norm1: s = ceil(t_max norm1 / 4) steps of
+    theta = t_max norm1 / s <= 4, each taking the terms until the bound
+    theta^n / n! falls to round-off.  A float, so a huge time gives a huge
+    (or infinite) count rather than an integer loop."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.max(np.asarray(times, dtype=float), initial=0.0) * norm1
+    if not np.isfinite(x):
+        return np.inf
+    steps = np.ceil(x / 4.0)
+    if steps == 0:
+        return 0.0
+    n = np.arange(1, 60)
+    log_bound = n * np.log(x / steps) - np.cumsum(np.log(n))
+    return float(steps * (1 + np.count_nonzero(log_bound > np.log(np.finfo(float).eps))))
 
 
 def prefer_matrix_free(screw: ScrewHamiltonian, times) -> bool:
-    """True when Taylor stepping the FFT product over the sorted times is
+    """True when Taylor stepping the FFT product to the largest time is
     expected to cost less than building the spectral propagator (assemble,
     eig and inv); the constants are timings on one BLAS thread."""
     n = screw.n_sites

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -221,9 +222,9 @@ def test_cli_dynamics_builds_one_propagator(tmp_path, monkeypatch):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-        def propagate(self, a0, times):
+        def stream(self, a0s, times):
             grids.append(len(times))
-            return super().propagate(a0, times)
+            return super().stream(a0s, times)
 
     monkeypatch.setattr(dynamics, "Propagator", Counting)
     cfg = tmp_path / "run.json"
@@ -316,7 +317,7 @@ def test_cli_manifest_reports_propagator_blocks(tmp_path, mode):
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     keys = {k for k in diag if k.startswith("propagator_")}
     assert keys == {"propagator_path", "propagator_fallback", "propagator_matvecs",
-                    "propagator_condition"}
+                    "propagator_estimated_matvecs", "propagator_condition"}
     assert diag["propagator_path"] == "spectral"
 
 
@@ -355,7 +356,8 @@ def test_matrix_free_matches_spectral(n, handedness, hermitian_only):
         for a0 in initial_state(n, site, 0.5).amplitudes:    # field runs' amplitudes
             x, y = (prop.propagate(a0, [0.0, 0.5, 2.0]) for prop in (free, spectral))
             assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
-    assert not free.use_stepper and free.matvecs > 0
+    # a zero H (one emitter, coherent part only) needs no step
+    assert not free.use_stepper and (free.matvecs > 0) == (free.norm1 > 0)
 
 
 def test_screw_product_and_norm_match_the_dense_matrix(rng):
@@ -366,7 +368,8 @@ def test_screw_product_and_norm_match_the_dense_matrix(rng):
         assert abs(prop.norm1 - dense) <= 1e-14 * dense
         x = rng.standard_normal((3, 2 * n)) + 1j * rng.standard_normal((3, 2 * n))
         b = (x.reshape(3, n, 2) * screw.gauge.conj()).transpose(2, 0, 1)   # U^dag x
-        hx = (prop._apply_screw(b) * screw.gauge.T[:, None, :]).transpose(1, 2, 0)
+        padded = np.zeros((2, 3, prop._length), dtype=complex)
+        hx = (prop._apply_screw(b, padded) * screw.gauge.T[:, None, :]).transpose(1, 2, 0)
         assert np.abs(hx.reshape(3, -1) - x @ h.matrix.T).max() <= 1e-14 * dense * np.abs(x).max()
 
 
@@ -403,14 +406,14 @@ def test_path_choice_follows_the_cost_estimate():
     assert dynamics.prefer_matrix_free(n300, _n600_times(15.8))
     small = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 20, 1)))
     assert not dynamics.prefer_matrix_free(small, _n600_times(15.8))
-    assert dynamics.estimated_matvecs(screw.norm1(), [0.0, 0.0]) == 2.0
+    assert dynamics.estimated_matvecs(screw.norm1(), [0.0, 0.0]) == 0.0
 
 
 def test_matrix_free_huge_time_raises_before_stepping(monkeypatch):
     _, screw, _ = _screw_and_dense(60, 1, False)
     prop = Propagator(screw)
 
-    def no_product(self, b):
+    def no_product(self, *_args):
         raise AssertionError("stepped")
 
     monkeypatch.setattr(Propagator, "_apply_screw", no_product)
@@ -420,6 +423,74 @@ def test_matrix_free_huge_time_raises_before_stepping(monkeypatch):
     with pytest.raises(FloatingPointError):
         dynamics.populations(prop, state, [0.0, 1e300])
     assert prop.matvecs == 0
+
+
+def _stepping_propagators(monkeypatch):
+    """(spectral, matrix-free, dense-fallback) Propagators of a 60-site helix."""
+    _, screw, h = _screw_and_dense(60, 1, False)
+    spectral, free = Propagator(h), Propagator(screw)
+    monkeypatch.setattr(dynamics, "COND_LIMIT", 0.0)   # force the Taylor-step fallback
+    dense = Propagator(h)
+    assert dense.use_stepper and free.path == "matrix_free"
+    return spectral, free, dense
+
+
+@pytest.mark.parametrize("grid", ["unsorted", "duplicates", "zero", "boundary", "late"])
+def test_stepper_matches_spectral_on_awkward_grids(grid, monkeypatch):
+    spectral, free, dense = _stepping_propagators(monkeypatch)
+    state = initial_state(60, 0, 0.5)
+    branches = np.array(state.amplitudes)
+    for stepped in (free, dense):
+        dt = 2.5 / dynamics._taylor_steps(2.5 * stepped.norm1)    # the step to t_max = 2.5
+        times = {"unsorted": [2.1, 0.0, 0.4, 1.3],
+                 "duplicates": [0.7, 0.0, 0.7, 2.0, 0.7],
+                 "zero": [0.0],
+                 "boundary": [0.2, 3 * dt, 2.5],
+                 "late": [7.9]}[grid]
+        # amplitudes to the other matrix-free tests' 1e-12, populations to
+        # the README's 1e-13 of the maximum (the spectral side's error
+        # dominates: it grows with t and the eigenvector conditioning)
+        for x, y, tol in ((stepped.propagate(branches, times),
+                           spectral.propagate(branches, times), 1e-12),
+                          (dynamics.populations(stepped, state, times),
+                           dynamics.populations(spectral, state, times), 1e-13)):
+            assert x.shape == y.shape
+            assert np.abs(x - y).max() <= tol * np.abs(y).max(), (stepped.path, grid)
+        if grid == "zero":
+            assert stepped.matvecs == 0
+
+
+def test_negative_time_raises_before_stepping(monkeypatch):
+    spectral, free, dense = _stepping_propagators(monkeypatch)
+    state = initial_state(60, 0, 0.5)
+
+    def no_product(*_args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(Propagator, "_apply_screw", no_product)
+    for prop in (spectral, free, dense):
+        with pytest.raises(ValueError):
+            prop.propagate(state.amplitudes[0], [0.5, -0.1])
+        with pytest.raises(ValueError):
+            dynamics.populations(prop, state, [-1e-3])
+        assert prop.matvecs == 0
+
+
+def test_matrix_free_populations_hold_no_amplitude_history():
+    _, screw, _ = _screw_and_dense(60, 1, False)
+    prop = Propagator(screw)
+    state = initial_state(60, 0, 0.5)
+    times = np.linspace(0.0, 15.8, 2000)
+    n_b, length = len(state.weights), prop._length
+    tracemalloc.start()
+    try:
+        per_site = dynamics.populations(prop, state, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (T, N, 2) result plus a fixed number of (spin, branch, L) buffers;
+    # the (B, T, 2N) amplitudes alone would be 4x the result
+    assert peak < per_site.nbytes + 64 * 2 * n_b * length * 16
 
 
 def _n600_config(tmp_path, **over):
