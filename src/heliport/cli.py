@@ -91,31 +91,36 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def _launch(cfg, geom, times):
-    """(launch state, Propagator) for a run that propagates once, from t = 0
-    over the given times.  A screw geometry takes the matrix-free path when
-    its cost estimate beats diagonalizing H; it never assembles J and Gamma."""
+    """(launch state, Propagator, modelled seconds of each path) for a run
+    that propagates once, from t = 0 over the given times.  A screw geometry
+    takes the matrix-free path when its modelled cost beats diagonalizing H;
+    it never assembles J and Gamma."""
     from . import dynamics, hamiltonian
 
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
     screw = hamiltonian.screw_effective(geom, cfg.hermitian_only)
+    modelled = dynamics.modelled_seconds(geom.n_sites, screw, times)
     if screw is not None and dynamics.prefer_matrix_free(screw, times):
-        return state, dynamics.Propagator(screw)
+        return state, dynamics.Propagator(screw), modelled
     return state, dynamics.Propagator(hamiltonian.effective(hamiltonian.assemble(geom),
-                                                            cfg.hermitian_only))
+                                                            cfg.hermitian_only)), modelled
 
 
-def _propagator_keys(prop, times) -> dict:
+def _propagator_keys(prop, times, modelled) -> dict:
     """The propagator's manifest keys, read after propagation over the
-    times: the products the stepper made beside the path-choice model's
-    estimate of them; the spectral path adds its conditioning."""
+    times: the products the stepper made beside the estimate of them from
+    its step norm, and the path-choice model's seconds of each path; the
+    spectral path adds its conditioning."""
     from . import dynamics
 
-    estimate = dynamics.estimated_matvecs(prop.norm1, times)
+    estimate = dynamics.estimated_matvecs(prop.step_norm, times)
     keys = {
         "propagator_path": prop.path,
         "propagator_fallback": prop.use_stepper,
         "propagator_matvecs": prop.matvecs,
         "propagator_estimated_matvecs": int(estimate) if estimate < float("inf") else None,
+        "propagator_modelled_s": {path: _finite_or_none(float(s))
+                                  for path, s in modelled.items()},
     }
     if prop.path == "spectral":
         keys["propagator_condition"] = _finite_or_none(prop.condition)
@@ -157,7 +162,7 @@ def _run_dynamics(cfg, geom):
     # one propagation: the series times, then the snapshot times
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
     grid = np.concatenate([times, cfg.snapshot_times])
-    state, prop = _launch(cfg, geom, grid)
+    state, prop, modelled = _launch(cfg, geom, grid)
     per_site = dynamics.populations(prop, state, grid)
     series = dynamics.observables(per_site[:cfg.n_times], geom, times,
                                   deadband=cfg.helicity_deadband)
@@ -171,7 +176,7 @@ def _run_dynamics(cfg, geom):
         products[f"snapshot_t{time_tag(t)}.csv"] = (
             ["site", "z", "p_up", "p_down"], [site, z, snapshot[:, 0], snapshot[:, 1]])
     diagnostics = {
-        **_propagator_keys(prop, grid),
+        **_propagator_keys(prop, grid, modelled),
         "arrival_time": dynamics.arrival_time(series, geom),
         "final_trace": float(series.trace[-1]),
         "helicity_defined_fraction": float(np.mean(~np.isnan(series.eta))),
@@ -273,7 +278,7 @@ def _run_field(cfg, geom):
     from .config import time_tag
 
     times = np.array(fs.times, dtype=float)
-    state, prop = _launch(cfg, geom, times)
+    state, prop, modelled = _launch(cfg, geom, times)
     plane = field.default_plane(geom, axis=fs.plane_axis, offset=fs.plane_offset,
                                 n_u=fs.n_u, n_v=fs.n_v, u_span=fs.u_span,
                                 z_pad=fs.z_pad)
@@ -316,7 +321,7 @@ def _run_field(cfg, geom):
     }
     products["field_meta.json"] = meta
     diagnostics = {
-        **_propagator_keys(prop, times),
+        **_propagator_keys(prop, times, modelled),
         "n_masked_near_field": frames[0]["n_masked"] if frames else 0,
     }
     return products, diagnostics, 0

@@ -11,32 +11,34 @@ product with H_eff (O(N log N) per product).
 Matrix-free path.  A screw geometry is block Toeplitz in the screw gauge,
 H_ij = U_i T(i - j) U_j^dag (hamiltonian.ScrewHamiltonian), so the path
 evolves b = U^dag a under the Toeplitz matrix of the blocks T(d).  The
-table is embedded once in a circulant of 5-smooth length L >= 2N - 1
-(T(d) at d mod L, zeros elsewhere; R. H. Chan and M. K. Ng, SIAM Rev. 38,
-427 (1996)) and Fourier transformed, so a product is one FFT of b zero-padded
-to L (one padded buffer per propagation), four 2x2 products in frequency
-space and one inverse FFT, truncated to N sites.  b is held spin-major,
-(spin, branch, site) with the FFT on the last axis, and every launch branch
-is a column of the one block that is stepped.  U is applied once per output
-time, never inside a product.
+ScrewHamiltonian embeds the table once in a block circulant of 5-smooth
+length L >= 2N - 1 and holds its block spectrum, so a product is one FFT of
+b zero-padded to L (one padded buffer per propagation), four 2x2 products
+in frequency space and one inverse FFT, truncated to N sites.  b is held
+spin-major, (spin, branch, site) with the FFT on the last axis, and every
+launch branch is a column of the one block that is stepped.  U is applied
+once per output time, never inside a product.
 
 The stepper (Propagator._step, which the dense fallback below shares) takes
-s = ceil(t_max ||H||_1 / 4) uniform steps of dt = t_max / s from 0 to the
-largest output time, whatever the grid, so ||dt H||_1 <= 4; ||H||_1 comes
-from the table in O(N) (ScrewHamiltonian.norm1).  Each step is one series
-of the Taylor kernel _expm_apply, and a time t = k dt + tau dt inside step k
-sums tau^n times the n-th term as the terms are made, the evaluation of
-exp(tA)B on a grid of times from shared steps (Al-Mohy and Higham, SIAM J.
-Sci. Comput. 33, 488 (2011), sec. 5).  Amplitudes are yielded time by time
-(Propagator.stream) and populations() squares each as it arrives, so a run
-holds the amplitudes of the times inside one step, never all T of them.
-||H||_1 >= max|E| also sets the phase guard: a time with
-t ||H||_1 eps >= 1 raises FloatingPointError, and a negative time
-ValueError, before any step count is formed.  prefer_matrix_free picks the
-path from a cost estimate, N^3 for the spectral build (assemble, eig and
-inv) against estimated products times L log L (constants measured once,
-1 BLAS thread); below the crossover (near N = 177 for the packaged helix
-geometry) the spectral path is cheaper.
+s = ceil(t_max ||H|| / 6) uniform steps of dt = t_max / s from 0 to the
+largest output time, whatever the grid, so ||dt H|| <= 6 in the step norm:
+||H||_1 on the dense fallback, and on the matrix-free path the circulant's
+exact 2-norm, max_l ||M_l||_2 over its 2x2 spectral blocks, which bounds
+||H||_2 (ScrewHamiltonian.norm_bound; 12.4 against ||H||_1 = 29.2 at
+N = 600).  Each step is one series of the Taylor kernel _expm_apply, with
+-i dt folded into the operator once per propagation, and a time
+t = k dt + tau dt inside step k sums tau^n times the n-th term as the terms
+are made, the evaluation of exp(tA)B on a grid of times from shared steps
+(Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011), sec. 5).
+Amplitudes are yielded time by time (Propagator.stream) and populations()
+squares each as it arrives, so a run holds the amplitudes of the times
+inside one step, never all T of them.  The step norm is >= max|E|, so it
+also sets the phase guard: a time with t ||H|| eps >= 1 raises
+FloatingPointError, and a negative time ValueError, before any step count
+is formed.  prefer_matrix_free picks the path from modelled_seconds, N^3
+for the spectral build (assemble, eig and inv) against estimated products
+times L log L (constants measured once, 1 BLAS thread); below the crossover
+(near N = 117 for the packaged helix geometry) the spectral path is cheaper.
 
 The spectral path makes one eig (eigh for hermitian_only) of the whole
 2N x 2N H_eff.  For a non-Hermitian H_eff, V^-1 is np.linalg.inv of the
@@ -75,6 +77,7 @@ HELICITY_DEADBAND = 1e-6
 EIG_S_PER_N3 = 4.3e-8
 MATVEC_S = 5.3e-5
 MATVEC_S_PER_LLOGL = 6.9e-9
+TAYLOR_THETA = 6.0     # the step norm ||dt H|| each Taylor series may span
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,10 @@ class Propagator:
 
     From a ScrewHamiltonian (path "matrix_free"): Taylor steps of the
     circulant-embedded FFT product (module docstring); use_stepper is False.
-    On both paths norm1 is ||H||_1 and matvecs counts the products with H
-    that the Taylor stepper made.  stream yields the amplitudes time by time;
+    step_norm is the norm that sizes the Taylor steps (||H||_1 on the
+    spectral path and its fallback, the circulant's 2-norm bound on the
+    matrix-free path) and matvecs counts the products with H that the
+    Taylor stepper made.  stream yields the amplitudes time by time;
     propagate collects them into one array.
     """
 
@@ -140,7 +145,7 @@ class Propagator:
             return
         self.path = "spectral"
         self.h = h_eff.matrix
-        self.norm1 = np.abs(self.h).sum(axis=0).max()
+        self.step_norm = np.abs(self.h).sum(axis=0).max()
         if self.hermitian:
             self.evals, self.vecs = np.linalg.eigh(self.h)
             self.vecs_inv = self.vecs.conj().T
@@ -160,21 +165,18 @@ class Propagator:
         self._phase_scale = np.abs(self.evals).max()
 
     def _init_matrix_free(self, screw: ScrewHamiltonian):
-        n = self.n_sites = screw.n_sites
+        self.n_sites = screw.n_sites
         self._gauge = screw.gauge.T                  # (spin, site)
-        self._length = smooth_length(2 * n - 1)
-        circulant = np.zeros((self._length, 2, 2), dtype=complex)
-        circulant[:n] = screw.table[n - 1:]          # T(d) at d mod L
-        circulant[self._length - n + 1:] = screw.table[:n - 1]
+        self._length = len(screw.spectrum)
         # (spin, spin', 1, L): broadcasts over the (branch, L) spectra
-        self._spectrum = np.fft.fft(circulant, axis=0).transpose(1, 2, 0)[:, :, None, :]
-        self.norm1 = self._phase_scale = screw.norm1()
+        self._spectrum = screw.spectrum.transpose(1, 2, 0)[:, :, None, :]
+        self.step_norm = self._phase_scale = screw.norm_bound
 
     def _checked_times(self, times) -> np.ndarray:
         """times as floats.  A negative (or nan) time raises ValueError, as
         the stepper marches forward from 0; a time with t * scale * eps >= 1
         raises FloatingPointError, as no phase E t would keep a correct digit
-        (scale: max|E|, or ||H||_1 >= max|E| on the matrix-free path)."""
+        (scale: max|E|, or the step norm >= max|E| on the matrix-free path)."""
         times = np.asarray(times, dtype=float)
         if not np.all(times >= 0):
             raise ValueError("output times must be non-negative")
@@ -194,11 +196,15 @@ class Propagator:
         if self.path == "matrix_free":
             b0 = (a0s.reshape(n_b, -1, 2) * self._gauge.T.conj()).transpose(2, 0, 1)
             padded = np.zeros((2, n_b, self._length), dtype=complex)
-            for idx, b in self._step(lambda b: self._apply_screw(b, padded),
-                                     np.ascontiguousarray(b0), times, axis=(0, 2)):
+
+            def scaled(c):
+                spectrum = c * self._spectrum
+                return lambda b: self._apply_screw(b, padded, spectrum)
+
+            for idx, b in self._step(scaled, np.ascontiguousarray(b0), times, axis=(0, 2)):
                 yield idx, (b * self._gauge[:, None, :]).transpose(1, 2, 0).reshape(n_b, dim)
         elif self.use_stepper:
-            for idx, x in self._step(self.h.dot, a0s.T, times, axis=0):
+            for idx, x in self._step(lambda c: (c * self.h).dot, a0s.T, times, axis=0):
                 yield idx, x.T
         else:
             coef = self.vecs_inv @ a0s.T                 # (2N, B)
@@ -222,14 +228,16 @@ class Propagator:
             out[:, idx] = a
         return out if a0.ndim == 2 else out[0]
 
-    def _apply_screw(self, b: np.ndarray, padded: np.ndarray) -> np.ndarray:
-        """H in the screw gauge on b (spin, branch, site): one FFT, four 2x2
-        products in frequency space, one inverse FFT.  padded is a zero
+    def _apply_screw(self, b: np.ndarray, padded: np.ndarray,
+                     spectrum: np.ndarray) -> np.ndarray:
+        """c H in the screw gauge on b (spin, branch, site), for spectrum =
+        c * self._spectrum: one FFT, four 2x2 products in frequency space,
+        one inverse FFT, truncated to N sites.  padded is a zero
         (spin, branch, L) buffer, reused across one propagation, whose first
         N sites take b."""
         padded[..., :self.n_sites] = b
         f = np.fft.fft(padded, axis=-1)
-        (c00, c01), (c10, c11) = self._spectrum
+        (c00, c01), (c10, c11) = spectrum
         hf = np.empty_like(f)
         np.multiply(c00, f[0], out=hf[0])
         hf[0] += c01 * f[1]
@@ -237,29 +245,31 @@ class Propagator:
         hf[1] += c11 * f[1]
         return np.fft.ifft(hf, axis=-1)[..., :self.n_sites]
 
-    def _step(self, apply, x: np.ndarray, times: np.ndarray, axis):
+    def _step(self, scaled, x: np.ndarray, times: np.ndarray, axis):
         """Yield (index into times, x(t)) from x(0) = x in order of time;
-        apply(x) is H x, and `axis` holds the axes of x that one column's
-        1-norm sums over.  The s = ceil(t_max ||H||_1 / 4) uniform steps of
-        dt = t_max / s run from 0 to the largest time, and a time
-        t = k dt + tau dt in step k is summed from that step's Taylor terms
-        (_expm_apply with the step's fractions tau)."""
+        scaled(c) is the function x -> c H x, and `axis` holds the axes of x
+        that one column's 1-norm sums over.  The s = ceil(t_max step_norm / 6)
+        uniform steps of dt = t_max / s run from 0 to the largest time, and a
+        time t = k dt + tau dt in step k is summed from that step's Taylor
+        terms (_expm_apply with the step's fractions tau)."""
         order = np.argsort(times, kind="stable")
         ordered = times[order]
         t_max = times.max(initial=0.0)
-        steps = _taylor_steps(t_max * self.norm1)
+        steps = _taylor_steps(t_max * self.step_norm)
         dt = t_max / max(steps, 1)
+        apply = scaled(-1j * dt)
         first = 0
         for k in range(steps):
             # the times in [k dt, (k + 1) dt), and every time left in the last step
             last = (len(ordered) if k == steps - 1
                     else int(np.searchsorted(ordered, (k + 1) * dt)))
-            x, partials, products = _expm_apply(lambda y: -1j * dt * apply(y), x,
-                                                (ordered[first:last] - k * dt) / dt, axis)
+            x, partials, products = _expm_apply(apply, x, (ordered[first:last] - k * dt) / dt,
+                                                axis)
             self.matvecs += products
             yield from zip(order[first:last], partials)
+            del partials                                 # before the next step's series
             first = last
-        for idx in order[first:]:                        # no step: t_max ||H||_1 = 0
+        for idx in order[first:]:                        # no step: t_max step_norm = 0
             yield idx, x
 
 
@@ -352,24 +362,27 @@ def arrival_time(series: ObservableSeries, geom: EmitterGeometry):
 
 
 def _taylor_steps(norm: float) -> int:
-    """The fewest Taylor steps s with norm / s <= 4 (none for a zero norm)."""
-    return int(np.ceil(norm / 4.0))
+    """The fewest Taylor steps s with norm / s <= TAYLOR_THETA (none for a
+    zero norm)."""
+    return int(np.ceil(norm / TAYLOR_THETA))
 
 
 def _expm_apply(apply, v: np.ndarray, fractions=(), axis=0):
     """(exp(A) @ v, [exp(tau A) @ v for tau in fractions], products made)
-    from one Taylor series, apply(x) being A x with ||A||_1 <= 4: numpy only,
-    no eigendecomposition and no squaring.  The series stops once a term
-    falls below round-off of the sum in the 1-norm of every column (the sum
-    over `axis`); the remaining terms then add at most e^4 times that
-    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Each
-    fraction 0 <= tau <= 1 sums tau^n times the n-th term as it is made, so
-    its remainder is at most the full step's."""
+    from one Taylor series, apply(x) being A x with ||A|| <= TAYLOR_THETA = 6
+    in a consistent norm: numpy only, no eigendecomposition and no
+    squaring.  The series stops once a term falls below round-off of the sum
+    in the 1-norm of every column (the sum over `axis`); the remaining
+    terms then add at most e^6 times that, as one step's terms sum in norm
+    to at most e^||A|| <= e^6 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+    488 (2011)).  Each fraction 0 <= tau <= 1 sums tau^n times the n-th
+    term as it is made, so its remainder is at most the full step's."""
     out, products = v.astype(complex), 0
     partials = [out.copy() for _ in fractions]
     term = out
     for n in range(1, 60):
-        term = apply(term) / n
+        term = apply(term)
+        term /= n
         out += term
         for part, tau in zip(partials, fractions):
             part += tau ** n * term
@@ -392,31 +405,17 @@ def _expm_dense(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def smooth_length(n: int) -> int:
-    """The least 5-smooth integer 2^i 3^j 5^k >= n: an FFT length numpy
-    transforms without a large prime factor."""
-    m = max(1, n)
-    while True:
-        k = m
-        for p in (2, 3, 5):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return m
-        m += 1
-
-
-def estimated_matvecs(norm1: float, times) -> float:
+def estimated_matvecs(norm: float, times) -> float:
     """Products with H that Taylor stepping from t = 0 to the largest time
-    needs, for ||H||_1 = norm1: s = ceil(t_max norm1 / 4) steps of
-    theta = t_max norm1 / s <= 4, each taking the terms until the bound
+    needs, for the step norm `norm`: s = ceil(t_max norm / 6) steps of
+    theta = t_max norm / s <= 6, each taking the terms until the bound
     theta^n / n! falls to round-off.  A float, so a huge time gives a huge
     (or infinite) count rather than an integer loop."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.max(np.asarray(times, dtype=float), initial=0.0) * norm1
+        x = np.max(np.asarray(times, dtype=float), initial=0.0) * norm
     if not np.isfinite(x):
         return np.inf
-    steps = np.ceil(x / 4.0)
+    steps = np.ceil(x / TAYLOR_THETA)
     if steps == 0:
         return 0.0
     n = np.arange(1, 60)
@@ -424,15 +423,26 @@ def estimated_matvecs(norm1: float, times) -> float:
     return float(steps * (1 + np.count_nonzero(log_bound > np.log(np.finfo(float).eps))))
 
 
+def modelled_seconds(n_sites: int, screw: ScrewHamiltonian | None, times) -> dict:
+    """The path-choice model's seconds for an n_sites run over times:
+    "spectral" for building the spectral propagator (assemble, eig and inv)
+    and "matrix_free" for Taylor stepping the FFT product of screw to the
+    largest time (inf when screw is None: there is no such path).  The
+    constants are timings on one BLAS thread."""
+    spectral = EIG_S_PER_N3 * n_sites ** 3
+    if screw is None:
+        return {"spectral": spectral, "matrix_free": np.inf}
+    length = len(screw.spectrum)
+    per_product = MATVEC_S + MATVEC_S_PER_LLOGL * length * np.log2(length)
+    return {"spectral": spectral,
+            "matrix_free": estimated_matvecs(screw.norm_bound, times) * per_product}
+
+
 def prefer_matrix_free(screw: ScrewHamiltonian, times) -> bool:
     """True when Taylor stepping the FFT product to the largest time is
-    expected to cost less than building the spectral propagator (assemble,
-    eig and inv); the constants are timings on one BLAS thread."""
-    n = screw.n_sites
-    length = smooth_length(2 * n - 1)
-    matvecs = estimated_matvecs(screw.norm1(), times)
-    per_product = MATVEC_S + MATVEC_S_PER_LLOGL * length * np.log2(length)
-    return matvecs * per_product < EIG_S_PER_N3 * n ** 3
+    modelled to cost less than building the spectral propagator."""
+    cost = modelled_seconds(screw.n_sites, screw, times)
+    return cost["matrix_free"] < cost["spectral"]
 
 
 def master_equation_check(state: ExcitationState, coupling: CouplingTensor,

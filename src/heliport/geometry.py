@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MIN_SEPARATION = 1e-9  # coincidence threshold for emitter pairs, units of lambda_0
-SCAN_ROWS = 64         # rows per block of the coincidence scan
+SCAN_PAIRS = 1 << 16   # candidate pairs per block of the coincidence sweep
 
 
 def is_number(x) -> bool:
@@ -92,22 +92,37 @@ class EmitterGeometry:
 
 def coincident_pairs(positions: np.ndarray) -> list[tuple[int, int]]:
     """Return index pairs (i, j), i < j, closer than MIN_SEPARATION, in
-    row-major order (empty list if none).  Rows are scanned in blocks of
-    SCAN_ROWS against the sites from the block on, so memory stays
-    O(SCAN_ROWS * N)."""
-    pairs = []
-    for start in range(0, len(positions), SCAN_ROWS):
-        rows = positions[start:start + SCAN_ROWS]
-        dist = np.linalg.norm(rows[:, None, :] - positions[None, start:, :], axis=-1)
-        i, j = np.nonzero(dist < MIN_SEPARATION)
-        upper = j > i                            # column j is site start + j
-        pairs += zip((i[upper] + start).tolist(), (j[upper] + start).tolist())
-    return pairs
+    row-major order (empty list if none).  A sort-and-sweep: with the sites
+    sorted by z, each is compared only with the later ones inside its z
+    window (2 MIN_SEPARATION wide, so rounding of the window edge loses no
+    pair), O(N log N) for sites spread in z.  The candidates are taken in
+    blocks of about SCAN_PAIRS, so memory stays O(N + SCAN_PAIRS) beside the
+    pairs found, however many sites share a z."""
+    order = np.argsort(positions[:, 2], kind="stable")
+    pos = positions[order]
+    n = len(pos)
+    ends = np.searchsorted(pos[:, 2], pos[:, 2] + 2 * MIN_SEPARATION, side="right")
+    counts = ends - np.arange(n) - 1
+    before = np.concatenate([[0], np.cumsum(counts)])     # candidates ahead of each site
+    found = [np.empty((2, 0), dtype=np.intp)]
+    start = 0
+    while start < n:
+        stop = max(start + 1, int(np.searchsorted(before, before[start] + SCAN_PAIRS,
+                                                  side="right")) - 1)
+        rows = np.repeat(np.arange(start, stop), counts[start:stop])
+        cols = rows + 1 + np.arange(len(rows)) - np.repeat(before[start:stop] - before[start],
+                                                           counts[start:stop])
+        close = np.linalg.norm(pos[rows] - pos[cols], axis=-1) < MIN_SEPARATION
+        found.append(np.sort(order[[rows[close], cols[close]]], axis=0))
+        start = stop
+    i, j = np.concatenate(found, axis=1)
+    row_major = np.lexsort((j, i))
+    return list(zip(i[row_major].tolist(), j[row_major].tolist()))
 
 
 def helix_positions(params: HelixParams) -> np.ndarray:
     """Helix site positions (n_sites, 3) by increasing z, without
-    EmitterGeometry's O(N^2)-time coincidence scan."""
+    EmitterGeometry's coincidence scan."""
     errs = params.validation_errors()
     if errs:
         raise ValueError("invalid helix parameters: " + "; ".join(errs))

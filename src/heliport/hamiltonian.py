@@ -28,13 +28,13 @@ coordinate scale) selects this path; it reads the positions, not how they
 were made, so a geometry file holding a helix takes it too.  Every other
 geometry takes the pairwise N(N - 1) evaluation, the test oracle of the
 screw table.  `screw_effective` hands the gauge and the table of H_eff itself
-(T_J - i T_Gamma / 2) to the matrix-free propagator, which never forms the
-dense matrices.
+(T_J - i T_Gamma / 2), with its circulant spectrum and 2-norm bound, to the
+matrix-free propagator, which never forms the dense matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,24 +84,39 @@ class EffectiveHamiltonian:
 class ScrewHamiltonian:
     """H_eff of a screw geometry in the screw gauge: H_ij = U_i T(i - j) U_j^dag
     with gauge diagonals U (N, 2) and the table T (2N - 1, 2, 2), T(d) at
-    d + N - 1."""
+    d + N - 1.
+
+    The table is embedded once in a block circulant C of 5-smooth length
+    L >= 2N - 1 (T(d) at d mod L, zeros elsewhere; R. H. Chan and M. K. Ng,
+    SIAM Rev. 38, 427 (1996)): spectrum (L, 2, 2) holds its block Fourier
+    transform M_l, and norm_bound = max_l ||M_l||_2 = ||C||_2.  The Toeplitz
+    matrix is a compression of C and U is unitary, so norm_bound >= ||H||_2
+    >= max|E|."""
 
     gauge: np.ndarray
     table: np.ndarray
     hermitian_only: bool
+    spectrum: np.ndarray = field(init=False, repr=False)
+    norm_bound: float = field(init=False)
+
+    def __post_init__(self):
+        n = self.n_sites
+        length = smooth_length(2 * n - 1)
+        circulant = np.zeros((length, 2, 2), dtype=complex)
+        circulant[:n] = self.table[n - 1:]
+        circulant[length - n + 1:] = self.table[:n - 1]
+        spectrum = np.fft.fft(circulant, axis=0)
+        # ||M||_2^2 = (||M||_F^2 + sqrt(||M||_F^4 - 4 |det M|^2)) / 2 per 2x2 block
+        (m00, m01), (m10, m11) = spectrum.transpose(1, 2, 0)
+        frob = (np.abs(spectrum) ** 2).sum(axis=(1, 2))
+        det = np.abs(m00 * m11 - m01 * m10)
+        norm2 = np.sqrt(0.5 * (frob + np.sqrt(np.maximum(frob ** 2 - 4 * det ** 2, 0.0))))
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "norm_bound", float(norm2.max()))
 
     @property
     def n_sites(self) -> int:
         return len(self.gauge)
-
-    def norm1(self) -> float:
-        """||H||_1 in O(N): column j of H holds T(d) for d = -j..N-1-j, a
-        window of the table's cumulative column sums of |T|."""
-        n = self.n_sites
-        cum = np.concatenate([np.zeros((1, 2)),
-                              np.cumsum(np.abs(self.table).sum(axis=1), axis=0)])
-        j = np.arange(n)
-        return float((cum[2 * n - 1 - j] - cum[n - 1 - j]).max())
 
 
 def screw_effective(geom: EmitterGeometry,
@@ -200,6 +215,20 @@ def effective(coupling: CouplingTensor, hermitian_only: bool = False) -> Effecti
     if hermitian_only:
         return EffectiveHamiltonian(coupling.j.copy(), True)
     return EffectiveHamiltonian(coupling.j - 0.5j * coupling.gamma, False)
+
+
+def smooth_length(n: int) -> int:
+    """The least 5-smooth integer 2^i 3^j 5^k >= n: an FFT length numpy
+    transforms without a large prime factor."""
+    m = max(1, n)
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
 
 def spin_z_diagonal(n_sites: int) -> np.ndarray:

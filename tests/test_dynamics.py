@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 import warnings
@@ -317,8 +318,12 @@ def test_cli_manifest_reports_propagator_blocks(tmp_path, mode):
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     keys = {k for k in diag if k.startswith("propagator_")}
     assert keys == {"propagator_path", "propagator_fallback", "propagator_matvecs",
-                    "propagator_estimated_matvecs", "propagator_condition"}
+                    "propagator_estimated_matvecs", "propagator_modelled_s",
+                    "propagator_condition"}
     assert diag["propagator_path"] == "spectral"
+    modelled = diag["propagator_modelled_s"]
+    assert set(modelled) == {"spectral", "matrix_free"}
+    assert modelled["spectral"] < modelled["matrix_free"]
 
 
 # ------------------------------------------------- matrix-free propagator
@@ -357,24 +362,28 @@ def test_matrix_free_matches_spectral(n, handedness, hermitian_only):
             x, y = (prop.propagate(a0, [0.0, 0.5, 2.0]) for prop in (free, spectral))
             assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
     # a zero H (one emitter, coherent part only) needs no step
-    assert not free.use_stepper and (free.matvecs > 0) == (free.norm1 > 0)
+    assert not free.use_stepper and (free.matvecs > 0) == (free.step_norm > 0)
 
 
 def test_screw_product_and_norm_match_the_dense_matrix(rng):
-    for n in (1, 7, 60):
-        _, screw, h = _screw_and_dense(n, -1, False)
+    for n, hermitian_only in itertools.product((1, 7, 60), (False, True)):
+        _, screw, h = _screw_and_dense(n, -1, hermitian_only)
         prop = Propagator(screw)
         dense = np.abs(h.matrix).sum(axis=0).max()
-        assert abs(prop.norm1 - dense) <= 1e-14 * dense
+        # the circulant's 2-norm bounds ||H||_2 and so every |E|
+        assert prop.step_norm == screw.norm_bound
+        assert np.linalg.norm(h.matrix, 2) <= prop.step_norm
+        assert np.abs(np.linalg.eigvals(h.matrix)).max() <= prop.step_norm
         x = rng.standard_normal((3, 2 * n)) + 1j * rng.standard_normal((3, 2 * n))
         b = (x.reshape(3, n, 2) * screw.gauge.conj()).transpose(2, 0, 1)   # U^dag x
         padded = np.zeros((2, 3, prop._length), dtype=complex)
-        hx = (prop._apply_screw(b, padded) * screw.gauge.T[:, None, :]).transpose(1, 2, 0)
+        hx = (prop._apply_screw(b, padded, prop._spectrum)
+              * screw.gauge.T[:, None, :]).transpose(1, 2, 0)
         assert np.abs(hx.reshape(3, -1) - x @ h.matrix.T).max() <= 1e-14 * dense * np.abs(x).max()
 
 
 def test_smooth_length():
-    assert [dynamics.smooth_length(n) for n in (0, 1, 7, 11, 13, 599, 803, 1199)] == [
+    assert [hamiltonian.smooth_length(n) for n in (0, 1, 7, 11, 13, 599, 803, 1199)] == [
         1, 1, 8, 12, 15, 600, 810, 1200]
 
     def smooth(m):
@@ -384,7 +393,7 @@ def test_smooth_length():
         return m == 1
 
     for n in range(1, 2000):
-        m = dynamics.smooth_length(n)
+        m = hamiltonian.smooth_length(n)
         assert m >= n and smooth(m) and not any(smooth(k) for k in range(n, m))
 
 
@@ -401,12 +410,22 @@ def test_path_choice_follows_the_cost_estimate():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not dynamics.prefer_matrix_free(screw, _n600_times(t_max))
-    # the crossover sits near N = 205
+    # the crossover sits near N = 117
     n300 = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 100, 1)))
     assert dynamics.prefer_matrix_free(n300, _n600_times(15.8))
     small = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 20, 1)))
     assert not dynamics.prefer_matrix_free(small, _n600_times(15.8))
-    assert dynamics.estimated_matvecs(screw.norm1(), [0.0, 0.0]) == 0.0
+    assert dynamics.estimated_matvecs(screw.norm_bound, [0.0, 0.0]) == 0.0
+
+
+@pytest.mark.parametrize("sites_per_turn", [3, 1])
+@pytest.mark.parametrize("n", [60, 180, 300])
+def test_matrix_free_products_stay_within_the_estimate(n, sites_per_turn):
+    geom = build_helix(HelixParams(0.05, 0.175, sites_per_turn, n // sites_per_turn, 1))
+    prop = Propagator(hamiltonian.screw_effective(geom))
+    times = _n600_times(15.8)
+    dynamics.populations(prop, initial_state(n, 0, 0.5), times)
+    assert 0 < prop.matvecs <= dynamics.estimated_matvecs(prop.step_norm, times)
 
 
 def test_matrix_free_huge_time_raises_before_stepping(monkeypatch):
@@ -441,7 +460,7 @@ def test_stepper_matches_spectral_on_awkward_grids(grid, monkeypatch):
     state = initial_state(60, 0, 0.5)
     branches = np.array(state.amplitudes)
     for stepped in (free, dense):
-        dt = 2.5 / dynamics._taylor_steps(2.5 * stepped.norm1)    # the step to t_max = 2.5
+        dt = 2.5 / dynamics._taylor_steps(2.5 * stepped.step_norm)   # the step to t_max = 2.5
         times = {"unsorted": [2.1, 0.0, 0.4, 1.3],
                  "duplicates": [0.7, 0.0, 0.7, 2.0, 0.7],
                  "zero": [0.0],

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heliport.geometry import (MIN_SEPARATION, EmitterGeometry, HelixParams, build_helix,
-                               coincident_pairs, load_geometry_file, mirror_xz,
+from heliport.geometry import (MIN_SEPARATION, SCAN_PAIRS, EmitterGeometry, HelixParams,
+                               build_helix, coincident_pairs, load_geometry_file, mirror_xz,
                                rotate_about_z)
 
 
@@ -72,7 +72,7 @@ def test_coincident_positions_rejected():
 
 
 def _all_pairs(positions):
-    """The all-pairs coincidence scan, kept as the oracle of the blocked one."""
+    """The all-pairs coincidence scan, kept as the oracle of the sweep."""
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.linalg.norm(diff, axis=-1)
     iu = np.triu_indices(len(positions), k=1)
@@ -82,15 +82,21 @@ def _all_pairs(positions):
 
 def test_coincident_scan_matches_all_pairs(rng):
     offsets = (0.0, 0.6, 0.99, 1.5)              # in MIN_SEPARATION; the last is apart
-    for n in (1, 2, 65, 300):                    # 65, 300: several row blocks
-        pos = rng.uniform(-1.0, 1.0, size=(n, 3))
+    helix = build_helix(HelixParams(0.05, 0.175, 3, 1000, 1)).positions   # N = 3000
+    planar = rng.uniform(-1.0, 1.0, size=(600, 3))
+    planar[:, 2] = 0.25                          # one z: every pair is a candidate
+    for pos in [rng.uniform(-1.0, 1.0, size=(n, 3)) for n in (1, 2, 65, 300)] + [
+            planar, helix.copy()]:
+        n = len(pos)
         sites = rng.permutation(n)[:2 * min(n // 2, len(offsets))]
         for (i, j), offset in zip(sites.reshape(-1, 2), offsets):
             pos[j] = pos[i] + offset * MIN_SEPARATION * np.array([0.6, 0.0, 0.8])
         found = coincident_pairs(pos)
         assert found == _all_pairs(pos)
         assert len(found) == min(n // 2, 3)
-    pos = np.zeros((70, 3))                       # every pair coincides, across blocks
+    # the planar geometry's 179 700 candidates span several blocks
+    assert len(planar) * (len(planar) - 1) // 2 > 2 * SCAN_PAIRS
+    pos = np.zeros((70, 3))                       # every pair coincides
     assert coincident_pairs(pos) == _all_pairs(pos) == [
         (i, j) for i in range(70) for j in range(i + 1, 70)]
 
