@@ -12,10 +12,11 @@ runner functions, and each runner imports only the modules it calls.
 
 Runners return (products, diagnostics, exit code) and write nothing; main
 alone checks every product for non-finite numbers, then creates the output
-directory and writes the products: every CSV table in one
-output.write_tables pass, then the JSON documents, manifest.json last (a
+directory and writes the products: the CSV tables one at a time
+(output.write_tables), then the JSON documents, manifest.json last (a
 stale one is removed first), so a directory without a manifest is
-incomplete.
+incomplete.  The dynamics and field runners take their propagator from
+dynamics.launch, which also chooses its path.
 
 Exit codes: 0 success (and --help), 1 usage/configuration error (argparse
 errors, a --threads or HELIPORT_THREADS value that is not a positive
@@ -33,7 +34,6 @@ from pathlib import Path
 THREADS_ENV = "HELIPORT_THREADS"
 _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
               "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-_MODES = ("run", "dynamics", "bands", "zak", "field", "check")
 
 
 def _thread_count(spec: str) -> int:
@@ -90,37 +90,23 @@ def _finite_or_none(x: float) -> float | None:
     return x if x < float("inf") else None
 
 
-def _launch(cfg, geom, times):
-    """(launch state, Propagator, modelled seconds of each path) for a run
-    that propagates once, from t = 0 over the given times.  A screw geometry
-    takes the matrix-free path when its modelled cost beats diagonalizing H;
-    it never assembles J and Gamma."""
-    from . import dynamics, hamiltonian
-
-    state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
-    screw = hamiltonian.screw_effective(geom, cfg.hermitian_only)
-    modelled = dynamics.modelled_seconds(geom.n_sites, screw, times)
-    if screw is not None and dynamics.prefer_matrix_free(screw, times):
-        return state, dynamics.Propagator(screw), modelled
-    return state, dynamics.Propagator(hamiltonian.effective(hamiltonian.assemble(geom),
-                                                            cfg.hermitian_only)), modelled
-
-
-def _propagator_keys(prop, times, modelled) -> dict:
-    """The propagator's manifest keys, read after propagation over the
-    times: the products the stepper made beside the estimate of them from
-    its step norm, and the path-choice model's seconds of each path; the
-    spectral path adds its conditioning."""
+def _propagator_keys(prop, times) -> dict:
+    """The manifest keys of a launched propagator, read after propagation
+    over the times: the products the stepper made beside the estimate of
+    them from its step norm (0 on a path that does not step), and the
+    path-choice model's seconds of each path; the spectral path adds its
+    conditioning."""
     from . import dynamics
 
-    estimate = dynamics.estimated_matvecs(prop.step_norm, times)
+    steps = prop.path == "matrix_free" or prop.use_stepper
+    estimate = dynamics.estimated_matvecs(prop.step_norm, times) if steps else 0.0
     keys = {
         "propagator_path": prop.path,
         "propagator_fallback": prop.use_stepper,
         "propagator_matvecs": prop.matvecs,
         "propagator_estimated_matvecs": int(estimate) if estimate < float("inf") else None,
         "propagator_modelled_s": {path: _finite_or_none(float(s))
-                                  for path, s in modelled.items()},
+                                  for path, s in prop.modelled_s.items()},
     }
     if prop.path == "spectral":
         keys["propagator_condition"] = _finite_or_none(prop.condition)
@@ -135,7 +121,8 @@ _NAN_COLUMNS = ("eta", "intensity")
 def _require_finite(products) -> None:
     """Raise FloatingPointError naming the first product with a non-finite
     number; products maps a .csv name to (header, columns), any other name
-    to a JSON document."""
+    to a JSON document.  Object columns hold output.cells text, which
+    output.cells refused to make from a non-finite value."""
     import json
 
     import numpy as np
@@ -143,6 +130,8 @@ def _require_finite(products) -> None:
     for name, product in products.items():
         if name.endswith(".csv"):
             for col, values in zip(*product):
+                if values.dtype == object:
+                    continue
                 bad = np.isinf(values) if col in _NAN_COLUMNS else ~np.isfinite(values)
                 if bad.any():
                     raise FloatingPointError(f"{name}: non-finite values in column '{col}'")
@@ -158,11 +147,13 @@ def _run_dynamics(cfg, geom):
 
     from . import dynamics
     from .config import time_tag
+    from .output import cells
 
     # one propagation: the series times, then the snapshot times
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
     grid = np.concatenate([times, cfg.snapshot_times])
-    state, prop, modelled = _launch(cfg, geom, grid)
+    state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
+    prop = dynamics.launch(geom, cfg.hermitian_only, grid)
     per_site = dynamics.populations(prop, state, grid)
     series = dynamics.observables(per_site[:cfg.n_times], geom, times,
                                   deadband=cfg.helicity_deadband)
@@ -170,13 +161,13 @@ def _run_dynamics(cfg, geom):
         ["t", "trace", "P_up", "P_down", "Sz", "z_com", "eta"],
         [series.times, series.trace, series.p_up, series.p_down,
          series.sz, series.z_com, series.eta])}
-    # every snapshot holds the same site and z objects, formatted once
-    site, z = np.arange(geom.n_sites), geom.z
+    # every snapshot repeats the same site and z cells, formatted once
+    site, z = cells(np.arange(geom.n_sites)), cells(geom.z)
     for t, snapshot in zip(cfg.snapshot_times, per_site[cfg.n_times:]):
         products[f"snapshot_t{time_tag(t)}.csv"] = (
             ["site", "z", "p_up", "p_down"], [site, z, snapshot[:, 0], snapshot[:, 1]])
     diagnostics = {
-        **_propagator_keys(prop, grid, modelled),
+        **_propagator_keys(prop, grid),
         "arrival_time": dynamics.arrival_time(series, geom),
         "final_trace": float(series.trace[-1]),
         "helicity_defined_fraction": float(np.mean(~np.isnan(series.eta))),
@@ -256,9 +247,9 @@ def _field_preflight(fs) -> None:
 
     n_points = fs.n_u * fs.n_v
     # bytes per plane point: its coordinates (3 floats), the raw and scaled
-    # maps of both spins at every time and the u/v CSV columns; the CSV
-    # writer adds one formatted block of u, v and the intensity it is
-    # writing (under 120 bytes a cell), whatever the plane size
+    # maps of both spins at every time and the u/v CSV columns (one pointer
+    # to an axis cell each); the CSV writer adds one formatted block of the
+    # table it is writing (under 120 bytes a cell), whatever the plane size
     need = (n_points * (3 * 8 + 2 * 2 * len(fs.times) * 8 + 2 * 8)
             + BLOCK_ROWS * 3 * 120)
     phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -274,11 +265,13 @@ def _run_field(cfg, geom):
 
     import numpy as np
 
-    from . import field
+    from . import dynamics, field
     from .config import time_tag
+    from .output import cells
 
     times = np.array(fs.times, dtype=float)
-    state, prop, modelled = _launch(cfg, geom, times)
+    state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
+    prop = dynamics.launch(geom, cfg.hermitian_only, times)
     plane = field.default_plane(geom, axis=fs.plane_axis, offset=fs.plane_offset,
                                 n_u=fs.n_u, n_v=fs.n_v, u_span=fs.u_span,
                                 z_pad=fs.z_pad)
@@ -288,7 +281,7 @@ def _run_field(cfg, geom):
 
     ax_u, ax_v = plane.axis_labels
     n_u, n_v = len(plane.u), len(plane.v)
-    u_col, v_col = np.repeat(plane.u, n_v), np.tile(plane.v, n_u)
+    u_col, v_col = np.repeat(cells(plane.u), n_v), np.tile(cells(plane.v), n_u)
     products, frames = {}, []
     for t, fmap in zip(fs.times, fmaps):
         files = {}
@@ -321,7 +314,7 @@ def _run_field(cfg, geom):
     }
     products["field_meta.json"] = meta
     diagnostics = {
-        **_propagator_keys(prop, times, modelled),
+        **_propagator_keys(prop, times),
         "n_masked_near_field": frames[0]["n_masked"] if frames else 0,
     }
     return products, diagnostics, 0
@@ -344,16 +337,19 @@ def _run_check(cfg, _geom):
 
 _RUNNERS = {"dynamics": _run_dynamics, "bands": _run_bands, "zak": _run_zak,
             "field": _run_field, "check": _run_check}
+_MODES = ("run", *_RUNNERS)
 
 
 def _dump_matrices(geom):
     import numpy as np
 
     from . import hamiltonian
+    from .output import cells
 
     coup = hamiltonian.assemble(geom)
-    idx = np.arange(coup.j.shape[0])
-    rows, cols = np.repeat(idx, len(idx)), np.tile(idx, len(idx))
+    n = coup.j.shape[0]
+    idx = cells(np.arange(n))
+    rows, cols = np.repeat(idx, n), np.tile(idx, n)
     return {name: (["row", "col", "re", "im"],
                    [rows, cols, matrix.real.ravel(), matrix.imag.ravel()])
             for name, matrix in (("J.csv", coup.j), ("Gamma.csv", coup.gamma))}

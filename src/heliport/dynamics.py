@@ -35,10 +35,11 @@ squares each as it arrives, so a run holds the amplitudes of the times
 inside one step, never all T of them.  The step norm is >= max|E|, so it
 also sets the phase guard: a time with t ||H|| eps >= 1 raises
 FloatingPointError, and a negative time ValueError, before any step count
-is formed.  prefer_matrix_free picks the path from modelled_seconds, N^3
-for the spectral build (assemble, eig and inv) against estimated products
-times L log L (constants measured once, 1 BLAS thread); below the crossover
-(near N = 117 for the packaged helix geometry) the spectral path is cheaper.
+is formed.  launch builds a run's Propagator on the path modelled_seconds
+prefers, N^3 for the spectral build (assemble, eig and inv) against
+estimated products times L log L (constants measured once, 1 BLAS thread);
+below the crossover (near N = 117 for the packaged helix geometry) the
+spectral path is cheaper.
 
 The spectral path makes one eig (eigh for hermitian_only) of the whole
 2N x 2N H_eff.  For a non-Hermitian H_eff, V^-1 is np.linalg.inv of the
@@ -66,6 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hamiltonian
 from .geometry import EmitterGeometry
 from .hamiltonian import CouplingTensor, EffectiveHamiltonian, ScrewHamiltonian, effective
 
@@ -132,7 +134,8 @@ class Propagator:
     spectral path and its fallback, the circulant's 2-norm bound on the
     matrix-free path) and matvecs counts the products with H that the
     Taylor stepper made.  stream yields the amplitudes time by time;
-    propagate collects them into one array.
+    propagate collects them into one array.  A Propagator built by launch
+    also holds modelled_s, the path-choice model's seconds of each path.
     """
 
     def __init__(self, h_eff: EffectiveHamiltonian | ScrewHamiltonian):
@@ -438,11 +441,20 @@ def modelled_seconds(n_sites: int, screw: ScrewHamiltonian | None, times) -> dic
             "matrix_free": estimated_matvecs(screw.norm_bound, times) * per_product}
 
 
-def prefer_matrix_free(screw: ScrewHamiltonian, times) -> bool:
-    """True when Taylor stepping the FFT product to the largest time is
-    modelled to cost less than building the spectral propagator."""
-    cost = modelled_seconds(screw.n_sites, screw, times)
-    return cost["matrix_free"] < cost["spectral"]
+def launch(geom: EmitterGeometry, hermitian_only: bool, times) -> Propagator:
+    """The Propagator of a run that propagates once, from t = 0 over times,
+    on the path modelled_seconds prefers: matrix-free for a screw geometry
+    when Taylor stepping is modelled cheaper than the spectral build (J and
+    Gamma are then never assembled), spectral otherwise.  Its modelled_s
+    holds the model's seconds of each path."""
+    screw = hamiltonian.screw_effective(geom, hermitian_only)
+    modelled = modelled_seconds(geom.n_sites, screw, times)
+    if modelled["matrix_free"] < modelled["spectral"]:
+        prop = Propagator(screw)
+    else:
+        prop = Propagator(effective(hamiltonian.assemble(geom), hermitian_only))
+    prop.modelled_s = modelled
+    return prop
 
 
 def master_equation_check(state: ExcitationState, coupling: CouplingTensor,

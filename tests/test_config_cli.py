@@ -371,6 +371,13 @@ def test_cli_check_failure_exits_2(tmp_path, monkeypatch):
     assert run_cli(["check", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
 
+def test_cli_subcommands_are_the_config_modes():
+    from heliport import config
+
+    assert set(cli._RUNNERS) == set(config.MODES)
+    assert cli._MODES == ("run", *config.MODES)
+
+
 def test_cli_threads_flag_pins_blas_env(tmp_path, monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cfg = write_config(tmp_path, dynamics_dict())
@@ -804,7 +811,8 @@ def test_cli_out_naming_a_file_exits_1(tmp_path, capsys):
 
 
 def test_snapshots_and_matrix_dumps_share_their_index_columns():
-    # the writer formats a column object once however many files hold it
+    # an index axis is formatted once (output.cells), and every file holds
+    # the same cells
     from heliport import cli
 
     cfg, errs = parse_config(dynamics_dict(snapshot_times=[0.5, 1.0]))
@@ -813,9 +821,30 @@ def test_snapshots_and_matrix_dumps_share_their_index_columns():
     products, _, _ = cli._run_dynamics(cfg, geom)
     first, second = (products[n][1] for n in ("snapshot_t0.5.csv", "snapshot_t1.csv"))
     assert first[0] is second[0] and first[1] is second[1]         # site, z
+    assert first[0].dtype == first[1].dtype == object
     dumps = cli._dump_matrices(geom)
     j, gamma = (dumps[n][1] for n in ("J.csv", "Gamma.csv"))
     assert j[0] is gamma[0] and j[1] is gamma[1]                   # row, col
+    assert j[0].dtype == j[1].dtype == object
+
+
+def test_cli_non_finite_axis_cell_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a field plane's in-plane axis is formatted once into cells; a nan
+    # there fails the run before any file is written
+    from heliport import field
+
+    inner = field.default_plane
+
+    def spoiled(*args, **kwargs):
+        plane = inner(*args, **kwargs)
+        return dataclasses.replace(plane, u=np.append(plane.u[:-1], np.nan))
+
+    monkeypatch.setattr(field, "default_plane", spoiled)
+    cfg = write_config(tmp_path, field_run_dict(times=[0.5], n_u=4, n_v=5))
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 2
+    assert "numerical failure: non-finite value in a table axis" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_failed_write_leaves_no_manifest(tmp_path, monkeypatch, capsys):

@@ -402,20 +402,51 @@ def _n600_times(t_max):
     return np.append(np.linspace(0.0, t_max, 200), t_max / 2)
 
 
+def _steps_matrix_free(geom, times):
+    """True when the path-choice model prefers Taylor stepping for geom."""
+    modelled = dynamics.modelled_seconds(geom.n_sites, hamiltonian.screw_effective(geom),
+                                         times)
+    return modelled["matrix_free"] < modelled["spectral"]
+
+
 def test_path_choice_follows_the_cost_estimate():
-    screw = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 200, 1)))
-    assert dynamics.prefer_matrix_free(screw, _n600_times(15.8))
+    n600 = build_helix(HelixParams(0.05, 0.175, 3, 200, 1))
+    assert _steps_matrix_free(n600, _n600_times(15.8))
     # the spectral cost does not grow with t; ~1e7 products would
     for t_max in (1e5, 1e300):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not dynamics.prefer_matrix_free(screw, _n600_times(t_max))
-    # the crossover sits near N = 117
-    n300 = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 100, 1)))
-    assert dynamics.prefer_matrix_free(n300, _n600_times(15.8))
-    small = hamiltonian.screw_effective(build_helix(HelixParams(0.05, 0.175, 3, 20, 1)))
-    assert not dynamics.prefer_matrix_free(small, _n600_times(15.8))
+            assert not _steps_matrix_free(n600, _n600_times(t_max))
+    # the crossover sits near N = 117; launch builds the preferred path
+    n300 = build_helix(HelixParams(0.05, 0.175, 3, 100, 1))
+    small = build_helix(HelixParams(0.05, 0.175, 3, 20, 1))
+    for geom, path in ((n300, "matrix_free"), (small, "spectral")):
+        assert _steps_matrix_free(geom, _n600_times(15.8)) == (path == "matrix_free")
+        prop = dynamics.launch(geom, False, _n600_times(15.8))
+        assert prop.path == path
+        assert prop.modelled_s == dynamics.modelled_seconds(
+            geom.n_sites, hamiltonian.screw_effective(geom), _n600_times(15.8))
+    screw = hamiltonian.screw_effective(n600)
     assert dynamics.estimated_matvecs(screw.norm_bound, [0.0, 0.0]) == 0.0
+
+
+@pytest.mark.parametrize("mode", ["dynamics", "field"])
+def test_cli_run_evaluates_the_cost_model_once(tmp_path, monkeypatch, mode):
+    calls = []
+    modelled_seconds = dynamics.modelled_seconds
+
+    def counted(*args):
+        calls.append(args[0])
+        return modelled_seconds(*args)
+
+    monkeypatch.setattr(dynamics, "modelled_seconds", counted)
+    over = ({"mode": "field", "field": {"times": [1.0], "n_u": 4, "n_v": 5}}
+            if mode == "field" else {})
+    cfg = _n600_config(tmp_path, geometry={"helix": {
+        "radius": 0.05, "pitch": 0.175, "sites_per_turn": 3, "turns": 4, "handedness": 1}},
+        **over)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [12]
 
 
 @pytest.mark.parametrize("sites_per_turn", [3, 1])
@@ -563,3 +594,5 @@ def test_packaged_fig2_config_stays_spectral(tmp_path):
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diag["propagator_path"] == "spectral"
     assert diag["propagator_matvecs"] == 0
+    # no products are made, so none are estimated
+    assert diag["propagator_estimated_matvecs"] == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heliport import output
-from heliport.output import write_tables
+from heliport.output import cells, write_tables
 
 
 def csv_writer_oracle(path, header, columns):
@@ -94,15 +94,15 @@ def test_column_twice_in_one_table_matches_csv_writer_bytes(tmp_path):
 
 
 def test_more_tables_than_open_files_match_csv_writer_bytes(tmp_path, monkeypatch):
+    # one table at a time: a file is closed before the next one opens
     opened = []
 
     def counting_open(*args, **kwargs):
         fh = open(*args, **kwargs)
         opened.append(fh)
-        assert sum(not f.closed for f in opened) <= 2
+        assert sum(not f.closed for f in opened) <= 1
         return fh
 
-    monkeypatch.setattr(output, "MAX_OPEN_FILES", 2)
     monkeypatch.setattr(output, "open", counting_open, raising=False)
     shared = np.arange(5000) * 0.25
     tables = ([(["x", "y"], [shared, _BLOCKS[i:i + 5000]]) for i in range(3)]
@@ -123,7 +123,7 @@ def test_output_imports_only_the_formats(fresh_python):
 
     writers = {n for n, v in vars(output).items()
                if inspect.isfunction(v) and v.__module__ == output.__name__}
-    assert writers == {"write_tables", "write_json"}
+    assert writers == {"cells", "write_tables", "write_json"}
     loaded = fresh_python("import sys, heliport.output; "
                           "print(sorted(m for m in sys.modules if m.startswith('heliport.')), "
                           "'csv' in sys.modules)")
@@ -131,9 +131,9 @@ def test_output_imports_only_the_formats(fresh_python):
 
 
 def test_formatted_blocks_are_dropped_after_their_last_file(tmp_path):
-    # twelve one-block tables sharing u and v: the writer holds the shared
-    # blocks plus the table it is writing (~1 MB of cells each three
-    # columns), not all fourteen distinct columns (~4.5 MB)
+    # twelve one-block tables sharing u and v: the writer holds one block of
+    # the table it is writing (~1 MB of cells for three columns), not all
+    # fourteen distinct columns (~4.5 MB)
     import tracemalloc
 
     u, v = _RNG.normal(size=4096), _RNG.normal(size=4096)
@@ -146,3 +146,31 @@ def test_formatted_blocks_are_dropped_after_their_last_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_cells_columns_match_csv_writer_bytes_of_their_numbers(tmp_path):
+    # the field layout over several blocks (a repeated and a tiled axis beside
+    # numeric maps) and the snapshots' int site and float z
+    u = _RNG.normal(size=97) * 10.0 ** _RNG.integers(-20, 20, size=97)
+    v = np.append(_SPECIAL[3:], np.linspace(0.0, 3.0, 92))
+    n_u, n_v = len(u), len(v)
+    assert n_u * n_v > 2 * output.BLOCK_ROWS
+    site, z = np.arange(8), np.linspace(-1.0, 1.0, 8)
+    # (header, columns written, the numbers the oracle writes)
+    tables = [(["y", "z", "intensity"],
+               [np.repeat(cells(u), n_v), np.tile(cells(v), n_u), m],
+               [np.repeat(u, n_v), np.tile(v, n_u), m])
+              for m in (_RNG.normal(size=n_u * n_v) for _ in range(2))]
+    tables.append((["site", "z", "p"], [cells(site), cells(z), _SPECIAL], [site, z, _SPECIAL]))
+    write_tables([(tmp_path / f"new{i}.csv", header, columns)
+                  for i, (header, columns, _) in enumerate(tables)])
+    for i, (header, _, numbers) in enumerate(tables):
+        csv_writer_oracle(tmp_path / f"oracle{i}.csv", header, numbers)
+        assert ((tmp_path / f"new{i}.csv").read_bytes()
+                == (tmp_path / f"oracle{i}.csv").read_bytes()), f"table {i}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cells_refuse_non_finite_values(bad):
+    with pytest.raises(FloatingPointError):
+        cells(np.array([0.5, bad, 1.0]))
