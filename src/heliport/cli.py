@@ -21,7 +21,8 @@ dynamics.launch, which also chooses its path.
 Exit codes: 0 success (and --help), 1 usage/configuration error (argparse
 errors, a --threads or HELIPORT_THREADS value that is not a positive
 integer, and an unwritable output directory included), 2 numerical failure
-(a non-finite product included) or failed self-checks.
+(a non-finite product included), a MemoryError before the first write, or
+failed self-checks.
 """
 
 from __future__ import annotations
@@ -92,14 +93,14 @@ def _finite_or_none(x: float) -> float | None:
 
 def _propagator_keys(prop, times) -> dict:
     """The manifest keys of a launched propagator, read after propagation
-    over the times: the products the stepper made beside the estimate of
-    them from its step norm (0 on a path that does not step), and the
-    path-choice model's seconds of each path; the spectral path adds its
-    conditioning."""
+    over the times: the products the series made beside the count planned
+    from its box before the first product (0 on a path that does not step),
+    and the path-choice model's seconds of each path; the spectral path adds
+    its conditioning."""
     from . import dynamics
 
     steps = prop.path == "matrix_free" or prop.use_stepper
-    estimate = dynamics.estimated_matvecs(prop.step_norm, times) if steps else 0.0
+    estimate = dynamics.estimated_matvecs(prop.box, times) if steps else 0.0
     keys = {
         "propagator_path": prop.path,
         "propagator_fallback": prop.use_stepper,
@@ -394,6 +395,8 @@ def main(argv=None) -> int:
         _require_finite(products)
     except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:
         return _fail([f"numerical failure: {exc}"], 2)
+    except MemoryError as exc:
+        return _fail([f"out of memory: {exc}"], 2)
     except ValueError as exc:
         return _fail([str(exc)], 1)
 

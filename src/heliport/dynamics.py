@@ -4,54 +4,38 @@ A mixed initial state is stored as weighted pure-state branches; each branch
 amplitude vector a (length 2N) evolves as a(t) = exp(-i H_eff t) a(0), which
 is equivalent to the no-jump master equation
 rho_dot = -i (H_eff rho - rho H_eff^dag).  The Propagator, built once per
-run, takes one of two paths: a spectral decomposition of H_eff (exact in t,
-O(N^3) to build), or, for a long helix, Taylor steps of a matrix-free
-product with H_eff (O(N log N) per product).
+run, takes one of two paths.  The spectral path makes one eig (eigh for
+hermitian_only) of the whole 2N x 2N H_eff, V^-1 = np.linalg.inv(V), and
+refines the expansion coefficients once, c += V^-1 (a0 - V c); if
+||V||_F ||V^-1||_F (>= the 2-norm condition number, no SVD) exceeds
+COND_LIMIT, it propagates by the series below on the dense H instead.  The
+matrix-free path, for a screw geometry (hamiltonian.ScrewHamiltonian),
+evolves b = U^dag a, held (spin, branch, site), under the Toeplitz blocks
+T(d): a product is one FFT of b zero-padded to the circulant length L, four
+2x2 products with the circulant's block spectrum and one inverse FFT; U is
+applied once per output time, never inside a product.
 
-Matrix-free path.  A screw geometry is block Toeplitz in the screw gauge,
-H_ij = U_i T(i - j) U_j^dag (hamiltonian.ScrewHamiltonian), so the path
-evolves b = U^dag a under the Toeplitz matrix of the blocks T(d).  The
-ScrewHamiltonian embeds the table once in a block circulant of 5-smooth
-length L >= 2N - 1 and holds its block spectrum, so a product is one FFT of
-b zero-padded to L (one padded buffer per propagation), four 2x2 products
-in frequency space and one inverse FFT, truncated to N sites.  b is held
-spin-major, (spin, branch, site) with the FFT on the last axis, and every
-launch branch is a column of the one block that is stepped.  U is applied
-once per output time, never inside a product.
-
-The stepper (Propagator._step, which the dense fallback below shares) takes
-s = ceil(t_max ||H|| / 6) uniform steps of dt = t_max / s from 0 to the
-largest output time, whatever the grid, so ||dt H|| <= 6 in the step norm:
-||H||_1 on the dense fallback, and on the matrix-free path the circulant's
-exact 2-norm, max_l ||M_l||_2 over its 2x2 spectral blocks, which bounds
-||H||_2 (ScrewHamiltonian.norm_bound; 12.4 against ||H||_1 = 29.2 at
-N = 600).  Each step is one series of the Taylor kernel _expm_apply, with
--i dt folded into the operator once per propagation, and a time
-t = k dt + tau dt inside step k sums tau^n times the n-th term as the terms
-are made, the evaluation of exp(tA)B on a grid of times from shared steps
-(Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011), sec. 5).
-Amplitudes are yielded time by time (Propagator.stream) and populations()
-squares each as it arrives, so a run holds the amplitudes of the times
-inside one step, never all T of them.  The step norm is >= max|E|, so it
-also sets the phase guard: a time with t ||H|| eps >= 1 raises
-FloatingPointError, and a negative time ValueError, before any step count
-is formed.  launch builds a run's Propagator on the path modelled_seconds
-prefers, N^3 for the spectral build (assemble, eig and inv) against
-estimated products times L log L (constants measured once, 1 BLAS thread);
-below the crossover (near N = 117 for the packaged helix geometry) the
-spectral path is cheaper.
-
-The spectral path makes one eig (eigh for hermitian_only) of the whole
-2N x 2N H_eff.  For a non-Hermitian H_eff, V^-1 is np.linalg.inv of the
-eigenvector matrix V, and expansion coefficients get one refinement step
-c += V^-1 (a0 - V c).
-
-If the eigenvector matrix is too ill conditioned, propagation steps
-a <- exp(-i dt H_eff) a instead, with the same Taylor stepper as the
-matrix-free path on the dense matrix.  The
-criterion is ||V||_F ||V^-1||_F > COND_LIMIT; the Frobenius product bounds
-the 2-norm condition number from above, so it trips at least as early as an
-SVD-based test would, and costs no SVD.
+The series (_series) works on a box holding the field of values W(H)
+(ScrewHamiltonian.box, or the O(N^2) Gershgorin box of a dense H).  With c
+its center, rho its half-width (at least its half-height h) and
+X = (H - c)/rho, exp(-i tau dt H) = exp(-i tau dt c) sum_n (2 - delta_n0)
+(-i)^n J_n(tau rho dt) T_n(X) (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967
+(1984); Huisinga et al., J. Chem. Phys. 110, 5538 (1999)).  series_plan
+takes s = ceil(t_max rho / SERIES_WIDTH) steps of dt = t_max / s and fixes
+the degree m before the first product, the least m with
+(1 + sqrt 2) |exp(-i dt c)| sum_{n>m} 2 |J_n(rho dt)| r^n below round-off,
+r the Bernstein ellipse through 1 + i h/rho (Crouzeix and Palencia, SIAM
+J. Matrix Anal. Appl. 38, 649 (2017)); a run makes exactly s m products.
+A step forms T_0..T_m by the three-term recurrence and each output time in
+it from one row of Bessel coefficients, holding the m + 1 terms or one
+partial sum per output time, whichever is fewer, plus SERIES_BLOCK rows of
+combined output (and, with partial sums, a ring of SERIES_BLOCK terms).
+populations() squares each time's amplitudes as they arrive.  The phase
+guard (max|E|, or the box's largest corner modulus) refuses a time whose
+phase keeps no digit, before any product.  launch takes the path
+modelled_seconds prefers: N^3 for the spectral build against the series'
+products times L log L, on one BLAS thread (crossover near N = 84 for the
+packaged helix geometry).
 
 Observables follow the transport picture: per-spin populations P_up/P_down,
 per-site populations, <S_z> = P_up - P_down, the surviving-excitation center
@@ -64,6 +48,7 @@ series on a sorted one; evolve composes the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,12 +59,13 @@ from .hamiltonian import CouplingTensor, EffectiveHamiltonian, ScrewHamiltonian,
 COND_LIMIT = 1e8       # eigenvector-matrix condition number triggering the fallback
 HELICITY_DEADBAND = 1e-6
 # path-choice cost model, seconds: EIG_S_PER_N3 * N^3 for the spectral build
-# (assemble, eig and inv) against, per estimated product, MATVEC_S +
+# (assemble, eig and inv) against, per series product, MATVEC_S +
 # MATVEC_S_PER_LLOGL * L log2 L
-EIG_S_PER_N3 = 4.3e-8
-MATVEC_S = 5.3e-5
-MATVEC_S_PER_LLOGL = 6.9e-9
-TAYLOR_THETA = 6.0     # the step norm ||dt H|| each Taylor series may span
+EIG_S_PER_N3 = 4.9e-8
+MATVEC_S = 4.7e-5
+MATVEC_S_PER_LLOGL = 9.3e-9
+SERIES_WIDTH = 20.0    # the largest rho dt one series step spans
+SERIES_BLOCK = 4       # terms or output times one matrix product combines
 
 
 @dataclass(frozen=True)
@@ -120,22 +106,16 @@ def initial_state(n_sites: int, site: int, p_up: float) -> ExcitationState:
 class Propagator:
     """a(t) = exp(-i H t) a(0), built once per run on one of two paths.
 
-    From an EffectiveHamiltonian (path "spectral"): exact in time via one
-    diagonalization of the whole H (module docstring).  Attributes of this
-    path: evals, vecs and vecs_inv (np.linalg.inv of V; None when V is
-    singular); use_stepper (dense Taylor fallback taken) and condition, the
-    bound ||V||_F ||V^-1||_F on the eigenvector condition number compared
-    against COND_LIMIT (exactly 1 for the Hermitian branch, whose
-    eigenvectors are unitary).
-
-    From a ScrewHamiltonian (path "matrix_free"): Taylor steps of the
-    circulant-embedded FFT product (module docstring); use_stepper is False.
-    step_norm is the norm that sizes the Taylor steps (||H||_1 on the
-    spectral path and its fallback, the circulant's 2-norm bound on the
-    matrix-free path) and matvecs counts the products with H that the
-    Taylor stepper made.  stream yields the amplitudes time by time;
-    propagate collects them into one array.  A Propagator built by launch
-    also holds modelled_s, the path-choice model's seconds of each path.
+    From an EffectiveHamiltonian (path "spectral"): one diagonalization of
+    the whole H, with evals, vecs and vecs_inv (None when V is singular);
+    use_stepper (dense series fallback taken) and condition, the bound
+    ||V||_F ||V^-1||_F compared against COND_LIMIT (1 for the Hermitian
+    branch).  From a ScrewHamiltonian (path "matrix_free"): the series of the
+    FFT product; use_stepper is False.  box is the box the series works on
+    (on the spectral path the Gershgorin box, formed when first read) and
+    matvecs counts the products with H the series made.  stream yields the
+    amplitudes time by time, propagate collects them; a Propagator built by
+    launch holds modelled_s, the path-choice model's seconds of each path.
     """
 
     def __init__(self, h_eff: EffectiveHamiltonian | ScrewHamiltonian):
@@ -143,12 +123,15 @@ class Propagator:
         self.use_stepper = False
         self.matvecs = 0
         if isinstance(h_eff, ScrewHamiltonian):
-            self.path = "matrix_free"
-            self._init_matrix_free(h_eff)
+            self.path, self.n_sites, self.box = "matrix_free", h_eff.n_sites, h_eff.box
+            self._gauge, self._length = h_eff.gauge, len(h_eff.spectrum)   # (site, spin), L
+            # (spin, spin', 1, L): broadcasts over the (branch, L) spectra
+            self._spectrum = h_eff.spectrum.transpose(1, 2, 0)[:, :, None, :]
+            re_lo, re_hi, im_lo, im_hi = self.box
+            self._phase_scale = np.hypot(max(-re_lo, re_hi), max(-im_lo, im_hi))
             return
         self.path = "spectral"
         self.h = h_eff.matrix
-        self.step_norm = np.abs(self.h).sum(axis=0).max()
         if self.hermitian:
             self.evals, self.vecs = np.linalg.eigh(self.h)
             self.vecs_inv = self.vecs.conj().T
@@ -167,19 +150,14 @@ class Propagator:
             self.use_stepper = not self.condition <= COND_LIMIT
         self._phase_scale = np.abs(self.evals).max()
 
-    def _init_matrix_free(self, screw: ScrewHamiltonian):
-        self.n_sites = screw.n_sites
-        self._gauge = screw.gauge.T                  # (spin, site)
-        self._length = len(screw.spectrum)
-        # (spin, spin', 1, L): broadcasts over the (branch, L) spectra
-        self._spectrum = screw.spectrum.transpose(1, 2, 0)[:, :, None, :]
-        self.step_norm = self._phase_scale = screw.norm_bound
+    @cached_property
+    def box(self) -> tuple:
+        """The Gershgorin box of the dense H (the matrix-free path sets it)."""
+        return _gershgorin_box(self.h)
 
     def _checked_times(self, times) -> np.ndarray:
-        """times as floats.  A negative (or nan) time raises ValueError, as
-        the stepper marches forward from 0; a time with t * scale * eps >= 1
-        raises FloatingPointError, as no phase E t would keep a correct digit
-        (scale: max|E|, or the step norm >= max|E| on the matrix-free path)."""
+        """times as floats, refusing a negative (or nan) time (ValueError)
+        and one whose phase E t keeps no digit (FloatingPointError)."""
         times = np.asarray(times, dtype=float)
         if not np.all(times >= 0):
             raise ValueError("output times must be non-negative")
@@ -189,26 +167,19 @@ class Propagator:
         return times
 
     def stream(self, a0s: np.ndarray, times):
-        """Yield (index into times, amplitudes of shape (B, 2N)) once per
-        time for the stack a0s of B branches, shape (B, 2N), which every path
-        propagates as one block: the stepping paths in order of time, holding
-        no more than the times of one step, the spectral path in order of
-        index from its one matrix product."""
+        """Yield (index into times, amplitudes (B, 2N)) once per time for the
+        stack a0s (B, 2N), propagated as one block: by the series in order of
+        time, by the spectral path in order of index from one matrix product."""
         times = self._checked_times(times)
         n_b, dim = a0s.shape
         if self.path == "matrix_free":
-            b0 = (a0s.reshape(n_b, -1, 2) * self._gauge.T.conj()).transpose(2, 0, 1)
-            padded = np.zeros((2, n_b, self._length), dtype=complex)
-
-            def scaled(c):
-                spectrum = c * self._spectrum
-                return lambda b: self._apply_screw(b, padded, spectrum)
-
-            for idx, b in self._step(scaled, np.ascontiguousarray(b0), times, axis=(0, 2)):
-                yield idx, (b * self._gauge[:, None, :]).transpose(1, 2, 0).reshape(n_b, dim)
+            b0 = (a0s.reshape(n_b, -1, 2) * self._gauge.conj()).transpose(2, 0, 1)
+            for idx, b in _series(self._screw_product, b0, times, self.box):
+                yield idx, np.multiply(b.transpose(1, 2, 0), self._gauge,
+                                       order="C").reshape(n_b, dim)
         elif self.use_stepper:
-            for idx, x in self._step(lambda c: (c * self.h).dot, a0s.T, times, axis=0):
-                yield idx, x.T
+            for idx, x in _series(self._dense_product, a0s.T, times, self.box):
+                yield idx, x.T.copy()
         else:
             coef = self.vecs_inv @ a0s.T                 # (2N, B)
             if not self.hermitian:
@@ -231,49 +202,34 @@ class Propagator:
             out[:, idx] = a
         return out if a0.ndim == 2 else out[0]
 
-    def _apply_screw(self, b: np.ndarray, padded: np.ndarray,
-                     spectrum: np.ndarray) -> np.ndarray:
-        """c H in the screw gauge on b (spin, branch, site), for spectrum =
-        c * self._spectrum: one FFT, four 2x2 products in frequency space,
-        one inverse FFT, truncated to N sites.  padded is a zero
-        (spin, branch, L) buffer, reused across one propagation, whose first
-        N sites take b."""
-        padded[..., :self.n_sites] = b
-        f = np.fft.fft(padded, axis=-1)
-        (c00, c01), (c10, c11) = spectrum
-        hf = np.empty_like(f)
-        np.multiply(c00, f[0], out=hf[0])
-        hf[0] += c01 * f[1]
-        np.multiply(c10, f[0], out=hf[1])
-        hf[1] += c11 * f[1]
-        return np.fft.ifft(hf, axis=-1)[..., :self.n_sites]
+    def _screw_product(self, c, rho):
+        """b -> 2 (H - c) b / rho in the screw gauge, c and 2/rho folded
+        into the spectrum once."""
+        spectrum = (self._spectrum - c * np.eye(2)[:, :, None, None]) * (2 / rho)
+        return lambda b: self._apply_screw(b, spectrum)
 
-    def _step(self, scaled, x: np.ndarray, times: np.ndarray, axis):
-        """Yield (index into times, x(t)) from x(0) = x in order of time;
-        scaled(c) is the function x -> c H x, and `axis` holds the axes of x
-        that one column's 1-norm sums over.  The s = ceil(t_max step_norm / 6)
-        uniform steps of dt = t_max / s run from 0 to the largest time, and a
-        time t = k dt + tau dt in step k is summed from that step's Taylor
-        terms (_expm_apply with the step's fractions tau)."""
-        order = np.argsort(times, kind="stable")
-        ordered = times[order]
-        t_max = times.max(initial=0.0)
-        steps = _taylor_steps(t_max * self.step_norm)
-        dt = t_max / max(steps, 1)
-        apply = scaled(-1j * dt)
-        first = 0
-        for k in range(steps):
-            # the times in [k dt, (k + 1) dt), and every time left in the last step
-            last = (len(ordered) if k == steps - 1
-                    else int(np.searchsorted(ordered, (k + 1) * dt)))
-            x, partials, products = _expm_apply(apply, x, (ordered[first:last] - k * dt) / dt,
-                                                axis)
-            self.matvecs += products
-            yield from zip(order[first:last], partials)
-            del partials                                 # before the next step's series
-            first = last
-        for idx in order[first:]:                        # no step: t_max step_norm = 0
-            yield idx, x
+    def _dense_product(self, c, rho):
+        """y -> 2 (H - c) y / rho on the dense H, counted in matvecs."""
+        x = (self.h - c * np.eye(len(self.h))) * (2 / rho)
+
+        def product(y):
+            self.matvecs += 1
+            return x @ y
+        return product
+
+    def _apply_screw(self, b: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+        """The circulant of spectrum (spin, spin', 1, L) on b (spin, branch,
+        site), counted in matvecs: one FFT of b zero-padded to L, four 2x2
+        products in frequency space, one inverse FFT, truncated to N sites."""
+        self.matvecs += 1
+        f = np.fft.fft(b, n=self._length, axis=-1)
+        (c00, c01), (c10, c11) = spectrum
+        f0 = c10 * f[0]                                  # in place: two rows of scratch
+        f[0] *= c00
+        f[0] += c01 * f[1]
+        f[1] *= c11
+        f[1] += f0
+        return np.fft.ifft(f, axis=-1)[..., :self.n_sites]
 
 
 @dataclass
@@ -306,11 +262,11 @@ def helicity(sz: np.ndarray, z_com: np.ndarray, times: np.ndarray,
 def populations(prop: Propagator, state: ExcitationState, times) -> np.ndarray:
     """Branch-weighted site and spin populations sum_b w_b |a_b(t)|^2 at the
     given times, shape (len(times), N, 2), added up as each time is reached:
-    no amplitudes beyond one step's times are held."""
+    no amplitude history is held."""
     per_site = np.zeros((len(times), state.n_sites, 2))
+    weights = np.array(state.weights)[:, None]
     for idx, amps in prop.stream(np.array(state.amplitudes), times):
-        for w, a in zip(state.weights, amps):
-            per_site[idx] += w * np.abs(a.reshape(per_site.shape[1:])) ** 2
+        per_site[idx] = (weights * np.abs(amps) ** 2).sum(axis=0).reshape(per_site.shape[1:])
     return per_site
 
 
@@ -364,87 +320,182 @@ def arrival_time(series: ObservableSeries, geom: EmitterGeometry):
     return None
 
 
-def _taylor_steps(norm: float) -> int:
-    """The fewest Taylor steps s with norm / s <= TAYLOR_THETA (none for a
-    zero norm)."""
-    return int(np.ceil(norm / TAYLOR_THETA))
-
-
-def _expm_apply(apply, v: np.ndarray, fractions=(), axis=0):
-    """(exp(A) @ v, [exp(tau A) @ v for tau in fractions], products made)
-    from one Taylor series, apply(x) being A x with ||A|| <= TAYLOR_THETA = 6
-    in a consistent norm: numpy only, no eigendecomposition and no
-    squaring.  The series stops once a term falls below round-off of the sum
-    in the 1-norm of every column (the sum over `axis`); the remaining
-    terms then add at most e^6 times that, as one step's terms sum in norm
-    to at most e^||A|| <= e^6 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
-    488 (2011)).  Each fraction 0 <= tau <= 1 sums tau^n times the n-th
-    term as it is made, so its remainder is at most the full step's."""
-    out, products = v.astype(complex), 0
-    partials = [out.copy() for _ in fractions]
-    term = out
-    for n in range(1, 60):
-        term = apply(term)
-        term /= n
-        out += term
-        for part, tau in zip(partials, fractions):
-            part += tau ** n * term
-        products += 1
-        if (np.abs(term).sum(axis=axis).max()
-                <= np.finfo(float).eps * np.abs(out).sum(axis=axis).max()):
-            break
-    return out, partials, products
-
-
-def _expm_dense(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a dense matrix a: _expm_apply on the identity, once per
-    step of a prescaled by the step count.  Only the master-equation oracle
-    uses it, for the step matrix that checks the Propagator."""
-    steps = _taylor_steps(np.abs(a).sum(axis=0).max())
-    a = a / max(steps, 1)
-    out = np.eye(len(a), dtype=complex)
-    for _ in range(steps):
-        out = _expm_apply(lambda x: a @ x, out)[0]
+def _bessel(x, degree: int) -> np.ndarray:
+    """J_0(x) .. J_degree(x) for each x >= 0, shape (len(x), degree + 1):
+    Miller's backward recurrence from order max(degree, x) + 32, rescaled
+    per x before it overflows and normalized by J_0 + 2 sum_k J_2k = 1, so
+    each value is accurate relative to itself, far into the tail.  Below
+    x = 1e-8 the leading terms 1 and x/2 are exact to round-off."""
+    x = np.asarray(x, dtype=float)
+    tiny = x < 1e-8
+    safe = np.where(tiny, 1.0, x)
+    out = np.zeros((len(x), degree + 1))
+    later, now, even = np.zeros(len(x)), np.ones(len(x)), np.zeros(len(x))
+    for n in range(max(degree, int(np.ceil(safe.max(initial=0.0)))) + 32, -1, -1):
+        if n <= degree:
+            out[:, n] = now
+        if n % 2 == 0:
+            even += now
+        if n:
+            later, now = now, (2 * n / safe) * now - later
+            if n % 4 == 0:                               # 4 orders grow by < 1e43
+                big = np.abs(now) > 1e100
+                if big.any():
+                    for part in (later, now, even, out):
+                        part[big] *= 1e-100
+    out /= (2 * even - now)[:, None]                     # J_0 + 2 sum_k J_2k
+    out[tiny] = 0.0
+    out[tiny, :2] = np.column_stack([np.ones_like(x), x / 2])[tiny, :degree + 1]
     return out
 
 
-def estimated_matvecs(norm: float, times) -> float:
-    """Products with H that Taylor stepping from t = 0 to the largest time
-    needs, for the step norm `norm`: s = ceil(t_max norm / 6) steps of
-    theta = t_max norm / s <= 6, each taking the terms until the bound
-    theta^n / n! falls to round-off.  A float, so a huge time gives a huge
-    (or infinite) count rather than an integer loop."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.max(np.asarray(times, dtype=float), initial=0.0) * norm
-    if not np.isfinite(x):
-        return np.inf
-    steps = np.ceil(x / TAYLOR_THETA)
-    if steps == 0:
-        return 0.0
-    n = np.arange(1, 60)
-    log_bound = n * np.log(x / steps) - np.cumsum(np.log(n))
-    return float(steps * (1 + np.count_nonzero(log_bound > np.log(np.finfo(float).eps))))
+def series_plan(box, t_max: float) -> tuple[float, int, complex, float]:
+    """(steps s, degree m, center c, half-width rho) of the series to t_max
+    over a box (Re lo, Re hi, Im lo, Im hi), module docstring; rho is at
+    least the half-height h, so the ellipse parameter r stays below 2.9.  s is
+    a float, inf when t_max rho overflows and 0 for a point box or t_max 0."""
+    re_lo, re_hi, im_lo, im_hi = box
+    center, height = complex(re_lo + re_hi, im_lo + im_hi) / 2, (im_hi - im_lo) / 2
+    rho = max((re_hi - re_lo) / 2, height)
+    with np.errstate(over="ignore"):
+        steps = float(np.ceil(np.float64(t_max) * rho / SERIES_WIDTH))
+    if not 0 < steps < np.inf:
+        return steps, 0, center, rho
+    dt, w = t_max / steps, 1 + 1j * height / rho
+    r = abs(w + np.sqrt(w * w - 1))
+    n = np.arange(int(2 * r * rho * dt) + 41)          # far past the decay of J_n r^n
+    tail = np.cumsum((np.abs(_bessel([rho * dt], n[-1])[0]) * r ** n)[::-1])[::-1]
+    bound = 2 * (1 + np.sqrt(2)) * np.exp(dt * center.imag) * tail[1:]   # n > m
+    return steps, int(np.argmax(bound <= np.finfo(float).eps)), center, rho
+
+
+def estimated_matvecs(box, times) -> float:
+    """The products the series makes to the largest time, exactly, before
+    the first: a float, so a huge time gives a huge or infinite count."""
+    steps, degree, _, _ = series_plan(box, np.max(np.asarray(times, dtype=float), initial=0.0))
+    return steps * degree if steps < np.inf else np.inf
+
+
+def _series(fold, x: np.ndarray, times: np.ndarray, box):
+    """Yield (index into times, exp(-i t H) x) in order of time, for H with
+    its field of values in box; fold(c, rho) gives y -> 2 (H - c) y / rho on
+    arrays shaped like x.  A yielded array is valid until the next request."""
+    order = np.argsort(times, kind="stable")
+    ordered, shape = times[order], x.shape
+    t_max = ordered[-1] if len(ordered) else 0.0
+    steps, degree, center, rho = series_plan(box, t_max)
+    x = np.array(x, dtype=complex, order="C").ravel()
+    if not steps:                                        # H = c 1, or t_max = 0
+        for idx in order:
+            yield idx, np.exp(-1j * center * times[idx]) * x.reshape(shape)
+        return
+    steps, dt, block = int(steps), t_max / steps, SERIES_BLOCK
+    apply = fold(center, rho)
+    n = np.arange(degree + 1)
+    weights = np.where(n, 2, 1) * np.array([1, -1j, -1, 1j])[n % 4]
+
+    def coefficients(taus):
+        """(len(taus), m + 1) coefficients of exp(-i tau dt H) on T_0..T_m."""
+        coef = _bessel(taus * rho * dt, degree).astype(complex)
+        coef *= weights
+        coef *= np.exp(-1j * dt * center * taus)[:, None]
+        return coef
+
+    def recur(rows, k):
+        """T_k = 2 X T_{k-1} - T_{k-2} (X T_0 for k = 1) into rows[k % len]."""
+        y = apply(rows[(k - 1) % len(rows)].reshape(shape))   # 2 X T_{k-1}
+        dst = rows[k % len(rows)].reshape(shape)
+        if k == 1:
+            np.multiply(y, 0.5, out=dst)
+        else:
+            np.subtract(y, rows[(k - 2) % len(rows)].reshape(shape), out=dst)
+
+    def combined(taus, terms):
+        """Rows sum_n c_n(tau) T_n into out, block by block, with one
+        _bessel call per 4 blocks."""
+        for i in range(0, len(taus), 4 * block):
+            coef = coefficients(taus[i:i + 4 * block])
+            for j in range(0, len(coef), block):
+                yield np.matmul(coef[j:j + block], terms, out=out[:len(coef[j:j + block])])
+
+    # step k takes the times in [k dt, (k + 1) dt), the last one those up to t_max
+    bounds = np.concatenate([[0], np.searchsorted(ordered, dt * np.arange(1, steps)),
+                             [len(ordered)]])
+    n_rows = np.diff(bounds) + (np.arange(steps) < steps - 1)   # and each step's end
+    held = min(degree + 1, n_rows.max() + block)
+    buf = np.empty((held + block, x.size), dtype=complex)
+    out = buf[held:]                                     # one block of combined rows
+    for k in range(steps):
+        first, n_out = bounds[k], bounds[k + 1] - bounds[k]
+        taus = ordered[first:first + n_out] / dt - k
+        if k < steps - 1:
+            taus = np.append(taus, 1.0)                  # the step's end
+        if degree + 1 <= len(taus) + block:              # hold the m + 1 terms
+            terms = buf[:degree + 1]
+            terms[0] = x
+            for j in range(1, degree + 1):
+                recur(terms, j)
+            blocks = combined(taus, terms)
+        else:                                            # hold a partial sum per row
+            ring, part = buf[:block], buf[block:block + len(taus)]
+            ring[0], part[:] = x, 0.0
+            coef = coefficients(taus)
+            for j in range(degree + 1):
+                if j:
+                    recur(ring, j)
+                if j % block == block - 1 or j == degree:
+                    lo = j - j % block
+                    for i in range(0, len(taus), block):
+                        rows = part[i:i + block]
+                        rows += np.matmul(coef[i:i + block, lo:j + 1], ring[:j - lo + 1],
+                                          out=out[:len(rows)])
+            blocks = (part[i:i + block] for i in range(0, len(taus), block))
+        row = 0
+        for rows in blocks:
+            for value in rows[:n_out - row]:
+                yield order[first + row], value.reshape(shape)
+                row += 1
+        x = rows[-1]                                     # the step's end
+
+
+def _gershgorin_box(h: np.ndarray) -> tuple:
+    """(Re lo, Re hi, Im lo, Im hi) holding W(h) for any dense h, O(N^2):
+    Gershgorin intervals of (h + h^dag)/2 and (h - h^dag)/2i, whose
+    eigenvalue ranges are Re W(h) and Im W(h)."""
+    box = []
+    for part in (0.5 * (h + h.conj().T), -0.5j * (h - h.conj().T)):
+        diag = part.diagonal().real
+        radius = np.abs(part).sum(axis=1) - np.abs(diag)
+        box += [float((diag - radius).min()), float((diag + radius).max())]
+    return tuple(box)
+
+
+def _expm_dense(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t h) for a dense h, the series on the identity: the
+    master-equation oracle's step matrix."""
+    eye = np.eye(len(h), dtype=complex)
+    series = _series(lambda c, rho: ((h - c * eye) * (2 / rho)).dot, eye,
+                     np.array([float(t)]), _gershgorin_box(h))
+    return next(series)[1]
 
 
 def modelled_seconds(n_sites: int, screw: ScrewHamiltonian | None, times) -> dict:
-    """The path-choice model's seconds for an n_sites run over times:
-    "spectral" for building the spectral propagator (assemble, eig and inv)
-    and "matrix_free" for Taylor stepping the FFT product of screw to the
-    largest time (inf when screw is None: there is no such path).  The
-    constants are timings on one BLAS thread."""
+    """The path-choice model's seconds of an n_sites run over times:
+    "spectral" (assemble, eig and inv) and "matrix_free" (the series of the
+    FFT product of screw; inf when screw is None)."""
     spectral = EIG_S_PER_N3 * n_sites ** 3
     if screw is None:
         return {"spectral": spectral, "matrix_free": np.inf}
     length = len(screw.spectrum)
     per_product = MATVEC_S + MATVEC_S_PER_LLOGL * length * np.log2(length)
     return {"spectral": spectral,
-            "matrix_free": estimated_matvecs(screw.norm_bound, times) * per_product}
+            "matrix_free": estimated_matvecs(screw.box, times) * per_product}
 
 
 def launch(geom: EmitterGeometry, hermitian_only: bool, times) -> Propagator:
     """The Propagator of a run that propagates once, from t = 0 over times,
     on the path modelled_seconds prefers: matrix-free for a screw geometry
-    when Taylor stepping is modelled cheaper than the spectral build (J and
+    when its series is modelled cheaper than the spectral build (J and
     Gamma are then never assembled), spectral otherwise.  Its modelled_s
     holds the model's seconds of each path."""
     screw = hamiltonian.screw_effective(geom, hermitian_only)
@@ -477,7 +528,7 @@ def master_equation_check(state: ExcitationState, coupling: CouplingTensor,
         rho += w * np.outer(a, a.conj())
 
     times = np.linspace(0.0, t_final, n_eval + 1)
-    step = _expm_dense(-1j * (times[1] - times[0]) * h_eff.matrix)
+    step = _expm_dense(h_eff.matrix, times[1] - times[0])
 
     # geometry is only needed for z_com; a placeholder z = site index works
     # for the comparison since both sides use the same values

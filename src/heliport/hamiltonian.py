@@ -28,8 +28,9 @@ coordinate scale) selects this path; it reads the positions, not how they
 were made, so a geometry file holding a helix takes it too.  Every other
 geometry takes the pairwise N(N - 1) evaluation, the test oracle of the
 screw table.  `screw_effective` hands the gauge and the table of H_eff itself
-(T_J - i T_Gamma / 2), with its circulant spectrum and 2-norm bound, to the
-matrix-free propagator, which never forms the dense matrices.
+(T_J - i T_Gamma / 2), with its circulant spectrum and a box enclosing its
+field of values, to the matrix-free propagator, which never forms the dense
+matrices.
 """
 
 from __future__ import annotations
@@ -88,16 +89,19 @@ class ScrewHamiltonian:
 
     The table is embedded once in a block circulant C of 5-smooth length
     L >= 2N - 1 (T(d) at d mod L, zeros elsewhere; R. H. Chan and M. K. Ng,
-    SIAM Rev. 38, 427 (1996)): spectrum (L, 2, 2) holds its block Fourier
-    transform M_l, and norm_bound = max_l ||M_l||_2 = ||C||_2.  The Toeplitz
-    matrix is a compression of C and U is unitary, so norm_bound >= ||H||_2
-    >= max|E|."""
+    SIAM Rev. 38, 427 (1996)); spectrum (L, 2, 2) holds its blocks M_l.
+    box = (Re lo, Re hi, Im lo, Im hi) holds the field of values W(H): W(C)
+    is the hull of the W(M_l), the Toeplitz matrix is a compression of C and
+    U is unitary, and W(M_l) lies in the eigenvalue ranges of its Hermitian
+    and skew-Hermitian parts (Bendixson, Acta Math. 25, 359 (1902)), closed
+    form per 2x2 block.  Gamma is positive semidefinite, so the top is
+    clamped to Im = 0 (the circulant's wrap is not semidefinite)."""
 
     gauge: np.ndarray
     table: np.ndarray
     hermitian_only: bool
     spectrum: np.ndarray = field(init=False, repr=False)
-    norm_bound: float = field(init=False)
+    box: tuple = field(init=False)
 
     def __post_init__(self):
         n = self.n_sites
@@ -106,17 +110,22 @@ class ScrewHamiltonian:
         circulant[:n] = self.table[n - 1:]
         circulant[length - n + 1:] = self.table[:n - 1]
         spectrum = np.fft.fft(circulant, axis=0)
-        # ||M||_2^2 = (||M||_F^2 + sqrt(||M||_F^4 - 4 |det M|^2)) / 2 per 2x2 block
         (m00, m01), (m10, m11) = spectrum.transpose(1, 2, 0)
-        frob = (np.abs(spectrum) ** 2).sum(axis=(1, 2))
-        det = np.abs(m00 * m11 - m01 * m10)
-        norm2 = np.sqrt(0.5 * (frob + np.sqrt(np.maximum(frob ** 2 - 4 * det ** 2, 0.0))))
+        re_lo, re_hi = _eigen_range(m00.real, m11.real, 0.5 * (m01 + m10.conj()))
+        im_lo, im_hi = _eigen_range(m00.imag, m11.imag, 0.5 * (m01 - m10.conj()))
         object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "norm_bound", float(norm2.max()))
+        object.__setattr__(self, "box", (re_lo, re_hi, im_lo, min(im_hi, 0.0)))
 
     @property
     def n_sites(self) -> int:
         return len(self.gauge)
+
+
+def _eigen_range(a, d, b) -> tuple[float, float]:
+    """(least, largest) eigenvalue over the Hermitian 2x2 blocks
+    [[a, b], [b*, d]], whose eigenvalues are (a + d)/2 -+ |((a - d)/2, b)|."""
+    mid, rad = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
+    return float((mid - rad).min()), float((mid + rad).max())
 
 
 def screw_effective(geom: EmitterGeometry,

@@ -4,7 +4,9 @@ Runs a battery of exact and statistical identities of the kernels on the
 configured geometry: Green's-tensor structure, coupling symmetries, norm
 behavior and propagator cross-validation, momentum-space symmetries, Wilson
 loop gauge invariance, and field-map sanity (which includes the field
-kernel's factors against an explicit Green's-tensor sum).  Randomized checks
+kernel's factors against an explicit Green's-tensor sum; the master-equation
+cross-check also holds the matrix-free series to the spectral propagator on
+the configured helix).  Randomized checks
 use a fixed seed; the battery is deterministic.  The lattice checks make two
 bloch.band_structure sweeps: a full one for the k -> -k symmetries, and a
 coherent Wilson-grid one for the frame orthonormality and the all-band loop.
@@ -168,7 +170,18 @@ def check_master_equation(cfg, _rng):
     state = dynamics.initial_state(small.n_sites, 0, 0.5)
     coup = hamiltonian.assemble(small)
     dev = dynamics.master_equation_check(state, coup, 5.0)
-    return _require(dev < 1e-6, f"propagator vs density-matrix deviation {dev:.1e}")
+    detail = _require(dev < 1e-6, f"propagator vs density-matrix deviation {dev:.1e}")
+    # the matrix-free series against the spectral propagator on the helix,
+    # full and coherent, launched in both spins at both ends
+    geom, free = cfg.build_geometry(), 0.0
+    coup, n = hamiltonian.assemble(geom), geom.n_sites
+    a0s, times = np.eye(2 * n)[[0, 1, 2 * n - 2, 2 * n - 1]], [0.0, 0.5, 2.0, 5.0]
+    for hermitian_only in (False, True):
+        x, y = (dynamics.Propagator(h).propagate(a0s, times)
+                for h in (hamiltonian.screw_effective(geom, hermitian_only),
+                          hamiltonian.effective(coup, hermitian_only)))
+        free = max(free, np.abs(x - y).max() / np.abs(y).max())
+    return f"{detail}; " + _require(free < 1e-12, f"matrix-free series vs spectral {free:.1e}")
 
 
 def check_bloch_symmetries(cfg, _rng):

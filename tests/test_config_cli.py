@@ -371,6 +371,18 @@ def test_cli_check_failure_exits_2(tmp_path, monkeypatch):
     assert run_cli(["check", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
 
+def test_cli_memory_error_exits_2_without_a_manifest(tmp_path, monkeypatch, capsys):
+    def exhausted(cfg, geom):
+        raise MemoryError("Unable to allocate 64.0 TiB")     # nothing is allocated
+
+    monkeypatch.setitem(cli._RUNNERS, "dynamics", exhausted)
+    out = tmp_path / "out"
+    assert run_cli(["dynamics", "--config", write_config(tmp_path, dynamics_dict()),
+                    "--out", out]) == 2
+    assert "out of memory: Unable to allocate 64.0 TiB" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_subcommands_are_the_config_modes():
     from heliport import config
 

@@ -107,7 +107,7 @@ def test_expm_fallback_matches_spectral(small_helix, monkeypatch):
     h = effective(assemble(small_helix))
     spectral = Propagator(h)
     assert not spectral.use_stepper
-    monkeypatch.setattr(dynamics, "COND_LIMIT", 0.0)   # force the Taylor-step fallback
+    monkeypatch.setattr(dynamics, "COND_LIMIT", 0.0)   # force the series fallback
     stepped = Propagator(h)
     assert stepped.use_stepper
     times = np.array([0.0, 0.7, 1.9])
@@ -118,7 +118,7 @@ def test_expm_fallback_matches_spectral(small_helix, monkeypatch):
 
 
 @pytest.mark.parametrize("hermitian_only", [False, True], ids=["full", "coherent"])
-def test_taylor_fallback_matches_expm(small_helix, hermitian_only):
+def test_series_fallback_matches_expm(small_helix, hermitian_only):
     h = effective(assemble(small_helix), hermitian_only)
     prop = Propagator(h)
     prop.use_stepper = True          # the Hermitian branch never sets it
@@ -361,8 +361,9 @@ def test_matrix_free_matches_spectral(n, handedness, hermitian_only):
         for a0 in initial_state(n, site, 0.5).amplitudes:    # field runs' amplitudes
             x, y = (prop.propagate(a0, [0.0, 0.5, 2.0]) for prop in (free, spectral))
             assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
-    # a zero H (one emitter, coherent part only) needs no step
-    assert not free.use_stepper and (free.matvecs > 0) == (free.step_norm > 0)
+    # a point box (one emitter: H = -i Gamma_0/2, or 0 coherent) needs no product
+    assert not free.use_stepper
+    assert (free.matvecs > 0) == (dynamics.series_plan(free.box, 1.0)[3] > 0)
 
 
 def test_screw_product_and_norm_match_the_dense_matrix(rng):
@@ -370,14 +371,23 @@ def test_screw_product_and_norm_match_the_dense_matrix(rng):
         _, screw, h = _screw_and_dense(n, -1, hermitian_only)
         prop = Propagator(screw)
         dense = np.abs(h.matrix).sum(axis=0).max()
-        # the circulant's 2-norm bounds ||H||_2 and so every |E|
-        assert prop.step_norm == screw.norm_bound
-        assert np.linalg.norm(h.matrix, 2) <= prop.step_norm
-        assert np.abs(np.linalg.eigvals(h.matrix)).max() <= prop.step_norm
+        # the box holds the field of values (the eigenvalue ranges of the
+        # Hermitian and skew-Hermitian parts) and so every eigenvalue, and
+        # its largest corner modulus, the phase guard's scale, bounds |E|
+        assert prop.box == screw.box
+        re_lo, re_hi, im_lo, im_hi = prop.box
+        tol = 1e-13 * dense
+        for (lo, hi), part in (((re_lo, re_hi), 0.5 * (h.matrix + h.matrix.conj().T)),
+                               ((im_lo, im_hi), -0.5j * (h.matrix - h.matrix.conj().T))):
+            w = np.linalg.eigvalsh(part)
+            assert lo - tol <= w[0] and w[-1] <= hi + tol
+        evals = np.linalg.eigvals(h.matrix)
+        assert np.all((re_lo - tol <= evals.real) & (evals.real <= re_hi + tol))
+        assert np.all((im_lo - tol <= evals.imag) & (evals.imag <= im_hi + tol))
+        assert np.abs(evals).max() <= prop._phase_scale
         x = rng.standard_normal((3, 2 * n)) + 1j * rng.standard_normal((3, 2 * n))
         b = (x.reshape(3, n, 2) * screw.gauge.conj()).transpose(2, 0, 1)   # U^dag x
-        padded = np.zeros((2, 3, prop._length), dtype=complex)
-        hx = (prop._apply_screw(b, padded, prop._spectrum)
+        hx = (prop._apply_screw(b, prop._spectrum)
               * screw.gauge.T[:, None, :]).transpose(1, 2, 0)
         assert np.abs(hx.reshape(3, -1) - x @ h.matrix.T).max() <= 1e-14 * dense * np.abs(x).max()
 
@@ -403,7 +413,7 @@ def _n600_times(t_max):
 
 
 def _steps_matrix_free(geom, times):
-    """True when the path-choice model prefers Taylor stepping for geom."""
+    """True when the path-choice model prefers the matrix-free series for geom."""
     modelled = dynamics.modelled_seconds(geom.n_sites, hamiltonian.screw_effective(geom),
                                          times)
     return modelled["matrix_free"] < modelled["spectral"]
@@ -427,7 +437,7 @@ def test_path_choice_follows_the_cost_estimate():
         assert prop.modelled_s == dynamics.modelled_seconds(
             geom.n_sites, hamiltonian.screw_effective(geom), _n600_times(15.8))
     screw = hamiltonian.screw_effective(n600)
-    assert dynamics.estimated_matvecs(screw.norm_bound, [0.0, 0.0]) == 0.0
+    assert dynamics.estimated_matvecs(screw.box, [0.0, 0.0]) == 0.0
 
 
 @pytest.mark.parametrize("mode", ["dynamics", "field"])
@@ -456,7 +466,8 @@ def test_matrix_free_products_stay_within_the_estimate(n, sites_per_turn):
     prop = Propagator(hamiltonian.screw_effective(geom))
     times = _n600_times(15.8)
     dynamics.populations(prop, initial_state(n, 0, 0.5), times)
-    assert 0 < prop.matvecs <= dynamics.estimated_matvecs(prop.step_norm, times)
+    # the series' degree is fixed before the first product: the count is exact
+    assert 0 < prop.matvecs == dynamics.estimated_matvecs(prop.box, times)
 
 
 def test_matrix_free_huge_time_raises_before_stepping(monkeypatch):
@@ -479,7 +490,7 @@ def _stepping_propagators(monkeypatch):
     """(spectral, matrix-free, dense-fallback) Propagators of a 60-site helix."""
     _, screw, h = _screw_and_dense(60, 1, False)
     spectral, free = Propagator(h), Propagator(screw)
-    monkeypatch.setattr(dynamics, "COND_LIMIT", 0.0)   # force the Taylor-step fallback
+    monkeypatch.setattr(dynamics, "COND_LIMIT", 0.0)   # force the series fallback
     dense = Propagator(h)
     assert dense.use_stepper and free.path == "matrix_free"
     return spectral, free, dense
@@ -491,7 +502,7 @@ def test_stepper_matches_spectral_on_awkward_grids(grid, monkeypatch):
     state = initial_state(60, 0, 0.5)
     branches = np.array(state.amplitudes)
     for stepped in (free, dense):
-        dt = 2.5 / dynamics._taylor_steps(2.5 * stepped.step_norm)   # the step to t_max = 2.5
+        dt = 2.5 / dynamics.series_plan(stepped.box, 2.5)[0]   # the step to t_max = 2.5
         times = {"unsorted": [2.1, 0.0, 0.4, 1.3],
                  "duplicates": [0.7, 0.0, 0.7, 2.0, 0.7],
                  "zero": [0.0],
@@ -596,3 +607,76 @@ def test_packaged_fig2_config_stays_spectral(tmp_path):
     assert diag["propagator_matvecs"] == 0
     # no products are made, so none are estimated
     assert diag["propagator_estimated_matvecs"] == 0
+
+
+# ------------------------------------------------- Chebyshev series
+
+@pytest.mark.parametrize("hermitian_only", [False, True], ids=["full", "coherent"])
+def test_one_site_helix_is_a_point_box_and_makes_no_product(hermitian_only):
+    geom = build_helix(HelixParams(0.05, 0.175, 1, 1, 1))
+    screw = hamiltonian.screw_effective(geom, hermitian_only)
+    energy = 0.0 if hermitian_only else -0.5j * GAMMA0       # H = energy * 1
+    assert screw.box == (0.0, 0.0, energy.imag, energy.imag)
+    prop = Propagator(screw)
+    times = np.linspace(0.0, 8.0, 9)
+    amps = prop.propagate(np.eye(2, dtype=complex), times)   # both spins
+    assert prop.matvecs == 0 == dynamics.estimated_matvecs(prop.box, times)
+    want = np.exp(-1j * energy * times)[None, :, None] * np.eye(2)[:, None, :]
+    assert np.abs(amps - want).max() <= 1e-15
+    if not hermitian_only:
+        assert np.abs(np.abs(amps[0, :, 0]) - np.exp(-GAMMA0 * times / 2)).max() <= 1e-15
+
+
+def test_bessel_rows_match_scipy():
+    from scipy.special import jv
+
+    degree = 120
+    x = np.array([0.0, 1e-10, 0.3, 5.0, 40.0, 80.0])
+    rows = dynamics._bessel(x, degree)
+    want = jv(np.arange(degree + 1), x[:, None])
+    assert rows.shape == (len(x), degree + 1)
+    assert np.abs(rows - want).max() <= 4e-15
+    # relative accuracy in the tail n > x, where the degree rule reads them
+    tail = (np.arange(degree + 1) > x[:, None] + 1) & (np.abs(want) > 1e-290) & (x[:, None] > 1e-8)
+    assert (np.abs(rows - want)[tail] <= 1e-12 * np.abs(want)[tail]).all()
+
+
+def test_dense_box_encloses_the_field_of_values(rng):
+    _, _, h = _screw_and_dense(60, 1, False)
+    a = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    for m in (h.matrix, a, np.triu(a)):
+        re_lo, re_hi, im_lo, im_hi = dynamics._gershgorin_box(m)
+        for (lo, hi), part in (((re_lo, re_hi), 0.5 * (m + m.conj().T)),
+                               ((im_lo, im_hi), -0.5j * (m - m.conj().T))):
+            w = np.linalg.eigvalsh(part)
+            assert lo <= w[0] and w[-1] <= hi
+
+
+def test_dense_fallback_products_equal_the_estimate(monkeypatch):
+    _, free, dense = _stepping_propagators(monkeypatch)
+    times = _n600_times(15.8)
+    for prop in (free, dense):
+        dynamics.populations(prop, initial_state(60, 0, 0.5), times)
+        assert 0 < prop.matvecs == dynamics.estimated_matvecs(prop.box, times)
+
+
+def _packaged_grid(cfg):
+    """The one time grid a packaged dynamics or field run propagates over."""
+    if cfg.mode == "field":
+        return np.array(cfg.field.times)
+    return np.append(np.linspace(0.0, cfg.t_max, cfg.n_times), cfg.snapshot_times)
+
+
+@pytest.mark.parametrize("name", ["fig2_left_bottom", "fig2_left_top", "fig2_right_bottom",
+                                  "fig2_right_top", "figS1_polarized", "figS2_hermitian",
+                                  "fig3b_field_t1", "fig3b_field_ttau"])
+def test_packaged_configs_keep_their_path(name):
+    from heliport.config import load_config
+
+    cfg, errs = load_config(cli._resolve_config_path(name))
+    assert errs == []
+    geom = cfg.build_geometry()
+    modelled = dynamics.modelled_seconds(
+        geom.n_sites, hamiltonian.screw_effective(geom, cfg.hermitian_only), _packaged_grid(cfg))
+    # only the short field run steps matrix-free; every other 60-site run is spectral
+    assert (modelled["matrix_free"] < modelled["spectral"]) == (name == "fig3b_field_t1")

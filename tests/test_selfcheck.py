@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heliport import selfcheck
+from heliport import dynamics, selfcheck
 from heliport.config import parse_config
 
 
@@ -80,3 +80,29 @@ def test_field_factor_check_fails_on_a_planted_fault(monkeypatch, target, plant)
     # the battery reports it under "field map sanity"
     n_fail, report = selfcheck.run_checks(_check_config(), log=lambda _line: None)
     assert [r["name"] for r in report if not r["passed"]] == ["field map sanity"]
+
+
+def _rolled_spectrum(apply_screw):
+    def faulty(self, b, spectrum):
+        return apply_screw(self, b, np.roll(spectrum, 1, axis=-1))
+    return faulty
+
+
+def _halved_degree(plan):
+    def faulty(box, t_max):
+        steps, degree, center, rho = plan(box, t_max)
+        return steps, degree // 2, center, rho
+    return faulty
+
+
+@pytest.mark.parametrize("owner, name, plant",
+                         [(dynamics.Propagator, "_apply_screw", _rolled_spectrum),
+                          (dynamics, "series_plan", _halved_degree)],
+                         ids=["spectrum_rolled_by_one_block", "degree_halved"])
+def test_matrix_free_check_fails_on_a_planted_fault(monkeypatch, owner, name, plant):
+    monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
+    with pytest.raises(selfcheck.CheckFailure, match="matrix-free series vs spectral"):
+        selfcheck.check_master_equation(_check_config(), np.random.default_rng(7))
+    # the battery reports it under "master equation cross-check"
+    n_fail, report = selfcheck.run_checks(_check_config(), log=lambda _line: None)
+    assert [r["name"] for r in report if not r["passed"]] == ["master equation cross-check"]
