@@ -155,21 +155,20 @@ def _run_dynamics(cfg, geom):
     grid = np.concatenate([times, cfg.snapshot_times])
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
     prop = dynamics.launch(geom, cfg.hermitian_only, grid)
-    per_site = dynamics.populations(prop, state, grid)
-    series = dynamics.observables(per_site[:cfg.n_times], geom, times,
-                                  deadband=cfg.helicity_deadband)
+    series = dynamics.evolve(prop, state, geom, times, deadband=cfg.helicity_deadband,
+                             snapshot_times=cfg.snapshot_times)
     products = {"timeseries.csv": (
         ["t", "trace", "P_up", "P_down", "Sz", "z_com", "eta"],
         [series.times, series.trace, series.p_up, series.p_down,
          series.sz, series.z_com, series.eta])}
     # every snapshot repeats the same site and z cells, formatted once
     site, z = cells(np.arange(geom.n_sites)), cells(geom.z)
-    for t, snapshot in zip(cfg.snapshot_times, per_site[cfg.n_times:]):
+    for t, snapshot in zip(cfg.snapshot_times, series.snapshots):
         products[f"snapshot_t{time_tag(t)}.csv"] = (
             ["site", "z", "p_up", "p_down"], [site, z, snapshot[:, 0], snapshot[:, 1]])
     diagnostics = {
         **_propagator_keys(prop, grid),
-        "arrival_time": dynamics.arrival_time(series, geom),
+        "arrival_time": dynamics.arrival_time(series),
         "final_trace": float(series.trace[-1]),
         "helicity_defined_fraction": float(np.mean(~np.isnan(series.eta))),
     }

@@ -15,7 +15,6 @@ so the config hash is stable.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -24,6 +23,16 @@ from typing import Callable, NamedTuple, Optional
 
 from .geometry import (EmitterGeometry, HelixParams, build_helix, is_number,
                        load_geometry_file)
+
+# CPython's built-in SHA-256, which hashlib itself falls back to: importing
+# hashlib would load OpenSSL's libcrypto (several MB) for one small digest
+try:
+    from _sha2 import sha256            # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 MODES = ("dynamics", "bands", "zak", "field", "check")
 _NORMALIZE_MODES = ("none", "global", "per_map")
@@ -70,7 +79,7 @@ class RunConfig:
 
 def config_sha256(raw: dict) -> str:
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def time_tag(t) -> str:

@@ -30,7 +30,7 @@ A step forms T_0..T_m by the three-term recurrence and each output time in
 it from one row of Bessel coefficients, holding the m + 1 terms or one
 partial sum per output time, whichever is fewer, plus SERIES_BLOCK rows of
 combined output (and, with partial sums, a ring of SERIES_BLOCK terms).
-populations() squares each time's amplitudes as they arrive.  The phase
+site_populations() squares each time's amplitudes as they arrive.  The phase
 guard (max|E|, or the box's largest corner modulus) refuses a time whose
 phase keeps no digit, before any product.  launch takes the path
 modelled_seconds prefers: N^3 for the spectral build against the series'
@@ -40,15 +40,17 @@ packaged helix geometry).
 Observables follow the transport picture: per-spin populations P_up/P_down,
 per-site populations, <S_z> = P_up - P_down, the surviving-excitation center
 of mass <z> (normalized by the instantaneous norm), and the helicity
-eta = sign(<S_z> * v) with v the discrete d<z>/dt.  populations() gives the
-branch-weighted site populations on any time grid and observables() the
-series on a sorted one; evolve composes the two.
+eta = sign(<S_z> * v) with v the discrete d<z>/dt.  site_populations()
+yields the branch-weighted site populations time by time on any grid, and
+populations() stacks them; evolve reduces each series time's row as it
+arrives (to P_up, P_down, sum z p and the far-end site's population) and
+keeps whole rows only at the snapshot times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -243,7 +245,8 @@ class ObservableSeries:
     sz: np.ndarray               # P_up - P_down
     z_com: np.ndarray            # norm-conditioned center of mass
     eta: np.ndarray              # helicity in {+1, -1, nan (undefined)}
-    per_site: np.ndarray         # (T, N, 2) site- and spin-resolved populations
+    far_end: np.ndarray          # population of the site far_site names
+    snapshots: np.ndarray        # (S, N, 2) site populations at the snapshot times
 
 
 def helicity(sz: np.ndarray, z_com: np.ndarray, times: np.ndarray,
@@ -259,58 +262,73 @@ def helicity(sz: np.ndarray, z_com: np.ndarray, times: np.ndarray,
     return eta
 
 
-def populations(prop: Propagator, state: ExcitationState, times) -> np.ndarray:
-    """Branch-weighted site and spin populations sum_b w_b |a_b(t)|^2 at the
-    given times, shape (len(times), N, 2), added up as each time is reached:
-    no amplitude history is held."""
-    per_site = np.zeros((len(times), state.n_sites, 2))
-    weights = np.array(state.weights)[:, None]
+def _weighted_populations(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """sum_b w_b |a_b|^2 over the branches amps (B, 2N), as (N, 2) site and
+    spin populations: the one place amplitudes are squared."""
+    return (weights[:, None] * np.abs(amps) ** 2).sum(axis=0).reshape(-1, 2)
+
+
+def site_populations(prop: Propagator, state: ExcitationState, times):
+    """Yield (index into times, (N, 2) branch-weighted site and spin
+    populations) once per time, as prop.stream reaches it; a yielded row
+    is the caller's to keep."""
+    weights = np.array(state.weights)
     for idx, amps in prop.stream(np.array(state.amplitudes), times):
-        per_site[idx] = (weights * np.abs(amps) ** 2).sum(axis=0).reshape(per_site.shape[1:])
+        yield idx, _weighted_populations(weights, amps)
+
+
+def populations(prop: Propagator, state: ExcitationState, times) -> np.ndarray:
+    """The rows of site_populations stacked, shape (len(times), N, 2)."""
+    per_site = np.zeros((len(times), state.n_sites, 2))
+    for idx, row in site_populations(prop, state, times):
+        per_site[idx] = row
     return per_site
 
 
-def observables(per_site: np.ndarray, geom: EmitterGeometry, times,
-                deadband: float = HELICITY_DEADBAND) -> ObservableSeries:
-    """The observable series from the site populations per_site, shape
-    (len(times), N, 2), at the sorted, non-negative times."""
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("output times must be sorted and non-negative")
-    p_spin = per_site.sum(axis=1)
-    trace = p_spin.sum(axis=1)
-    p_site = per_site.sum(axis=2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z_com = (p_site @ geom.z) / trace
-    eta = helicity(p_spin[:, 0] - p_spin[:, 1], z_com, times, deadband)
-    return ObservableSeries(
-        times=times,
-        trace=trace,
-        p_up=p_spin[:, 0],
-        p_down=p_spin[:, 1],
-        sz=p_spin[:, 0] - p_spin[:, 1],
-        z_com=z_com,
-        eta=eta,
-        per_site=per_site,
-    )
+def far_site(state: ExcitationState, geom: EmitterGeometry) -> int:
+    """The site with the largest |z - <z>| from the launch state's center
+    of mass <z>."""
+    p = _weighted_populations(np.array(state.weights), np.array(state.amplitudes)).sum(axis=1)
+    return int(np.argmax(np.abs(geom.z - (p @ geom.z) / p.sum())))
 
 
 def evolve(prop: Propagator, state: ExcitationState, geom: EmitterGeometry, times,
-           deadband: float = HELICITY_DEADBAND) -> ObservableSeries:
-    """Propagate all branches with prop, the run's built Propagator, and
-    assemble the observable series."""
-    return observables(populations(prop, state, times), geom, times, deadband)
+           deadband: float = HELICITY_DEADBAND, snapshot_times=()) -> ObservableSeries:
+    """The observable series at the sorted, non-negative times and the site
+    populations at the snapshot times, from one stream of prop, the run's
+    built Propagator, over both.  Each series time's populations are reduced
+    as they arrive to P_up, P_down, sum z p and the far_site population, so
+    the run holds O(T + S N) numbers, never the (T, N, 2) populations."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0) or np.any(np.diff(times) < 0):
+        raise ValueError("output times must be sorted and non-negative")
+    n_t, far = len(times), far_site(state, geom)
+    p_up, p_down, z_sum, far_end = np.zeros((4, n_t))
+    snapshots = np.zeros((len(snapshot_times), state.n_sites, 2))
+    grid = np.concatenate([times, snapshot_times])
+    for idx, row in site_populations(prop, state, grid):
+        if idx >= n_t:
+            snapshots[idx - n_t] = row
+            continue
+        p_up[idx], p_down[idx] = row.sum(axis=0)
+        z_sum[idx] = row.sum(axis=1) @ geom.z
+        far_end[idx] = row[far].sum()
+    trace = p_up + p_down
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z_com = z_sum / trace
+    sz = p_up - p_down
+    return ObservableSeries(times=times, trace=trace, p_up=p_up, p_down=p_down, sz=sz,
+                            z_com=z_com, eta=helicity(sz, z_com, times, deadband),
+                            far_end=far_end, snapshots=snapshots)
 
 
-def arrival_time(series: ObservableSeries, geom: EmitterGeometry):
+def arrival_time(series: ObservableSeries):
     """First local maximum of the far-end site population (diagnostic).
 
-    The far end is the site with the largest |z - z_launch| deduced from the
-    series' t=0 center of mass.  Returns None if the population is still
-    rising at the end of the series.
+    The far end is far_site of the launch state, fixed before propagation.
+    Returns None if the population is still rising at the end of the series.
     """
-    far = int(np.argmax(np.abs(geom.z - series.z_com[0])))
-    p = series.per_site[:, far, :].sum(axis=1)
+    p = series.far_end
     rising = False
     for i in range(1, len(p)):
         if p[i] > p[i - 1]:
@@ -349,11 +367,13 @@ def _bessel(x, degree: int) -> np.ndarray:
     return out
 
 
+@lru_cache
 def series_plan(box, t_max: float) -> tuple[float, int, complex, float]:
     """(steps s, degree m, center c, half-width rho) of the series to t_max
     over a box (Re lo, Re hi, Im lo, Im hi), module docstring; rho is at
     least the half-height h, so the ellipse parameter r stays below 2.9.  s is
-    a float, inf when t_max rho overflows and 0 for a point box or t_max 0."""
+    a float, inf when t_max rho overflows and 0 for a point box or t_max 0.
+    Memoized: a run's path choice, stream and manifest key share one plan."""
     re_lo, re_hi, im_lo, im_hi = box
     center, height = complex(re_lo + re_hi, im_lo + im_hi) / 2, (im_hi - im_lo) / 2
     rho = max((re_hi - re_lo) / 2, height)
@@ -535,7 +555,8 @@ def master_equation_check(state: ExcitationState, coupling: CouplingTensor,
     z = np.arange(n, dtype=float)
     fake_geom = EmitterGeometry(np.column_stack([np.zeros(n), np.zeros(n), z]),
                                 label="index line")
-    series = evolve(Propagator(h_eff), state, fake_geom, times)
+    prop = Propagator(h_eff)
+    series, per_site = evolve(prop, state, fake_geom, times), populations(prop, state, times)
 
     dev = 0.0
     for i in range(len(times)):
@@ -543,7 +564,7 @@ def master_equation_check(state: ExcitationState, coupling: CouplingTensor,
             rho = step @ rho @ step.conj().T
         pops = np.diag(rho).real.reshape(n, 2)
         tr = pops.sum()
-        dev = max(dev, np.abs(pops - series.per_site[i]).max())
+        dev = max(dev, np.abs(pops - per_site[i]).max())
         dev = max(dev, abs(tr - series.trace[i]))
         dev = max(dev, abs(pops[:, 0].sum() - series.p_up[i]))
         dev = max(dev, abs(pops[:, 1].sum() - series.p_down[i]))

@@ -202,21 +202,21 @@ def _screw_gather(table: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.nda
 
 
 def _pairwise_assemble(geom: EmitterGeometry) -> CouplingTensor:
-    """J and Gamma from all N(N - 1) pair separations; the general path."""
-    n = geom.n_sites
-    sep = geom.positions[:, None, :] - geom.positions[None, :, :]
-    off = ~np.eye(n, dtype=bool)
-    j_blocks = np.zeros((n, n, 2, 2), dtype=complex)
-    g_blocks = np.zeros((n, n, 2, 2), dtype=complex)
-    jb, gb = coupling_blocks(sep[off])
-    j_blocks[off] = jb
-    g_blocks[off] = gb
+    """J and Gamma from all N(N - 1) pair separations; the general path.
+    Filled one site row at a time, so the work arrays are O(N) beside the
+    two 2N x 2N outputs."""
+    n, pos = geom.n_sites, geom.positions
+    j, gamma = np.empty((2, n, 2, n, 2), dtype=complex)
+    others = np.ones(n, dtype=bool)
     for i in range(n):
-        g_blocks[i, i] = GAMMA0 * np.eye(2)
-    # (site_i, site_j, s, s') -> (2*site_i + s, 2*site_j + s')
-    j = j_blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
-    gamma = g_blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
-    return CouplingTensor(j=j, gamma=gamma)
+        others[i - 1], others[i] = True, False
+        jb, gb = coupling_blocks(pos[i] - pos[others])
+        # row i as (site_j, s, s'): (2*i + s, 2*site_j + s')
+        for out, blocks, self_term in ((j, jb, 0.0), (gamma, gb, GAMMA0)):
+            row = out[i].transpose(1, 0, 2)
+            row[others] = blocks
+            row[i] = self_term * np.eye(2)
+    return CouplingTensor(j=j.reshape(2 * n, 2 * n), gamma=gamma.reshape(2 * n, 2 * n))
 
 
 def effective(coupling: CouplingTensor, hermitian_only: bool = False) -> EffectiveHamiltonian:

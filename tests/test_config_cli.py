@@ -99,6 +99,18 @@ def test_roundtrip_and_hash_stability():
     assert config_sha256(raw) != config_sha256(dynamics_dict(tau=9.9))
 
 
+def test_config_sha256_is_hashlib_sha256_of_the_canonical_json():
+    import hashlib
+
+    names = sorted(path.stem for path in cli._resolve_config_path("check").parent.glob("*.json"))
+    assert len(names) == 16
+    for name in names:
+        cfg, errs = load_config(cli._resolve_config_path(name))
+        assert errs == []
+        canon = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":")).encode()
+        assert config_sha256(cfg.raw) == hashlib.sha256(canon).hexdigest(), name
+
+
 def test_load_config_reports_json_errors(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -142,10 +154,12 @@ def test_cli_snapshot_matches_the_evolve_row_at_its_time(tmp_path):
     snap = np.loadtxt(out / "snapshot_t1.csv", delimiter=",", skiprows=1)
     geom = build_helix(HelixParams(**HELIX))
     prop = dynamics.Propagator(hamiltonian.effective(hamiltonian.assemble(geom)))
-    series = dynamics.evolve(prop, dynamics.initial_state(geom.n_sites, 0, 0.5),
-                             geom, np.linspace(0.0, 2.0, 21))
+    state, times = dynamics.initial_state(geom.n_sites, 0, 0.5), np.linspace(0.0, 2.0, 21)
+    series = dynamics.evolve(prop, state, geom, times, snapshot_times=[1.0])
     assert series.times[10] == 1.0
-    assert np.allclose(snap[:, 2:], series.per_site[10], rtol=1e-12, atol=1e-15)
+    per_site = dynamics.populations(prop, state, times)
+    assert np.allclose(snap[:, 2:], per_site[10], rtol=1e-12, atol=1e-15)
+    assert np.allclose(snap[:, 2:], series.snapshots[0], rtol=1e-12, atol=1e-15)
 
 
 def test_cli_dynamics_non_finite_output_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -768,6 +782,34 @@ def test_cli_runs_every_mode_and_the_fallback_without_scipy(tmp_path, fresh_pyth
     }
     paths = [write_config(tmp_path, raw, f"{mode}.json") for mode, raw in configs.items()]
     assert fresh_python(NO_SCIPY, *paths).splitlines()[-1] == "[]"
+
+
+NO_OPENSSL = """\
+import sys
+
+from heliport import cli
+
+for path in sys.argv[1:]:
+    assert cli.main(["run", "--config", path, "--out", path + "_out"]) == 0
+print("_hashlib" in sys.modules, "hashlib" in sys.modules)
+"""
+
+
+def test_cli_dynamics_field_bands_zak_leave_openssl_unloaded(tmp_path, fresh_python):
+    # the manifest digest comes from CPython's built-in SHA-256, so no run
+    # but check (numpy.random imports hmac) maps OpenSSL's libcrypto
+    configs = {
+        "dynamics": dynamics_dict(),
+        "field": {"mode": "field", "geometry": {"helix": dict(HELIX)},
+                  "initial_state": {"site": 0, "p_up": 0.5},
+                  "field": {"times": [0.5], "n_u": 5, "n_v": 7}},
+        "zak": {"mode": "zak", "geometry": {"helix": dict(HELIX)},
+                "bloch": {"m_cut": 100}, "zak": {"n_k": 60}},
+        "bands": {"mode": "bands", "geometry": {"helix": dict(HELIX)},
+                  "bloch": {"n_k": 21, "m_cut": 100}},
+    }
+    paths = [write_config(tmp_path, raw, f"{mode}.json") for mode, raw in configs.items()]
+    assert fresh_python(NO_OPENSSL, *paths).splitlines()[-1] == "False False"
 
 
 # ------------------------------------------- one guard and one writer for all

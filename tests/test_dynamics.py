@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from heliport import cli, dynamics, hamiltonian
 
 from heliport.dynamics import (Propagator, arrival_time, evolve, helicity,
-                               initial_state, master_equation_check)
+                               initial_state, master_equation_check, populations)
 from heliport.geometry import (EmitterGeometry, HelixParams, build_helix,
                                mirror_xz)
 from heliport.greens import GAMMA0
@@ -44,11 +44,12 @@ def test_single_emitter_decays_exponentially():
 def test_norm_monotone_and_split(small_helix):
     h = effective(assemble(small_helix))
     times = np.linspace(0.0, 20.0, 150)
-    ser = evolve(Propagator(h), initial_state(small_helix.n_sites, 0, 0.5), small_helix,
-                 times)
+    prop, state = Propagator(h), initial_state(small_helix.n_sites, 0, 0.5)
+    ser = evolve(prop, state, small_helix, times)
     assert np.diff(ser.trace).max() <= 1e-10
     assert np.abs(ser.p_up + ser.p_down - ser.trace).max() < 1e-12
-    assert np.abs(ser.per_site.sum(axis=(1, 2)) - ser.trace).max() < 1e-12
+    per_site = populations(prop, state, times)
+    assert np.abs(per_site.sum(axis=(1, 2)) - ser.trace).max() < 1e-12
 
 
 def test_hermitian_norm_conserved(small_helix):
@@ -63,12 +64,13 @@ def test_mirror_swaps_populations(small_helix):
     mirrored = mirror_xz(small_helix)
     times = np.linspace(0.0, 6.0, 50)
     st = initial_state(small_helix.n_sites, 0, 0.5)
-    a = evolve(Propagator(effective(assemble(small_helix))), st, small_helix, times)
-    b = evolve(Propagator(effective(assemble(mirrored))), st, mirrored, times)
+    props = [Propagator(effective(assemble(g))) for g in (small_helix, mirrored)]
+    a, b = (evolve(prop, st, g, times) for prop, g in zip(props, (small_helix, mirrored)))
     assert np.abs(a.p_up - b.p_down).max() < 1e-13
     assert np.abs(a.p_down - b.p_up).max() < 1e-13
     assert np.abs(a.trace - b.trace).max() < 1e-13
-    assert np.abs(a.per_site - b.per_site[:, :, ::-1]).max() < 1e-13
+    per_a, per_b = (populations(prop, st, times) for prop in props)
+    assert np.abs(per_a - per_b[:, :, ::-1]).max() < 1e-13
 
 
 def test_branch_mixture_is_linear(small_helix):
@@ -76,10 +78,9 @@ def test_branch_mixture_is_linear(small_helix):
     times = np.linspace(0.0, 4.0, 30)
     n = small_helix.n_sites
     prop = Propagator(h)
-    mix = evolve(prop, initial_state(n, 0, 0.3), small_helix, times)
-    up = evolve(prop, initial_state(n, 0, 1.0), small_helix, times)
-    dn = evolve(prop, initial_state(n, 0, 0.0), small_helix, times)
-    assert np.abs(mix.per_site - 0.3 * up.per_site - 0.7 * dn.per_site).max() < 1e-14
+    mix, up, dn = (populations(prop, initial_state(n, 0, p_up), times)
+                   for p_up in (0.3, 1.0, 0.0))
+    assert np.abs(mix - 0.3 * up - 0.7 * dn).max() < 1e-14
 
 
 def test_helicity_signs_and_deadband():
@@ -133,7 +134,7 @@ def test_arrival_time_of_transport_pulse():
     h = effective(assemble(geom))
     times = np.linspace(0.0, 8.0, 160)
     ser = evolve(Propagator(h), initial_state(geom.n_sites, 0, 0.5), geom, times)
-    t_arr = arrival_time(ser, geom)
+    t_arr = arrival_time(ser)
     assert t_arr is not None
     assert 0.5 < t_arr < 8.0
 
@@ -347,16 +348,20 @@ def test_matrix_free_matches_spectral(n, handedness, hermitian_only):
     free, spectral = Propagator(screw), Propagator(h)
     assert (free.path, spectral.path) == ("matrix_free", "spectral")
     times = np.linspace(0.0, 2.5, 11)
-    columns = ("trace", "p_up", "p_down", "sz", "z_com", "per_site")
+    columns = ("trace", "p_up", "p_down", "sz", "z_com", "far_end", "per_site")
     for site in (0, n - 1):
         for p_up in (0.0, 0.5, 1.0):
             state = initial_state(n, site, p_up)
             a, b = (evolve(prop, state, geom, times) for prop in (free, spectral))
+            a.per_site, b.per_site = (populations(prop, state, times)
+                                      for prop in (free, spectral))
             for col in columns:
                 x, y = getattr(a, col), getattr(b, col)
                 # a column that vanishes by symmetry (S_z of an even mixture)
-                # is held to the population scale, 1 at t = 0
-                scale = max(np.abs(y).max(), 1.0) if col == "sz" else np.abs(y).max()
+                # or stays tiny (the far end on a short grid) is held to the
+                # population scale, 1 at t = 0
+                scale = (max(np.abs(y).max(), 1.0) if col in ("sz", "far_end")
+                         else np.abs(y).max())
                 assert np.abs(x - y).max() <= 1e-12 * scale, (site, p_up, col)
         for a0 in initial_state(n, site, 0.5).amplitudes:    # field runs' amplitudes
             x, y = (prop.propagate(a0, [0.0, 0.5, 2.0]) for prop in (free, spectral))
@@ -552,6 +557,62 @@ def test_matrix_free_populations_hold_no_amplitude_history():
     # the (T, N, 2) result plus a fixed number of (spin, branch, L) buffers;
     # the (B, T, 2N) amplitudes alone would be 4x the result
     assert peak < per_site.nbytes + 64 * 2 * n_b * length * 16
+
+
+def test_matrix_free_evolve_holds_no_population_history():
+    geom = build_helix(HelixParams(0.05, 0.175, 3, 200, 1))
+    prop = Propagator(hamiltonian.screw_effective(geom))
+    state = initial_state(600, 0, 0.5)
+    times = np.linspace(0.0, 15.8, 2000)
+    tracemalloc.start()
+    try:
+        series = evolve(prop, state, geom, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each time's populations are reduced as they arrive: the (T, N, 2)
+    # stack would be 19.2 MB, the series' own rows are about 2.8 MB
+    assert peak < len(times) * geom.n_sites * 2 * 8 / 4
+    assert series.snapshots.shape == (0, 600, 2)
+
+
+@pytest.mark.parametrize("matrix_free", [False, True], ids=["spectral", "matrix_free"])
+def test_evolve_reduces_each_row_of_the_stacked_populations(matrix_free):
+    geom, screw, h = _screw_and_dense(60, 1, False)
+    prop = Propagator(screw if matrix_free else h)
+    state = initial_state(60, 5, 0.3)
+    times, snapshot_times = np.linspace(0.0, 6.0, 41), [3.95, 0.0, 7.9]
+    series = evolve(prop, state, geom, times, snapshot_times=snapshot_times)
+    # the stack over the one grid evolve streams: the series' steps run to its end
+    stacked = populations(prop, state, np.concatenate([times, snapshot_times]))
+    per_site = stacked[:len(times)]
+    p_spin = per_site.sum(axis=1)
+    for col, want in (("p_up", p_spin[:, 0]), ("p_down", p_spin[:, 1]),
+                      ("trace", p_spin.sum(axis=1)), ("sz", p_spin[:, 0] - p_spin[:, 1])):
+        assert np.array_equal(getattr(series, col), want), col
+    # one dot per time against one (T, N) @ z product: equal to round-off
+    z_com = (per_site.sum(axis=2) @ geom.z) / p_spin.sum(axis=1)
+    assert np.abs(series.z_com - z_com).max() <= 2e-15 * np.abs(z_com).max()
+    # the far end, fixed from the launch state, is the t = 0 center of mass's
+    far = int(np.argmax(np.abs(geom.z - z_com[0])))
+    assert dynamics.far_site(state, geom) == far
+    assert np.array_equal(series.far_end, per_site[:, far].sum(axis=1))
+    assert np.array_equal(series.snapshots, stacked[len(times):])
+
+
+@pytest.mark.parametrize("mode", ["dynamics", "field"])
+def test_cli_matrix_free_run_plans_the_series_once(tmp_path, mode):
+    over = ({"mode": "field", "field": {"times": [1.0, 7.9], "n_u": 4, "n_v": 5}}
+            if mode == "field" else {})
+    cfg = _n600_config(tmp_path, geometry={"helix": {
+        "radius": 0.05, "pitch": 0.175, "sites_per_turn": 3, "turns": 100, "handedness": 1}},
+        **over)
+    dynamics.series_plan.cache_clear()
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    diag = json.loads((tmp_path / "out" / "manifest.json").read_text())["diagnostics"]
+    assert diag["propagator_path"] == "matrix_free"
+    # the path choice, the stream and the manifest key share one plan
+    assert dynamics.series_plan.cache_info().misses == 1
 
 
 def _n600_config(tmp_path, **over):
