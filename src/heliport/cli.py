@@ -15,8 +15,8 @@ alone checks every product for non-finite numbers, then creates the output
 directory and writes the products: the CSV tables one at a time
 (output.write_tables), then the JSON documents, manifest.json last (a
 stale one is removed first), so a directory without a manifest is
-incomplete.  The dynamics and field runners take their propagator from
-dynamics.launch, which also chooses its path.
+incomplete.  The dynamics and field runners take their propagator, and the
+path-choice model's seconds, from dynamics.launch, which chooses its path.
 
 Exit codes: 0 success (and --help), 1 usage/configuration error (argparse
 errors, a --threads or HELIPORT_THREADS value that is not a positive
@@ -91,25 +91,17 @@ def _finite_or_none(x: float) -> float | None:
     return x if x < float("inf") else None
 
 
-def _propagator_keys(prop, times) -> dict:
-    """The manifest keys of a launched propagator, read after propagation
-    over the times: the products the series made beside the count planned
-    from its box before the first product (0 on a path that does not step),
-    and the path-choice model's seconds of each path; the spectral path adds
-    its conditioning."""
-    from . import dynamics
-
-    steps = prop.path == "matrix_free" or prop.use_stepper
-    estimate = dynamics.estimated_matvecs(prop.box, times) if steps else 0.0
+def _propagator_keys(prop, modelled) -> dict:
+    """The manifest keys of a launched propagator, read after propagation:
+    its path, the products with H it made, the path-choice model's seconds
+    of each path and, when a spectral build ran, its conditioning."""
     keys = {
         "propagator_path": prop.path,
-        "propagator_fallback": prop.use_stepper,
         "propagator_matvecs": prop.matvecs,
-        "propagator_estimated_matvecs": int(estimate) if estimate < float("inf") else None,
         "propagator_modelled_s": {path: _finite_or_none(float(s))
-                                  for path, s in prop.modelled_s.items()},
+                                  for path, s in modelled.items()},
     }
-    if prop.path == "spectral":
+    if prop.condition is not None:
         keys["propagator_condition"] = _finite_or_none(prop.condition)
     return keys
 
@@ -154,7 +146,7 @@ def _run_dynamics(cfg, geom):
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
     grid = np.concatenate([times, cfg.snapshot_times])
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
-    prop = dynamics.launch(geom, cfg.hermitian_only, grid)
+    prop, modelled = dynamics.launch(geom, cfg.hermitian_only, grid)
     series = dynamics.evolve(prop, state, geom, times, deadband=cfg.helicity_deadband,
                              snapshot_times=cfg.snapshot_times)
     products = {"timeseries.csv": (
@@ -167,7 +159,7 @@ def _run_dynamics(cfg, geom):
         products[f"snapshot_t{time_tag(t)}.csv"] = (
             ["site", "z", "p_up", "p_down"], [site, z, snapshot[:, 0], snapshot[:, 1]])
     diagnostics = {
-        **_propagator_keys(prop, grid),
+        **_propagator_keys(prop, modelled),
         "arrival_time": dynamics.arrival_time(series),
         "final_trace": float(series.trace[-1]),
         "helicity_defined_fraction": float(np.mean(~np.isnan(series.eta))),
@@ -271,7 +263,7 @@ def _run_field(cfg, geom):
 
     times = np.array(fs.times, dtype=float)
     state = dynamics.initial_state(geom.n_sites, cfg.site, cfg.p_up)
-    prop = dynamics.launch(geom, cfg.hermitian_only, times)
+    prop, modelled = dynamics.launch(geom, cfg.hermitian_only, times)
     plane = field.default_plane(geom, axis=fs.plane_axis, offset=fs.plane_offset,
                                 n_u=fs.n_u, n_v=fs.n_v, u_span=fs.u_span,
                                 z_pad=fs.z_pad)
@@ -314,7 +306,7 @@ def _run_field(cfg, geom):
     }
     products["field_meta.json"] = meta
     diagnostics = {
-        **_propagator_keys(prop, times),
+        **_propagator_keys(prop, modelled),
         "n_masked_near_field": frames[0]["n_masked"] if frames else 0,
     }
     return products, diagnostics, 0

@@ -3,19 +3,14 @@
 A mixed initial state is stored as weighted pure-state branches; each branch
 amplitude vector a (length 2N) evolves as a(t) = exp(-i H_eff t) a(0), which
 is equivalent to the no-jump master equation
-rho_dot = -i (H_eff rho - rho H_eff^dag).  The Propagator, built once per
-run, takes one of two paths.  The spectral path makes one eig (eigh for
-hermitian_only) of the whole 2N x 2N H_eff, V^-1 = np.linalg.inv(V), and
-refines the expansion coefficients once, c += V^-1 (a0 - V c); if
-||V||_F ||V^-1||_F (>= the 2-norm condition number, no SVD) exceeds
-COND_LIMIT, it propagates by the series below on the dense H instead.  The
-matrix-free path, for a screw geometry (hamiltonian.ScrewHamiltonian),
-evolves b = U^dag a, held (spin, branch, site), under the Toeplitz blocks
-T(d): a product is one FFT of b zero-padded to the circulant length L, four
-2x2 products with the circulant's block spectrum and one inverse FFT; U is
-applied once per output time, never inside a product.
+rho_dot = -i (H_eff rho - rho H_eff^dag).  launch picks a run's one
+Propagator: the series below of a ScrewProduct when modelled_seconds prefers
+it (crossover near N = 84 for the packaged helix), otherwise
+dense_propagator, the one decision for a dense H: a SpectralPropagator (one
+eig of H_eff), or the series of a DenseProduct when ||V||_F ||V^-1||_F
+(>= the 2-norm condition number) exceeds COND_LIMIT.
 
-The series (_series) works on a box holding the field of values W(H)
+The series (SeriesPropagator) works on a box holding the field of values W(H)
 (ScrewHamiltonian.box, or the O(N^2) Gershgorin box of a dense H).  With c
 its center, rho its half-width (at least its half-height h) and
 X = (H - c)/rho, exp(-i tau dt H) = exp(-i tau dt c) sum_n (2 - delta_n0)
@@ -26,31 +21,20 @@ the degree m before the first product, the least m with
 (1 + sqrt 2) |exp(-i dt c)| sum_{n>m} 2 |J_n(rho dt)| r^n below round-off,
 r the Bernstein ellipse through 1 + i h/rho (Crouzeix and Palencia, SIAM
 J. Matrix Anal. Appl. 38, 649 (2017)); a run makes exactly s m products.
-A step forms T_0..T_m by the three-term recurrence and each output time in
-it from one row of Bessel coefficients, holding the m + 1 terms or one
-partial sum per output time, whichever is fewer, plus SERIES_BLOCK rows of
-combined output (and, with partial sums, a ring of SERIES_BLOCK terms).
-site_populations() squares each time's amplitudes as they arrive.  The phase
-guard (max|E|, or the box's largest corner modulus) refuses a time whose
-phase keeps no digit, before any product.  launch takes the path
-modelled_seconds prefers: N^3 for the spectral build against the series'
-products times L log L, on one BLAS thread (crossover near N = 84 for the
-packaged helix geometry).
+Every Propagator refuses a time whose phase keeps no digit (max|E|, or the
+box's largest corner modulus), before any product.
 
 Observables follow the transport picture: per-spin populations P_up/P_down,
 per-site populations, <S_z> = P_up - P_down, the surviving-excitation center
 of mass <z> (normalized by the instantaneous norm), and the helicity
-eta = sign(<S_z> * v) with v the discrete d<z>/dt.  site_populations()
-yields the branch-weighted site populations time by time on any grid, and
-populations() stacks them; evolve reduces each series time's row as it
-arrives (to P_up, P_down, sum z p and the far-end site's population) and
-keeps whole rows only at the snapshot times.
+eta = sign(<S_z> * v) with v the discrete d<z>/dt, all reduced from the
+site populations as each time arrives (site_populations, evolve).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,56 +90,13 @@ def initial_state(n_sites: int, site: int, p_up: float) -> ExcitationState:
 
 
 class Propagator:
-    """a(t) = exp(-i H t) a(0), built once per run on one of two paths.
+    """a(t) = exp(-i H t) a(0) by one method: a SpectralPropagator or a
+    SeriesPropagator.  path names it ("spectral", "matrix_free" or
+    "dense_series"), matvecs counts the products with H made and condition
+    is ||V||_F ||V^-1||_F of the spectral build (None when none ran).
+    stream yields the amplitudes time by time, propagate collects them."""
 
-    From an EffectiveHamiltonian (path "spectral"): one diagonalization of
-    the whole H, with evals, vecs and vecs_inv (None when V is singular);
-    use_stepper (dense series fallback taken) and condition, the bound
-    ||V||_F ||V^-1||_F compared against COND_LIMIT (1 for the Hermitian
-    branch).  From a ScrewHamiltonian (path "matrix_free"): the series of the
-    FFT product; use_stepper is False.  box is the box the series works on
-    (on the spectral path the Gershgorin box, formed when first read) and
-    matvecs counts the products with H the series made.  stream yields the
-    amplitudes time by time, propagate collects them; a Propagator built by
-    launch holds modelled_s, the path-choice model's seconds of each path.
-    """
-
-    def __init__(self, h_eff: EffectiveHamiltonian | ScrewHamiltonian):
-        self.hermitian = h_eff.hermitian_only
-        self.use_stepper = False
-        self.matvecs = 0
-        if isinstance(h_eff, ScrewHamiltonian):
-            self.path, self.n_sites, self.box = "matrix_free", h_eff.n_sites, h_eff.box
-            self._gauge, self._length = h_eff.gauge, len(h_eff.spectrum)   # (site, spin), L
-            # (spin, spin', 1, L): broadcasts over the (branch, L) spectra
-            self._spectrum = h_eff.spectrum.transpose(1, 2, 0)[:, :, None, :]
-            re_lo, re_hi, im_lo, im_hi = self.box
-            self._phase_scale = np.hypot(max(-re_lo, re_hi), max(-im_lo, im_hi))
-            return
-        self.path = "spectral"
-        self.h = h_eff.matrix
-        if self.hermitian:
-            self.evals, self.vecs = np.linalg.eigh(self.h)
-            self.vecs_inv = self.vecs.conj().T
-            self.condition = 1.0
-        else:
-            self.evals, self.vecs = np.linalg.eig(self.h)
-            try:
-                self.vecs_inv = np.linalg.inv(self.vecs)
-            except np.linalg.LinAlgError:
-                self.vecs_inv, self.condition = None, np.inf
-            else:
-                with np.errstate(over="ignore"):   # defective spectrum: ||V^-1|| overflows
-                    self.condition = float(np.linalg.norm(self.vecs)
-                                           * np.linalg.norm(self.vecs_inv))
-            # near-defective spectrum: spectral reconstruction unreliable
-            self.use_stepper = not self.condition <= COND_LIMIT
-        self._phase_scale = np.abs(self.evals).max()
-
-    @cached_property
-    def box(self) -> tuple:
-        """The Gershgorin box of the dense H (the matrix-free path sets it)."""
-        return _gershgorin_box(self.h)
+    matvecs = 0
 
     def _checked_times(self, times) -> np.ndarray:
         """times as floats, refusing a negative (or nan) time (ValueError)
@@ -168,31 +109,6 @@ class Propagator:
             raise FloatingPointError(f"time {t_max:.6g}: no phase E*t keeps a digit")
         return times
 
-    def stream(self, a0s: np.ndarray, times):
-        """Yield (index into times, amplitudes (B, 2N)) once per time for the
-        stack a0s (B, 2N), propagated as one block: by the series in order of
-        time, by the spectral path in order of index from one matrix product."""
-        times = self._checked_times(times)
-        n_b, dim = a0s.shape
-        if self.path == "matrix_free":
-            b0 = (a0s.reshape(n_b, -1, 2) * self._gauge.conj()).transpose(2, 0, 1)
-            for idx, b in _series(self._screw_product, b0, times, self.box):
-                yield idx, np.multiply(b.transpose(1, 2, 0), self._gauge,
-                                       order="C").reshape(n_b, dim)
-        elif self.use_stepper:
-            for idx, x in _series(self._dense_product, a0s.T, times, self.box):
-                yield idx, x.T.copy()
-        else:
-            coef = self.vecs_inv @ a0s.T                 # (2N, B)
-            if not self.hermitian:
-                coef += self.vecs_inv @ (a0s.T - self.vecs @ coef)
-            phases = np.exp(-1j * np.outer(times, self.evals))
-            out = np.empty((n_b, len(times), dim), dtype=complex)
-            np.matmul((phases * coef.T[:, None, :]).reshape(-1, dim), self.vecs.T,
-                      out=out.reshape(-1, dim))
-            for idx in range(len(times)):
-                yield idx, out[:, idx]
-
     def propagate(self, a0: np.ndarray, times) -> np.ndarray:
         """Amplitudes at the requested times: shape (B, len(times), 2N) for a
         stack of B branches a0 of shape (B, 2N), or (len(times), 2N) for one
@@ -204,34 +120,45 @@ class Propagator:
             out[:, idx] = a
         return out if a0.ndim == 2 else out[0]
 
-    def _screw_product(self, c, rho):
-        """b -> 2 (H - c) b / rho in the screw gauge, c and 2/rho folded
-        into the spectrum once."""
-        spectrum = (self._spectrum - c * np.eye(2)[:, :, None, None]) * (2 / rho)
-        return lambda b: self._apply_screw(b, spectrum)
 
-    def _dense_product(self, c, rho):
-        """y -> 2 (H - c) y / rho on the dense H, counted in matvecs."""
-        x = (self.h - c * np.eye(len(self.h))) * (2 / rho)
+class SpectralPropagator(Propagator):
+    """One diagonalization of the whole dense H: evals, vecs, vecs_inv (None
+    when V is singular) and condition (1 for the Hermitian branch), which
+    dense_propagator compares against COND_LIMIT."""
 
-        def product(y):
-            self.matvecs += 1
-            return x @ y
-        return product
+    path = "spectral"
 
-    def _apply_screw(self, b: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-        """The circulant of spectrum (spin, spin', 1, L) on b (spin, branch,
-        site), counted in matvecs: one FFT of b zero-padded to L, four 2x2
-        products in frequency space, one inverse FFT, truncated to N sites."""
-        self.matvecs += 1
-        f = np.fft.fft(b, n=self._length, axis=-1)
-        (c00, c01), (c10, c11) = spectrum
-        f0 = c10 * f[0]                                  # in place: two rows of scratch
-        f[0] *= c00
-        f[0] += c01 * f[1]
-        f[1] *= c11
-        f[1] += f0
-        return np.fft.ifft(f, axis=-1)[..., :self.n_sites]
+    def __init__(self, h_eff: EffectiveHamiltonian):
+        self.hermitian = h_eff.hermitian_only
+        if self.hermitian:
+            self.evals, self.vecs = np.linalg.eigh(h_eff.matrix)
+            self.vecs_inv, self.condition = self.vecs.conj().T, 1.0
+        else:
+            self.evals, self.vecs = np.linalg.eig(h_eff.matrix)
+            try:
+                self.vecs_inv = np.linalg.inv(self.vecs)
+            except np.linalg.LinAlgError:
+                self.vecs_inv, self.condition = None, np.inf
+            else:
+                with np.errstate(over="ignore"):   # defective spectrum: ||V^-1|| overflows
+                    self.condition = float(np.linalg.norm(self.vecs)
+                                           * np.linalg.norm(self.vecs_inv))
+        self._phase_scale = np.abs(self.evals).max()
+
+    def stream(self, a0s: np.ndarray, times):
+        """Yield (index into times, amplitudes (B, 2N)) in order of index for
+        the stack a0s (B, 2N), all from one matrix product."""
+        times = self._checked_times(times)
+        n_b, dim = a0s.shape
+        coef = self.vecs_inv @ a0s.T                     # (2N, B)
+        if not self.hermitian:
+            coef += self.vecs_inv @ (a0s.T - self.vecs @ coef)
+        phases = np.exp(-1j * np.outer(times, self.evals))
+        out = np.empty((n_b, len(times), dim), dtype=complex)
+        np.matmul((phases * coef.T[:, None, :]).reshape(-1, dim), self.vecs.T,
+                  out=out.reshape(-1, dim))
+        for idx in range(len(times)):
+            yield idx, out[:, idx]
 
 
 @dataclass
@@ -373,7 +300,7 @@ def series_plan(box, t_max: float) -> tuple[float, int, complex, float]:
     over a box (Re lo, Re hi, Im lo, Im hi), module docstring; rho is at
     least the half-height h, so the ellipse parameter r stays below 2.9.  s is
     a float, inf when t_max rho overflows and 0 for a point box or t_max 0.
-    Memoized: a run's path choice, stream and manifest key share one plan."""
+    Memoized: a run's path choice and stream share one plan."""
     re_lo, re_hi, im_lo, im_hi = box
     center, height = complex(re_lo + re_hi, im_lo + im_hi) / 2, (im_hi - im_lo) / 2
     rho = max((re_hi - re_lo) / 2, height)
@@ -396,86 +323,158 @@ def estimated_matvecs(box, times) -> float:
     return steps * degree if steps < np.inf else np.inf
 
 
-def _series(fold, x: np.ndarray, times: np.ndarray, box):
-    """Yield (index into times, exp(-i t H) x) in order of time, for H with
-    its field of values in box; fold(c, rho) gives y -> 2 (H - c) y / rho on
-    arrays shaped like x.  A yielded array is valid until the next request."""
-    order = np.argsort(times, kind="stable")
-    ordered, shape = times[order], x.shape
-    t_max = ordered[-1] if len(ordered) else 0.0
-    steps, degree, center, rho = series_plan(box, t_max)
-    x = np.array(x, dtype=complex, order="C").ravel()
-    if not steps:                                        # H = c 1, or t_max = 0
-        for idx in order:
-            yield idx, np.exp(-1j * center * times[idx]) * x.reshape(shape)
-        return
-    steps, dt, block = int(steps), t_max / steps, SERIES_BLOCK
-    apply = fold(center, rho)
-    n = np.arange(degree + 1)
-    weights = np.where(n, 2, 1) * np.array([1, -1j, -1, 1j])[n % 4]
+class SeriesPropagator(Propagator):
+    """The series (module docstring) of a product with H, a ScrewProduct or a
+    DenseProduct (then holding the condition of the spectral build it
+    replaces), over a box holding W(H), whose largest corner guards the phase."""
 
-    def coefficients(taus):
-        """(len(taus), m + 1) coefficients of exp(-i tau dt H) on T_0..T_m."""
-        coef = _bessel(taus * rho * dt, degree).astype(complex)
-        coef *= weights
-        coef *= np.exp(-1j * dt * center * taus)[:, None]
-        return coef
+    def __init__(self, product, box: tuple, condition: float | None = None):
+        self.product, self.box, self.path = product, box, product.path
+        self.condition, self.matvecs = condition, 0
+        re_lo, re_hi, im_lo, im_hi = box
+        self._phase_scale = np.hypot(max(-re_lo, re_hi), max(-im_lo, im_hi))
 
-    def recur(rows, k):
-        """T_k = 2 X T_{k-1} - T_{k-2} (X T_0 for k = 1) into rows[k % len]."""
-        y = apply(rows[(k - 1) % len(rows)].reshape(shape))   # 2 X T_{k-1}
-        dst = rows[k % len(rows)].reshape(shape)
-        if k == 1:
-            np.multiply(y, 0.5, out=dst)
-        else:
-            np.subtract(y, rows[(k - 2) % len(rows)].reshape(shape), out=dst)
+    def stream(self, a0s: np.ndarray, times):
+        """Yield (index into times, amplitudes (B, 2N)) in order of time for
+        the stack a0s (B, 2N), propagated as one block in the product's
+        layout x; the product's fold(c, rho) gives x -> 2 (H - c) x / rho.
+        A step forms T_0..T_m by the three-term recurrence and each output
+        time in it from one row of Bessel coefficients, holding the m + 1
+        terms or one partial sum per output time, whichever is fewer."""
+        times = self._checked_times(times)
+        order = np.argsort(times, kind="stable")
+        x = self.product.enter(a0s)
+        ordered, shape, leave = times[order], x.shape, self.product.leave
+        t_max = ordered[-1] if len(ordered) else 0.0
+        steps, degree, center, rho = series_plan(self.box, t_max)
+        x = np.array(x, dtype=complex, order="C").ravel()
+        if not steps:                                    # H = c 1, or t_max = 0
+            for idx in order:
+                yield idx, leave(np.exp(-1j * center * times[idx]) * x.reshape(shape))
+            return
+        steps, dt, block = int(steps), t_max / steps, SERIES_BLOCK
+        apply = self.product.fold(center, rho)
+        n = np.arange(degree + 1)
+        weights = np.where(n, 2, 1) * np.array([1, -1j, -1, 1j])[n % 4]
 
-    def combined(taus, terms):
-        """Rows sum_n c_n(tau) T_n into out, block by block, with one
-        _bessel call per 4 blocks."""
-        for i in range(0, len(taus), 4 * block):
-            coef = coefficients(taus[i:i + 4 * block])
-            for j in range(0, len(coef), block):
-                yield np.matmul(coef[j:j + block], terms, out=out[:len(coef[j:j + block])])
+        def coefficients(taus):
+            """(len(taus), m + 1) coefficients of exp(-i tau dt H) on T_0..T_m."""
+            coef = _bessel(taus * rho * dt, degree).astype(complex)
+            coef *= weights
+            coef *= np.exp(-1j * dt * center * taus)[:, None]
+            return coef
 
-    # step k takes the times in [k dt, (k + 1) dt), the last one those up to t_max
-    bounds = np.concatenate([[0], np.searchsorted(ordered, dt * np.arange(1, steps)),
-                             [len(ordered)]])
-    n_rows = np.diff(bounds) + (np.arange(steps) < steps - 1)   # and each step's end
-    held = min(degree + 1, n_rows.max() + block)
-    buf = np.empty((held + block, x.size), dtype=complex)
-    out = buf[held:]                                     # one block of combined rows
-    for k in range(steps):
-        first, n_out = bounds[k], bounds[k + 1] - bounds[k]
-        taus = ordered[first:first + n_out] / dt - k
-        if k < steps - 1:
-            taus = np.append(taus, 1.0)                  # the step's end
-        if degree + 1 <= len(taus) + block:              # hold the m + 1 terms
-            terms = buf[:degree + 1]
-            terms[0] = x
-            for j in range(1, degree + 1):
-                recur(terms, j)
-            blocks = combined(taus, terms)
-        else:                                            # hold a partial sum per row
-            ring, part = buf[:block], buf[block:block + len(taus)]
-            ring[0], part[:] = x, 0.0
-            coef = coefficients(taus)
-            for j in range(degree + 1):
-                if j:
-                    recur(ring, j)
-                if j % block == block - 1 or j == degree:
-                    lo = j - j % block
-                    for i in range(0, len(taus), block):
-                        rows = part[i:i + block]
-                        rows += np.matmul(coef[i:i + block, lo:j + 1], ring[:j - lo + 1],
-                                          out=out[:len(rows)])
-            blocks = (part[i:i + block] for i in range(0, len(taus), block))
-        row = 0
-        for rows in blocks:
-            for value in rows[:n_out - row]:
-                yield order[first + row], value.reshape(shape)
-                row += 1
-        x = rows[-1]                                     # the step's end
+        def recur(rows, k):
+            """T_k = 2 X T_{k-1} - T_{k-2} (X T_0 for k = 1) into rows[k % len]."""
+            self.matvecs += 1
+            y = apply(rows[(k - 1) % len(rows)].reshape(shape))   # 2 X T_{k-1}
+            dst = rows[k % len(rows)].reshape(shape)
+            if k == 1:
+                np.multiply(y, 0.5, out=dst)
+            else:
+                np.subtract(y, rows[(k - 2) % len(rows)].reshape(shape), out=dst)
+
+        def combined(taus, terms):
+            """Rows sum_n c_n(tau) T_n into out, block by block, with one
+            _bessel call per 4 blocks."""
+            for i in range(0, len(taus), 4 * block):
+                coef = coefficients(taus[i:i + 4 * block])
+                for j in range(0, len(coef), block):
+                    yield np.matmul(coef[j:j + block], terms, out=out[:len(coef[j:j + block])])
+
+        # step k takes the times in [k dt, (k + 1) dt), the last one those up to t_max
+        bounds = np.concatenate([[0], np.searchsorted(ordered, dt * np.arange(1, steps)),
+                                 [len(ordered)]])
+        n_rows = np.diff(bounds) + (np.arange(steps) < steps - 1)   # and each step's end
+        held = min(degree + 1, n_rows.max() + block)
+        buf = np.empty((held + block, x.size), dtype=complex)
+        out = buf[held:]                                 # one block of combined rows
+        for k in range(steps):
+            first, n_out = bounds[k], bounds[k + 1] - bounds[k]
+            taus = ordered[first:first + n_out] / dt - k
+            if k < steps - 1:
+                taus = np.append(taus, 1.0)              # the step's end
+            if degree + 1 <= len(taus) + block:          # hold the m + 1 terms
+                terms = buf[:degree + 1]
+                terms[0] = x
+                for j in range(1, degree + 1):
+                    recur(terms, j)
+                blocks = combined(taus, terms)
+            else:                                        # hold a partial sum per row
+                ring, part = buf[:block], buf[block:block + len(taus)]
+                ring[0], part[:] = x, 0.0
+                coef = coefficients(taus)
+                for j in range(degree + 1):
+                    if j:
+                        recur(ring, j)
+                    if j % block == block - 1 or j == degree:
+                        lo = j - j % block
+                        for i in range(0, len(taus), block):
+                            rows = part[i:i + block]
+                            rows += np.matmul(coef[i:i + block, lo:j + 1], ring[:j - lo + 1],
+                                              out=out[:len(rows)])
+                blocks = (part[i:i + block] for i in range(0, len(taus), block))
+            row = 0
+            for rows in blocks:
+                for value in rows[:n_out - row]:
+                    yield order[first + row], leave(value.reshape(shape))
+                    row += 1
+            x = rows[-1]                                 # the step's end
+
+
+class ScrewProduct:
+    """H of a ScrewHamiltonian on b = U^dag a, held (spin, branch, site):
+    one FFT of b zero-padded to the circulant length L, four 2x2 products
+    with the circulant's block spectrum and one inverse FFT, truncated to N
+    sites.  enter and leave apply U once per output time."""
+
+    path = "matrix_free"
+
+    def __init__(self, screw: ScrewHamiltonian):
+        self._gauge, self._length = screw.gauge, len(screw.spectrum)   # (site, spin), L
+        # (spin, spin', 1, L): broadcasts over the (branch, L) spectra
+        self._spectrum = screw.spectrum.transpose(1, 2, 0)[:, :, None, :]
+
+    def enter(self, a0s: np.ndarray) -> np.ndarray:
+        return (a0s.reshape(len(a0s), -1, 2) * self._gauge.conj()).transpose(2, 0, 1)
+
+    def leave(self, b: np.ndarray) -> np.ndarray:
+        return np.multiply(b.transpose(1, 2, 0), self._gauge, order="C").reshape(b.shape[1], -1)
+
+    def fold(self, c, rho):
+        """b -> 2 (H - c) b / rho, c and 2/rho folded into the spectrum once."""
+        spectrum = (self._spectrum - c * np.eye(2)[:, :, None, None]) * (2 / rho)
+        return lambda b: self._apply(b, spectrum)
+
+    def _apply(self, b: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+        """The circulant of spectrum (spin, spin', 1, L) on b."""
+        f = np.fft.fft(b, n=self._length, axis=-1)
+        (c00, c01), (c10, c11) = spectrum
+        f0 = c10 * f[0]                                  # in place: two rows of scratch
+        f[0] *= c00
+        f[0] += c01 * f[1]
+        f[1] *= c11
+        f[1] += f0
+        return np.fft.ifft(f, axis=-1)[..., :len(self._gauge)]
+
+
+class DenseProduct:
+    """H of a dense matrix h on the stack y (2N, B)."""
+
+    path = "dense_series"
+
+    def __init__(self, h: np.ndarray):
+        self.h = h
+
+    def enter(self, a0s: np.ndarray) -> np.ndarray:
+        return a0s.T
+
+    def leave(self, x: np.ndarray) -> np.ndarray:
+        return x.T.copy()
+
+    def fold(self, c, rho):
+        x = (self.h - c * np.eye(len(self.h))) * (2 / rho)
+        return lambda y: x @ y
 
 
 def _gershgorin_box(h: np.ndarray) -> tuple:
@@ -491,12 +490,21 @@ def _gershgorin_box(h: np.ndarray) -> tuple:
 
 
 def _expm_dense(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t h) for a dense h, the series on the identity: the
+    """exp(-i t h) for a dense h, the dense series on the identity: the
     master-equation oracle's step matrix."""
-    eye = np.eye(len(h), dtype=complex)
-    series = _series(lambda c, rho: ((h - c * eye) * (2 / rho)).dot, eye,
-                     np.array([float(t)]), _gershgorin_box(h))
-    return next(series)[1]
+    series = SeriesPropagator(DenseProduct(h), _gershgorin_box(h))
+    return series.propagate(np.eye(len(h), dtype=complex), [t])[:, 0].T
+
+
+def dense_propagator(h_eff: EffectiveHamiltonian) -> Propagator:
+    """The SpectralPropagator of a dense H_eff or, when its condition is not
+    within COND_LIMIT (a near-defective spectrum, whose spectral
+    reconstruction is unreliable), the dense series holding that condition."""
+    spectral = SpectralPropagator(h_eff)
+    if spectral.condition <= COND_LIMIT:
+        return spectral
+    return SeriesPropagator(DenseProduct(h_eff.matrix), _gershgorin_box(h_eff.matrix),
+                            spectral.condition)
 
 
 def modelled_seconds(n_sites: int, screw: ScrewHamiltonian | None, times) -> dict:
@@ -512,20 +520,17 @@ def modelled_seconds(n_sites: int, screw: ScrewHamiltonian | None, times) -> dic
             "matrix_free": estimated_matvecs(screw.box, times) * per_product}
 
 
-def launch(geom: EmitterGeometry, hermitian_only: bool, times) -> Propagator:
+def launch(geom: EmitterGeometry, hermitian_only: bool, times) -> tuple[Propagator, dict]:
     """The Propagator of a run that propagates once, from t = 0 over times,
-    on the path modelled_seconds prefers: matrix-free for a screw geometry
-    when its series is modelled cheaper than the spectral build (J and
-    Gamma are then never assembled), spectral otherwise.  Its modelled_s
-    holds the model's seconds of each path."""
+    and the modelled_seconds of each path it chose between: the matrix-free
+    series for a screw geometry when it is modelled cheaper than the
+    spectral build (J and Gamma are then never assembled), dense_propagator
+    otherwise."""
     screw = hamiltonian.screw_effective(geom, hermitian_only)
     modelled = modelled_seconds(geom.n_sites, screw, times)
     if modelled["matrix_free"] < modelled["spectral"]:
-        prop = Propagator(screw)
-    else:
-        prop = Propagator(effective(hamiltonian.assemble(geom), hermitian_only))
-    prop.modelled_s = modelled
-    return prop
+        return SeriesPropagator(ScrewProduct(screw), screw.box), modelled
+    return dense_propagator(effective(hamiltonian.assemble(geom), hermitian_only)), modelled
 
 
 def master_equation_check(state: ExcitationState, coupling: CouplingTensor,
@@ -550,12 +555,10 @@ def master_equation_check(state: ExcitationState, coupling: CouplingTensor,
     times = np.linspace(0.0, t_final, n_eval + 1)
     step = _expm_dense(h_eff.matrix, times[1] - times[0])
 
-    # geometry is only needed for z_com; a placeholder z = site index works
-    # for the comparison since both sides use the same values
+    # z_com only needs the same z on both sides: a placeholder z = site index
     z = np.arange(n, dtype=float)
-    fake_geom = EmitterGeometry(np.column_stack([np.zeros(n), np.zeros(n), z]),
-                                label="index line")
-    prop = Propagator(h_eff)
+    fake_geom = EmitterGeometry(np.column_stack([0 * z, 0 * z, z]), label="index line")
+    prop = dense_propagator(h_eff)
     series, per_site = evolve(prop, state, fake_geom, times), populations(prop, state, times)
 
     dev = 0.0

@@ -135,13 +135,14 @@ def check_norm_behavior(cfg, _rng):
     coup = hamiltonian.assemble(geom)
     state = dynamics.initial_state(geom.n_sites, 0, 0.5)
     times = np.linspace(0.0, 5.0, 120)
-    ser = dynamics.evolve(dynamics.Propagator(hamiltonian.effective(coup)), state, geom, times)
+    ser = dynamics.evolve(dynamics.dense_propagator(hamiltonian.effective(coup)), state, geom,
+                          times)
     rise = np.diff(ser.trace).max()
     _require(rise <= 1e-10, f"norm increases by {rise:.1e}")
     split = np.abs(ser.p_up + ser.p_down - ser.trace).max()
     _require(split < 1e-10, f"P_up + P_down vs trace deviation {split:.1e}")
     times_h = np.linspace(0.0, 20.0, 80)
-    ser_h = dynamics.evolve(dynamics.Propagator(hamiltonian.effective(coup, True)),
+    ser_h = dynamics.evolve(dynamics.dense_propagator(hamiltonian.effective(coup, True)),
                             state, geom, times_h)
     drift = np.abs(ser_h.trace - 1.0).max()
     return _require(drift < 1e-8, f"hermitian norm drift {drift:.1e}")
@@ -153,7 +154,7 @@ def check_mirror_transport(cfg, _rng):
     state = dynamics.initial_state(geom.n_sites, 0, 0.5)
     times = np.linspace(0.0, 5.0, 60)
     a, b = (dynamics.evolve(
-        dynamics.Propagator(hamiltonian.effective(hamiltonian.assemble(g))), state, g, times)
+        dynamics.dense_propagator(hamiltonian.effective(hamiltonian.assemble(g))), state, g, times)
         for g in (geom, mirrored))
     err = max(np.abs(a.p_up - b.p_down).max(), np.abs(a.p_down - b.p_up).max())
     return _require(err < 1e-10, f"mirror transport deviation {err:.1e}")
@@ -177,9 +178,10 @@ def check_master_equation(cfg, _rng):
     coup, n = hamiltonian.assemble(geom), geom.n_sites
     a0s, times = np.eye(2 * n)[[0, 1, 2 * n - 2, 2 * n - 1]], [0.0, 0.5, 2.0, 5.0]
     for hermitian_only in (False, True):
-        x, y = (dynamics.Propagator(h).propagate(a0s, times)
-                for h in (hamiltonian.screw_effective(geom, hermitian_only),
-                          hamiltonian.effective(coup, hermitian_only)))
+        screw = hamiltonian.screw_effective(geom, hermitian_only)
+        x, y = (prop.propagate(a0s, times) for prop in (
+            dynamics.SeriesPropagator(dynamics.ScrewProduct(screw), screw.box),
+            dynamics.dense_propagator(hamiltonian.effective(coup, hermitian_only))))
         free = max(free, np.abs(x - y).max() / np.abs(y).max())
     return f"{detail}; " + _require(free < 1e-12, f"matrix-free series vs spectral {free:.1e}")
 

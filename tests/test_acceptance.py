@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from heliport.bloch import band_structure, brillouin_grid
-from heliport.dynamics import (Propagator, evolve, initial_state,
+from heliport.dynamics import (dense_propagator, evolve, initial_state,
                                master_equation_check)
 from heliport.field import default_plane, intensity_map
 from heliport.geometry import HelixParams, build_helix, mirror_xz
@@ -45,13 +45,13 @@ def transport_series(handedness, site, hermitian_only=False):
     h = effective(assemble(geom), hermitian_only)
     state = initial_state(geom.n_sites, site, 0.5)
     times = np.linspace(0.0, 2 * TAU, 200)
-    return evolve(Propagator(h), state, geom, times)
+    return evolve(dense_propagator(h), state, geom, times)
 
 
 def populations_at(geom, site, t, hermitian_only=False):
     h = effective(assemble(geom), hermitian_only)
     state = initial_state(geom.n_sites, site, 0.5)
-    ser = evolve(Propagator(h), state, geom, np.array([0.0, t]))
+    ser = evolve(dense_propagator(h), state, geom, np.array([0.0, t]))
     return ser.p_up[1], ser.p_down[1]
 
 
@@ -131,9 +131,9 @@ def test_norm_monotonicity_and_conservation():
         geom = reference()
         state = initial_state(geom.n_sites, 0, 0.5)
         times = np.linspace(0.0, 20.0, 200)
-        ser = evolve(Propagator(effective(assemble(geom))), state, geom, times)
+        ser = evolve(dense_propagator(effective(assemble(geom))), state, geom, times)
         assert np.diff(ser.trace).max() <= 1e-10
-        ser_h = evolve(Propagator(effective(assemble(geom), True)), state, geom, times)
+        ser_h = evolve(dense_propagator(effective(assemble(geom), True)), state, geom, times)
         assert np.abs(ser_h.trace - 1.0).max() < 1e-8
 
 
@@ -149,8 +149,8 @@ def test_chiral_population_transport():
 
         state = initial_state(left.n_sites, 0, 0.5)
         times = np.linspace(0.0, 2 * TAU, 200)
-        ser_l = evolve(Propagator(effective(assemble(left))), state, left, times)
-        ser_r = evolve(Propagator(effective(assemble(right))), state, right, times)
+        ser_l = evolve(dense_propagator(effective(assemble(left))), state, left, times)
+        ser_r = evolve(dense_propagator(effective(assemble(right))), state, right, times)
         assert np.abs(ser_l.p_up - ser_r.p_down).max() < 1e-10
         assert np.abs(ser_l.p_down - ser_r.p_up).max() < 1e-10
 
@@ -275,7 +275,7 @@ def test_emitted_field_maps():
         geom = reference(1)
         h = effective(assemble(geom))
         state = initial_state(geom.n_sites, 0, 0.5)
-        prop = Propagator(h)
+        prop = dense_propagator(h)
         plane = default_plane(geom, offset=0.5, n_u=101, n_v=201,
                               u_span=0.3, z_pad=1.2)
 
@@ -295,7 +295,7 @@ def test_emitted_field_maps():
         assert z_centroid > z_mid
 
         mirrored = mirror_xz(geom)
-        flipped = field_map(Propagator(effective(assemble(mirrored))),
+        flipped = field_map(dense_propagator(effective(assemble(mirrored))),
                             mirrored, 1.0)
         assert np.nanmax(np.abs(flipped.i_up[::-1, :] - early.i_down)) < 1e-10
         assert np.nanmax(np.abs(flipped.i_down[::-1, :] - early.i_up)) < 1e-10

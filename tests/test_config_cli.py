@@ -153,7 +153,7 @@ def test_cli_snapshot_matches_the_evolve_row_at_its_time(tmp_path):
     assert run_cli(["dynamics", "--config", cfg, "--out", out]) == 0
     snap = np.loadtxt(out / "snapshot_t1.csv", delimiter=",", skiprows=1)
     geom = build_helix(HelixParams(**HELIX))
-    prop = dynamics.Propagator(hamiltonian.effective(hamiltonian.assemble(geom)))
+    prop = dynamics.dense_propagator(hamiltonian.effective(hamiltonian.assemble(geom)))
     state, times = dynamics.initial_state(geom.n_sites, 0, 0.5), np.linspace(0.0, 2.0, 21)
     series = dynamics.evolve(prop, state, geom, times, snapshot_times=[1.0])
     assert series.times[10] == 1.0
@@ -759,8 +759,8 @@ assert cli.main(["run", "--config", paths[0], "--out", paths[0] + "_dump",
                  "--dump-matrices"]) == 0
 dynamics.COND_LIMIT = 0.0
 geom = build_helix(HelixParams(0.05, 0.175, 3, 2, 1))
-prop = dynamics.Propagator(effective(assemble(geom)))
-assert prop.use_stepper
+prop = dynamics.dense_propagator(effective(assemble(geom)))
+assert isinstance(prop.product, dynamics.DenseProduct)
 a0 = dynamics.initial_state(geom.n_sites, 0, 1.0).amplitudes[0]
 assert np.isfinite(prop.propagate(a0, [0.0, 0.3, 7.9])).all()
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))

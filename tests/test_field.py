@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heliport.dynamics import Propagator, initial_state
+from heliport.dynamics import dense_propagator, initial_state
 from heliport.field import (FIELD_PREFACTOR, NEAR_FIELD_RADIUS, FieldPlane,
                             _chunk_points, _field_kernel, default_plane,
                             intensity_map, intensity_maps)
@@ -94,7 +94,7 @@ def test_near_field_points_masked(small_helix):
 def test_normalization_modes(small_helix):
     st = initial_state(small_helix.n_sites, 0, 0.5)
     h = effective(assemble(small_helix))
-    amps = [Propagator(h).propagate(a0, np.array([1.0]))[0] for a0 in st.amplitudes]
+    amps = [dense_propagator(h).propagate(a0, np.array([1.0]))[0] for a0 in st.amplitudes]
     plane = default_plane(small_helix, n_u=15, n_v=25)
 
     raw = intensity_map(st.weights, amps, small_helix, plane, normalize="none")
@@ -115,9 +115,9 @@ def test_mirror_swaps_polarization_maps(small_helix):
     mirrored = mirror_xz(small_helix)
     st = initial_state(small_helix.n_sites, 0, 0.5)
     t = np.array([0.8])
-    amps = [Propagator(effective(assemble(small_helix))).propagate(a, t)[0]
+    amps = [dense_propagator(effective(assemble(small_helix))).propagate(a, t)[0]
             for a in st.amplitudes]
-    amps_m = [Propagator(effective(assemble(mirrored))).propagate(a, t)[0]
+    amps_m = [dense_propagator(effective(assemble(mirrored))).propagate(a, t)[0]
               for a in st.amplitudes]
     plane = default_plane(small_helix, n_u=21, n_v=31)
     fo = intensity_map(st.weights, amps, small_helix, plane)

@@ -82,9 +82,9 @@ def test_field_factor_check_fails_on_a_planted_fault(monkeypatch, target, plant)
     assert [r["name"] for r in report if not r["passed"]] == ["field map sanity"]
 
 
-def _rolled_spectrum(apply_screw):
+def _rolled_spectrum(apply):
     def faulty(self, b, spectrum):
-        return apply_screw(self, b, np.roll(spectrum, 1, axis=-1))
+        return apply(self, b, np.roll(spectrum, 1, axis=-1))
     return faulty
 
 
@@ -96,7 +96,7 @@ def _halved_degree(plan):
 
 
 @pytest.mark.parametrize("owner, name, plant",
-                         [(dynamics.Propagator, "_apply_screw", _rolled_spectrum),
+                         [(dynamics.ScrewProduct, "_apply", _rolled_spectrum),
                           (dynamics, "series_plan", _halved_degree)],
                          ids=["spectrum_rolled_by_one_block", "degree_halved"])
 def test_matrix_free_check_fails_on_a_planted_fault(monkeypatch, owner, name, plant):
