@@ -233,6 +233,30 @@ def _run_zak(cfg, _geom):
     return {"zak.json": records}, diagnostics, 0
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _host() -> dict:
+    """The machine behind a run's bytes: the CPUs it may use, the BLAS
+    thread variables, physical memory and numpy's enabled SIMD targets
+    (the field maps take numpy's dispatched tan, whose last bits differ
+    between targets)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
+    return {
+        "nproc": len(cpus),
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_VARS},
+        "physical_memory_bytes": _physical_memory(),
+        "numpy_simd": [*umath.__cpu_baseline__, *(t for t in umath.__cpu_dispatch__
+                                                  if umath.__cpu_features__.get(t))],
+    }
+
+
 def _field_preflight(fs) -> None:
     """Refuse a field plane whose arrays alone would exceed physical memory."""
     from .output import BLOCK_ROWS
@@ -244,7 +268,7 @@ def _field_preflight(fs) -> None:
     # table it is writing (under 120 bytes a cell), whatever the plane size
     need = (n_points * (3 * 8 + 2 * 2 * len(fs.times) * 8 + 2 * 8)
             + BLOCK_ROWS * 3 * 120)
-    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    phys = _physical_memory()
     if need > phys:
         raise ValueError(f"field.n_u x field.n_v = {fs.n_u} x {fs.n_v} needs about "
                          f"{need / 2**30:.3g} GiB for the maps, more than the "
@@ -413,6 +437,7 @@ def main(argv=None) -> int:
             "config_sha256": config_sha256(cfg.raw),
             "numpy_version": np.__version__,
             "threads": threads,
+            "host": _host(),
             "outputs": list(products),
             "diagnostics": diagnostics,
         })

@@ -524,13 +524,15 @@ def launch(geom: EmitterGeometry, hermitian_only: bool, times) -> tuple[Propagat
     """The Propagator of a run that propagates once, from t = 0 over times,
     and the modelled_seconds of each path it chose between: the matrix-free
     series for a screw geometry when it is modelled cheaper than the
-    spectral build (J and Gamma are then never assembled), dense_propagator
-    otherwise."""
+    spectral build, dense_propagator otherwise.  A screw geometry's one
+    table serves either path (J and Gamma are never assembled)."""
     screw = hamiltonian.screw_effective(geom, hermitian_only)
     modelled = modelled_seconds(geom.n_sites, screw, times)
     if modelled["matrix_free"] < modelled["spectral"]:
         return SeriesPropagator(ScrewProduct(screw), screw.box), modelled
-    return dense_propagator(effective(hamiltonian.assemble(geom), hermitian_only)), modelled
+    h_eff = (effective(hamiltonian.assemble(geom), hermitian_only) if screw is None
+             else hamiltonian.screw_matrix(screw))
+    return dense_propagator(h_eff), modelled
 
 
 def master_equation_check(state: ExcitationState, coupling: CouplingTensor,

@@ -11,22 +11,25 @@ state branches (relative units; optional normalization for plotting).
 Points closer than 1e-3 lambda_0 to an emitter are masked (nan) to keep the
 1/r^3 near field out of the maps.
 
-With G(r) = pa * 1 - s * r r^T from greens._green_factors (r the raw
-separation, pa and s functions of |r|^2 only) and eps_sigma in the x-y
-plane, each Cartesian component c of the field is
+In circular components F_+ = eps_up^dag F, F_- = eps_down^dag F and F_z
+(||F||^2 is the sum of their squared moduli), with G(r) = pa * 1 - s r r^T
+from greens._green_factors and w = x + i y of the separation, spin up's
+amplitudes A radiate
 
-    F_c = eps_c * (pa @ A) - Q_cx @ (eps_x A) - Q_cy @ (eps_y A),
-    Q_cd = s r_c r_d,
+    F_+ = K0 @ A,  F_- = -(s w^2/2) @ A,  F_z = -(s z w/sqrt2) @ A,
+    K0 = pa - s |w|^2/2,
 
-so five Q_cd (xx, xy, yy, zx, zy) and pa are all of G a field map needs;
-neither the 3x3 tensor nor K_sigma = G . eps_sigma is formed, and no unit
-vector is.  |r|^2 is computed once per point-emitter pair and serves both
-the near-field mask and the factors.  The factors are evaluated once per
-chunk of plane points (about _KERNEL_PAIRS point-emitter pairs, so the
-chunk shrinks as N grows), the Q_cd into one preallocated array, and
-applied to the amplitudes of both spins at every (time, branch) side by
-side, one column each: intensity_maps is a single pass over the plane
-whatever the number of times.
+and spin down's the same with w -> conj(w) and F_+ <-> F_-.  These five
+kernels are all of G a map needs.  One buffer, reused by every chunk of
+about _KERNEL_PAIRS point-emitter pairs, holds them in the order s w^2/2,
+s z w/sqrt2, K0, s conj(w)^2/2, s z conj(w)/sqrt2, and then one scratch
+slot: its first three are spin up's stack and its next three spin down's,
+each applied by one product to that spin's amplitudes at every (time,
+branch), one column each.  The kernel and greens._green_factors work in the
+planes of that buffer, so a chunk allocates no array of its size (with a
+fresh one per chunk the allocator hands the pages back and faults them in
+again every chunk), and intensity_maps is a single pass over the plane whatever the number of
+times.
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ from typing import Optional
 import numpy as np
 
 from .geometry import EmitterGeometry
-from .greens import GAMMA0, LAMBDA0, POLARIZATION, _green_factors
+from .greens import GAMMA0, LAMBDA0, _green_factors
 
 EPS0 = 1.0
 FIELD_PREFACTOR = np.sqrt(6.0 * np.pi**2 * GAMMA0 / (LAMBDA0 * EPS0))
 NEAR_FIELD_RADIUS = 1e-3 * LAMBDA0
-_KERNEL_PAIRS = 1024 * 16   # point-emitter pairs per kernel chunk (~3 MB of factors)
+_KERNEL_PAIRS = 1024 * 16   # point-emitter pairs per chunk (a 1.6 MB buffer, 1.7 MB in all)
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -114,25 +117,45 @@ def _chunk_points(n_sites: int) -> int:
     return max(1, _KERNEL_PAIRS // n_sites)
 
 
-def _field_kernel(positions: np.ndarray, pts: np.ndarray, q: np.ndarray):
-    """(pa, near) for one chunk of points; fills q in place.
-
-    pa[p, j] and q[i, p, j] = s * r_c r_d are the factors of G(r) at
-    r = pts[p] - r_j, for (c, d) = xx, xy, yy, zx, zy in that order; q is a
-    preallocated complex array of shape (5, len(pts), len(positions)).  near
-    flags the points closer than NEAR_FIELD_RADIUS to an emitter; their
-    separations get a placeholder and the caller masks them.
-    """
-    x, y, z = (pts[:, c, None] - positions[:, c] for c in range(3))
-    r2 = x * x + y * y + z * z
+def _field_kernel(positions: np.ndarray, pts: np.ndarray, k: np.ndarray):
+    """Fills k[:5] of k (complex, (6, len(pts), len(positions))) with the
+    five kernels (module docstring) at r = pts[p] - r_j, k[5] being scratch;
+    returns the points closer than NEAR_FIELD_RADIUS to an emitter, whose
+    separations get a placeholder for the caller to mask."""
+    # the memory of k[1], k[4] and k[0] as pairs of contiguous real planes,
+    # free until those kernels are filled
+    halves = k.view(float).reshape(len(k), 2, *k.shape[1:])
+    (x, y), (z, rho2), r2 = halves[1], halves[4], halves[0, 0]
+    for c, out in enumerate((x, y, z)):
+        np.subtract(pts[:, c, None], positions[:, c], out=out)
+    np.square(x, out=rho2)
+    rho2 += np.square(y, out=r2)
+    np.square(z, out=r2)
+    r2 += rho2
     close = r2 < NEAR_FIELD_RADIUS**2
-    if close.any():
-        x[close], y[close], z[close], r2[close] = LAMBDA0, 0.0, 0.0, LAMBDA0**2
-    pa, s = _green_factors(r2)
-    for out, c, d in zip(q, (x, x, y, z, z), (x, y, y, x, y)):
-        np.multiply(c, d, out=out)
-    q *= s
-    return pa, close.any(axis=1)
+    near = close.any(axis=1)
+    if near.any():
+        x[close], y[close], z[close], rho2[close], r2[close] = (LAMBDA0, 0.0, 0.0,
+                                                                LAMBDA0**2, LAMBDA0**2)
+    w = k[5]                                          # x + i y
+    w.real, w.imag = x, y
+    _, s = _green_factors(r2, out=k[2:4])             # pa in k[2], s in k[3]
+    # complex times real part by part: a mixed-type ufunc allocates a buffer
+    rho2 *= 0.5
+    np.multiply(s.real, rho2, out=k[1].real)
+    np.multiply(s.imag, rho2, out=k[1].imag)
+    k[2] -= k[1]                                      # pa - s |w|^2/2
+    z *= np.sqrt(0.5)
+    np.multiply(s.real, z, out=k[1].real)
+    np.multiply(s.imag, z, out=k[1].imag)
+    np.conj(w, out=k[4])
+    k[4] *= k[1]                                      # s z conj(w)/sqrt2
+    k[1] *= w                                         # s z w/sqrt2
+    np.square(w, out=w)
+    w *= 0.5
+    np.multiply(s, w, out=k[0])                       # s w^2/2
+    k[3] *= np.conj(w, out=w)                         # s conj(w)^2/2
+    return near
 
 
 @dataclass
@@ -151,8 +174,8 @@ def intensity_maps(weights, branch_amplitudes, geom: EmitterGeometry,
     branch_amplitudes[b][t] is the amplitude vector (length 2N) of branch b
     at times[t], e.g. Propagator.propagate(a0s, times) for the (B, 2N) stack
     a0s of launch branches; weights[b] is the branch's probability.  The
-    factors of G are evaluated once per chunk of plane points and applied
-    to every (time, branch) column of both spins (module docstring).
+    five kernels are evaluated once per chunk of plane points and applied
+    to every (time, branch) column of their spin (module docstring).
     normalize: "none" keeps the raw values, "global" scales both
     polarizations of a time by their common maximum, "per_map" scales each
     map by its own maximum.
@@ -161,29 +184,25 @@ def intensity_maps(weights, branch_amplitudes, geom: EmitterGeometry,
         raise ValueError(f"unknown normalization mode {normalize!r}")
     pts = plane.points()
     pts_flat = pts.reshape(-1, 3)
-    w = np.asarray(weights, dtype=float)
-    n, n_t, n_b = geom.n_sites, len(times), len(w)
-    # a0[j, (s * n_t + t) * n_b + b] = a_{j s} of branch b at time t
+    p = np.asarray(weights, dtype=float)
+    n, n_t, n_b = geom.n_sites, len(times), len(p)
+    # a[s][j, t * n_b + b] = sqrt(p_b) a_{j s} of branch b at time t
     amps = np.asarray(branch_amplitudes, dtype=complex).reshape(n_b, n_t, n, 2)
-    a0 = amps.transpose(2, 3, 1, 0).reshape(n, 2 * n_t * n_b)
-    # eps_x and eps_y of each column's spin (eps_sigma has no z component)
-    ex, ey = np.repeat(np.array(POLARIZATION)[:, :2], n_t * n_b, axis=0).T
-    ax, ay = a0 * ex, a0 * ey
+    a = (np.sqrt(p)[:, None, None, None] * amps).transpose(3, 2, 1, 0).reshape(2, n, -1)
     maps = np.zeros((2, n_t, len(pts_flat)))
     near = np.zeros(len(pts_flat), dtype=bool)
     step = _chunk_points(n)
-    q_buf = np.empty((5, step, n), dtype=complex)
+    k_buf = np.empty(6 * step * n, dtype=complex)
     for lo in range(0, len(pts_flat), step):
         sl = slice(lo, lo + step)
-        q = q_buf[:, :len(pts_flat[sl])]
-        pa, near[sl] = _field_kernel(geom.positions, pts_flat[sl], q)
-        qxx, qxy, qyy, qzx, qzy = q
-        f0 = pa @ a0
-        fx = ex * f0 - qxx @ ax - qxy @ ay
-        fy = ey * f0 - qxy @ ax - qyy @ ay
-        fz = -(qzx @ ax) - qzy @ ay
-        power = sum(f.real**2 + f.imag**2 for f in (fx, fy, fz))
-        maps[:, :, sl] = (power.reshape(-1, 2, n_t, n_b) @ w).transpose(1, 2, 0)
+        m = len(pts_flat[sl])
+        k = k_buf[:6 * m * n].reshape(6, m, n)
+        near[sl] = _field_kernel(geom.positions, pts_flat[sl], k)
+        # F_-, F_z, F_+ of spin up from k[:3]; F_-, F_+, F_z of spin down from k[2:5]
+        for spin, stack in enumerate((k[:3], k[2:5])):
+            f = (stack.reshape(3 * m, n) @ a[spin]).view(float)
+            power = np.square(f, out=f).reshape(3, m, n_t, 2 * n_b).sum(axis=0)
+            maps[spin, :, sl] = power.sum(axis=-1).T
     maps[:, :, near] = np.nan
     maps = (FIELD_PREFACTOR**2 * maps).reshape((2, n_t) + pts.shape[:-1])
     n_masked = int(near.sum())

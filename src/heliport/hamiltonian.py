@@ -30,7 +30,7 @@ geometry takes the pairwise N(N - 1) evaluation, the test oracle of the
 screw table.  `screw_effective` hands the gauge and the table of H_eff itself
 (T_J - i T_Gamma / 2), with its circulant spectrum and a box enclosing its
 field of values, to the matrix-free propagator, which never forms the dense
-matrices.
+matrices; `screw_matrix` gathers the spectral path's dense H_eff from it.
 """
 
 from __future__ import annotations
@@ -148,14 +148,15 @@ def assemble(geom: EmitterGeometry) -> CouplingTensor:
     phi = _screw_azimuths(geom.positions)
     if phi is None:
         return _pairwise_assemble(geom)
-    n = len(phi)
     u, t_j, t_g = _screw_tables(geom.positions, phi)
-    # index[i, j] = i - j + n - 1, a strided view rather than an N x N array
-    index = sliding_window_view(np.arange(2 * n - 1)[::-1], n)[::-1]
-    j, gamma = (_screw_gather(t, index, u) for t in (t_j, t_g))
-    np.fill_diagonal(j, 0.0)
-    np.fill_diagonal(gamma, GAMMA0)
-    return CouplingTensor(j=j, gamma=gamma)
+    return CouplingTensor(j=_screw_gather(t_j, u, 0.0), gamma=_screw_gather(t_g, u, GAMMA0))
+
+
+def screw_matrix(screw: ScrewHamiltonian) -> EffectiveHamiltonian:
+    """The dense H_eff gathered from screw's table, its diagonal exact."""
+    diagonal = 0.0 if screw.hermitian_only else -0.5j * GAMMA0
+    return EffectiveHamiltonian(_screw_gather(screw.table, screw.gauge, diagonal),
+                                screw.hermitian_only)
 
 
 def _screw_azimuths(pos: np.ndarray) -> np.ndarray | None:
@@ -189,16 +190,20 @@ def _screw_tables(pos: np.ndarray,
     return u, t_j, t_g
 
 
-def _screw_gather(table: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The 2N x 2N matrix of blocks U_i table[index[i, j]] U_j^dag, for an
-    (N, N) index into a _screw_tables table and gauge diagonals u (N, 2)."""
-    n = len(index)
+def _screw_gather(table: np.ndarray, u: np.ndarray, diagonal) -> np.ndarray:
+    """The 2N x 2N matrix of blocks U_i table[i - j + N - 1] U_j^dag for
+    gauge diagonals u (N, 2), its diagonal set to diagonal."""
+    n = len(u)
+    # index[i, j] = i - j + n - 1, a strided view rather than an N x N array
+    index = sliding_window_view(np.arange(2 * n - 1)[::-1], n)[::-1]
     m = np.empty((n, 2, n, 2), dtype=complex)
     for s, s2 in np.ndindex(2, 2):
         m[:, s, :, s2] = table[:, s, s2][index]
     m *= u[:, :, None, None]
     m *= u.conj()[None, None]
-    return m.reshape(2 * n, 2 * n)
+    m = m.reshape(2 * n, 2 * n)
+    np.fill_diagonal(m, diagonal)
+    return m
 
 
 def _pairwise_assemble(geom: EmitterGeometry) -> CouplingTensor:

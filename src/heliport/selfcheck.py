@@ -245,7 +245,7 @@ def green_sum_intensities(geom, pts, weights, amps):
 
 
 def check_field_factors(cfg, rng):
-    # intensity_maps' factor contraction (pa, Q_cd) against the explicit
+    # intensity_maps' five circular kernels against the explicit
     # green_tensor sum, two random branches at two times, on a small z plane
     # through emitter 0 whose grid holds that emitter (a masked point)
     geom = cfg.build_geometry()

@@ -44,14 +44,16 @@ def small_helix(small_params):
 
 @pytest.fixture
 def fresh_python():
-    """Run a script in a fresh interpreter that imports this heliport; returns stdout."""
+    """Run a script in a fresh interpreter that imports this heliport, with
+    extra environment variables; returns stdout."""
     src = str(Path(heliport.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
-    def run(script, *args):
+    def run(script, *args, **extra_env):
         done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
-                              env=env, capture_output=True, text=True, timeout=300)
+                              env=dict(env, **extra_env), capture_output=True,
+                              text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         return done.stdout
     return run

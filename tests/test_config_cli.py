@@ -142,6 +142,11 @@ def test_cli_dynamics_end_to_end(tmp_path):
     assert manifest["config_sha256"] == config_sha256(dynamics_dict())
     assert "timeseries.csv" in manifest["outputs"]
     assert "numpy_version" in manifest and "scipy_version" not in manifest
+    host = manifest["host"]
+    assert set(host) == {"nproc", "blas_threads", "physical_memory_bytes", "numpy_simd"}
+    assert host["nproc"] >= 1 and host["physical_memory_bytes"] > 0
+    assert set(host["blas_threads"]) == set(cli._BLAS_VARS)
+    assert all(isinstance(target, str) for target in host["numpy_simd"])
 
 
 def test_cli_snapshot_matches_the_evolve_row_at_its_time(tmp_path):
@@ -288,10 +293,11 @@ def test_cli_field_builds_kernel_once_per_chunk(tmp_path, monkeypatch):
     kernel_calls, propagate_calls, buffers = [], [], set()
     kernel, propagate = field._field_kernel, dynamics.Propagator.propagate
 
-    def counted_kernel(positions, pts, q):
+    def counted_kernel(positions, pts, k):
+        assert k.shape == (6, len(pts), len(positions))
         kernel_calls.append(len(pts))
-        buffers.add(q.__array_interface__["data"][0])
-        return kernel(positions, pts, q)
+        buffers.add(k.__array_interface__["data"][0])
+        return kernel(positions, pts, k)
 
     def counted_propagate(self, a0, times):
         propagate_calls.append(len(times))
@@ -305,7 +311,7 @@ def test_cli_field_builds_kernel_once_per_chunk(tmp_path, monkeypatch):
     assert chunk < 41 * 51                      # the plane spans several chunks
     assert len(kernel_calls) == -(-41 * 51 // chunk)
     assert sum(kernel_calls) == 41 * 51
-    assert len(buffers) == 1                    # every chunk fills the same Q_cd array
+    assert len(buffers) == 1                    # every chunk fills the same kernel buffer
     assert propagate_calls == [3]               # all branches and times at once
 
 

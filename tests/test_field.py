@@ -6,7 +6,7 @@ from heliport.field import (FIELD_PREFACTOR, NEAR_FIELD_RADIUS, FieldPlane,
                             _chunk_points, _field_kernel, default_plane,
                             intensity_map, intensity_maps)
 from heliport.geometry import EmitterGeometry, build_helix, mirror_xz
-from heliport.greens import POLARIZATION
+from heliport.greens import POLARIZATION, green_tensor
 from heliport.hamiltonian import assemble, effective
 from heliport.selfcheck import green_sum_intensities
 
@@ -68,16 +68,36 @@ def test_circular_dipole_field_axially_symmetric(rng):
     angles = rng.uniform(0, 2 * np.pi, size=8)
     pts = np.column_stack([d * np.cos(angles), d * np.sin(angles),
                            np.full(8, 0.7)])
-    q = np.empty((5, len(pts), geom.n_sites), dtype=complex)
-    pa, near = _field_kernel(geom.positions, pts, q)
-    qxx, qxy, qyy, qzx, qzy = q
+    k = np.empty((6, len(pts), geom.n_sites), dtype=complex)
+    near = _field_kernel(geom.positions, pts, k)
     assert not near.any()
-    ex, ey = POLARIZATION[0][:2]            # F_up of the one spin-up emitter
-    f = FIELD_PREFACTOR * np.column_stack([ex * pa - qxx * ex - qxy * ey,
-                                           ey * pa - qxy * ex - qyy * ey,
-                                           -qzx * ex - qzy * ey])
-    intensity = np.sum(np.abs(f) ** 2, axis=1)
-    assert np.ptp(intensity) < 1e-12 * intensity[0]
+    # a circular dipole's circular field components vary with the azimuth
+    # only in their phase
+    moduli = np.abs(k[:5, :, 0])
+    assert np.ptp(moduli, axis=1).max() < 1e-12 * moduli.max()
+    # spin up's stack k[:3] holds the three components of G . eps_up
+    f = green_tensor(pts - geom.positions[0]) @ POLARIZATION[0]
+    assert np.sum(moduli[:3] ** 2, axis=0) == pytest.approx(
+        np.sum(np.abs(f) ** 2, axis=1), rel=1e-12)
+
+
+def test_kernel_allocates_no_array_of_a_kernel_plane_size(rng):
+    # a fresh plane-sized array per chunk makes the allocator hand heap pages
+    # back and fault them in again, chunk after chunk; the chunk is 4 times
+    # the usual one, so that numpy's fixed iteration buffers (8192 elements)
+    # stay under the bound
+    import tracemalloc
+
+    positions = rng.uniform(-1.0, 1.0, size=(60, 3))
+    pts = rng.uniform(-1.0, 1.0, size=(4 * _chunk_points(60), 3))
+    k = np.empty((6, len(pts), len(positions)), dtype=complex)
+    tracemalloc.start()
+    try:
+        _field_kernel(positions, pts, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k[0].nbytes / 4          # boolean masks, row flags, numpy's buffers
 
 
 def test_near_field_points_masked(small_helix):

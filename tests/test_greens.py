@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,42 @@ def test_factored_blocks_match_textbook_contraction(rng):
     scale = 3.0 * np.abs(g).max(axis=(1, 2))
     for got, want in zip(coupling_blocks(sep), (want_j, want_gam)):
         assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale).all()
+
+
+def green_factor_error() -> float:
+    """Largest relative error of _green_factors' pa and s against a long
+    double oracle on the same double d = sqrt(r2): d log-uniform over
+    [1e-3, 10] lambda_0 and the half-integers, where tan(pi f) is about
+    +-1.6e16.  The oracle's phase is the cos and sin of 2 pi (d - rint d)."""
+    import numpy as np
+
+    from heliport.greens import _green_factors
+
+    rng = np.random.default_rng(11)
+    d = np.concatenate([np.exp(rng.uniform(np.log(1e-3), np.log(10.0), 100_000)),
+                        np.arange(0.5, 10.0)])
+    r2 = d * d
+    pa, s = _green_factors(r2)
+    ld = np.sqrt(r2).astype(np.longdouble)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    phase = 2 * pi * (ld - np.rint(ld))
+    c, sn = np.cos(phase), np.sin(phase)
+    inv_u, amp = 1 / (2 * pi * ld), 1 / (4 * pi * ld)
+    err = 0.0
+    for got, scale, a, b in ((pa, amp, 1 - inv_u**2, inv_u),
+                             (s, amp / ld**2, 1 - 3 * inv_u**2, 3 * inv_u)):
+        re, im = scale * (a * c - b * sn), scale * (a * sn + b * c)
+        dev = np.hypot(got.real - re, got.imag - im) / np.hypot(re, im)
+        err = max(err, float(dev.max()))
+    return err
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than double here")
+def test_green_factor_phase_is_accurate_with_and_without_simd_tan(fresh_python):
+    assert green_factor_error() <= 4e-15
+    # the same in a process whose numpy takes its scalar tan loop (names a
+    # numpy build does not dispatch are ignored)
+    script = inspect.getsource(green_factor_error) + "\nprint(green_factor_error())"
+    scalar = fresh_python(script, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_SKX")
+    assert float(scalar) <= 4e-15

@@ -116,6 +116,33 @@ def test_screw_assemble_evaluates_one_kernel_per_distance(monkeypatch):
     assert seen == [59]
 
 
+@pytest.mark.parametrize("hermitian_only", [False, True])
+def test_screw_matrix_matches_effective_of_assemble(hermitian_only):
+    geom = build_helix(HelixParams(0.05, 0.175, 3, 8, -1))
+    h = hamiltonian.screw_matrix(hamiltonian.screw_effective(geom, hermitian_only))
+    oracle = effective(_pairwise_assemble(geom), hermitian_only)
+    assert h.hermitian_only == hermitian_only
+    assert np.abs(h.matrix - oracle.matrix).max() < 1e-12 * np.abs(oracle.matrix).max()
+    assert np.all(np.diag(h.matrix) == (0.0 if hermitian_only else -0.5j * GAMMA0))
+
+
+def test_spectral_launch_evaluates_one_kernel_per_distance(monkeypatch):
+    from heliport import dynamics
+
+    seen = []
+    kernel = hamiltonian.coupling_blocks
+
+    def counting(sep):
+        seen.append(len(sep))
+        return kernel(sep)
+
+    monkeypatch.setattr(hamiltonian, "coupling_blocks", counting)
+    geom = build_helix(HelixParams(0.05, 0.175, 3, 20, 1))
+    prop, _ = dynamics.launch(geom, False, np.linspace(0.0, 7.9, 50))
+    assert prop.path == "spectral"
+    assert seen == [59]
+
+
 @pytest.mark.parametrize("kind", ["random", "shifted_helix", "uneven_chain"])
 def test_non_screw_geometries_take_the_pairwise_path(kind, rng):
     if kind == "random":

@@ -1,4 +1,5 @@
 import json
+import types
 
 import numpy as np
 import pytest
@@ -53,24 +54,42 @@ def _check_config():
     return cfg
 
 
-def _drop_qzy(kernel):
-    def faulty(positions, pts, q):
-        out = kernel(positions, pts, q)
-        q[4] = 0.0
-        return out
+def _zero_up_z_kernel(kernel):
+    def faulty(positions, pts, k):
+        near = kernel(positions, pts, k)
+        k[1] = 0.0                              # s z w / sqrt 2: F_z of spin up
+        return near
     return faulty
 
 
 def _s_without_inverse_r2(factors):
-    def faulty(r2):
-        pa, s = factors(r2)
-        return pa, s * r2
+    def faulty(r2, out=None):
+        pa, s = factors(r2, out)
+        s *= r2
+        return pa, s
     return faulty
 
 
-@pytest.mark.parametrize("target, plant", [("_field_kernel", _drop_qzy),
-                                           ("_green_factors", _s_without_inverse_r2)],
-                         ids=["dropped_Q_zy", "s_without_1/r2"])
+def _half_period_reduction(factors):
+    """factors with d reduced modulo lambda_0 / 2 instead of lambda_0."""
+    class HalfPeriodNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def rint(d, out=None):
+            return np.multiply(0.5, np.rint(2.0 * d), out=out)
+
+    return types.FunctionType(factors.__code__,
+                              {**factors.__globals__, "np": HalfPeriodNumpy()},
+                              factors.__name__, factors.__defaults__)
+
+
+@pytest.mark.parametrize("target, plant", [("_field_kernel", _zero_up_z_kernel),
+                                           ("_green_factors", _s_without_inverse_r2),
+                                           ("_green_factors", _half_period_reduction)],
+                         ids=["zeroed_up_z_kernel", "s_without_1/r2",
+                              "half_period_phase_reduction"])
 def test_field_factor_check_fails_on_a_planted_fault(monkeypatch, target, plant):
     from heliport import field
 
