@@ -2,22 +2,17 @@
 
 In the screw gauge (hamiltonian) the helix is a chain of spacing b = a/N_t
 with 2x2 hoppings T(d), whose spin-flip entry is the spin-orbit coupling the
-chiral geometry induces.  chain_table reads T(d), |d| <= D = N_t m_cut
-(m_cut turns each side), off the finite helix's screw table in one kernel
-call.  With h(q) = sum_d e^{-i q b d} T(d), the one-turn cell's Bloch
-Hamiltonian (H(k + 2 pi/a) = H(k)) splits into folds q_j = -k + 2 pi j/a:
+chiral geometry induces; chain_table reads T(d), |d| <= D = N_t m_cut, off
+the finite helix's screw table.  With h(q) = sum_d e^{-i q b d} T(d), the
+one-turn cell's Bloch Hamiltonian splits into folds q_j = -k + 2 pi j/a:
 
     H(k) = sum_{j < N_t} V_j h(q_j) V_j^dag,   (V_j)_mu = U_mu e^{i q_j b mu} / sqrt(N_t),
 
-so each k costs N_t 2x2 eigenproblems, and band 2j + branch has the cell
-eigenvector V_j chi(q_j).  Bands keep this label along k; the two branches
-of a fold, ordered by Re E, swap labels where their spinors say they cross.
-The sum converges slowest at the light cone |k| = k0 (error ~ 1/m_cut);
-_fourier_sum sums |d| <= D/2 and the wings as two parts, and the Cauchy
-estimate ||h_D - h_{D/2}||_max = max|wings| is always reported.  Lattice
-sums need a uniform k grid of period L (every grid the runs build); its
-folded momenta are one uniform grid of period L N_t, summed by one FFT.
-Any other grid raises ValueError.
+so band 2j + branch has the cell eigenvector V_j chi(q_j), the eigenpairs of
+the 2x2 h(q_j) in closed form (_eig2).  Bands keep this label along k; the
+two branches of a fold, ordered by Re E, swap labels where their spinors say
+they cross.  _fourier_sum (uniform k grids only) also reports the Cauchy
+estimate ||h_D - h_{D/2}||_max, largest at the light cone |k| = k0.
 
 C2 rule.  The pi rotation about a radial axis gives h(-q) = sigma_x h(q)
 sigma_x.  At k = 0 and +-pi/a (k a/pi = n, an integer) fold j is therefore
@@ -26,10 +21,9 @@ as (x_j(chi) +- x_j'(sigma_x chi)) / sqrt(2), + for j < j', with x_j(chi) =
 V_j chi; a self-paired fold (j' = j) takes the sigma_x eigenbasis.  Cross-fold
 S_z terms vanish, so <S_z> = 0 there, as the k -> -k symmetry demands.
 
-band_structure is the one sweep: it keeps the labels and adds Gamma =
--2 Im E, <S_z>, finite-difference velocities and the light-cone flag
-|k| <= k0.  The consumers that need energy order (the gap and the Wilson
-loops of topology.zak_phases) rank the bands at each k themselves.
+band_structure is the one sweep: it keeps the labels and adds Gamma = -2 Im E,
+<S_z> (elsewhere the spinor's, as |V_j|^2 = 1/N_t), velocities and the
+light-cone flag |k| <= k0; the frames are the one frame-sized array it holds.
 """
 
 from __future__ import annotations
@@ -106,15 +100,41 @@ def _fourier_sum(c: np.ndarray, k_grid: np.ndarray,
 
 def brillouin_grid(pitch: float, n_k: int = 401) -> np.ndarray:
     """Closed symmetric BZ grid [-pi/a, pi/a] of n_k points."""
-    edge = np.pi / pitch
-    return np.linspace(-edge, edge, n_k)
+    return np.linspace(-np.pi / pitch, np.pi / pitch, n_k)
+
+
+def _eig2(h: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (..., 2) by Re E and unit eigenvector columns (..., 2, 2) of 2x2
+    matrices: E = m -+ s, m and delta the diagonal's half sum and difference, s =
+    hypot(delta, |c|) (Hermitian, lower triangle) or sqrt(delta^2 + bc) (scaled).
+    A vector is the larger column of adj(h - E); the lower one of a Hermitian
+    pair, or of h = m 1 to round-off, is the upper one's orthogonal complement."""
+    (a, b), (c, d) = np.moveaxis(h, (-2, -1), (0, 1))
+    m, delta, scale = (a + d) / 2, (a - d) / 2, 1.0
+    if hermitian:
+        m, delta, b, scalar = m.real, delta.real, c.conj(), np.True_
+        s = np.hypot(delta, np.abs(c))
+    else:
+        scale = np.maximum(np.abs(delta), np.maximum(np.abs(b), np.abs(c)))
+        scalar = scale <= np.finfo(float).eps * np.abs(m)
+        scale = np.where(scale > 0.0, scale, 1.0)
+        delta, b, c = delta / scale, b / scale, c / scale
+        s = np.sqrt(delta * delta + b * c)   # principal root: Re s >= 0
+    shift, d, b, c = s[..., None] * [-1.0, 1.0], delta[..., None], b[..., None], c[..., None]
+    first = np.hypot(np.abs(d + shift), np.abs(c)) >= np.hypot(np.abs(b), np.abs(shift - d))
+    vecs = np.stack([np.where(first, d + shift, b), np.where(first, c, shift - d)], axis=-2)
+    norm = np.hypot(np.abs(vecs[..., 0, :]), np.abs(vecs[..., 1, :]))
+    vecs[..., 0, :][norm == 0.0] = norm[norm == 0.0] = 1.0   # h = m 1 exactly: e_0
+    vecs /= norm[..., None, :]
+    lower = np.stack([-vecs[..., 1, 1], vecs[..., 0, 1]], axis=-1).conj()
+    vecs[..., 0] = np.where(np.expand_dims(scalar, -1), lower, vecs[..., 0])
+    return m[..., None] + (scale * s)[..., None] * [-1.0, 1.0], vecs
 
 
 def _folds(params: HelixParams, k_grid: np.ndarray, m_cut: int, hermitian_only: bool):
-    """(q, evals, spinors, u, convergence): q_ij = -k_i + 2 pi j/a, the eigenpairs
-    of h(q) (n_k, N_t, 2) ordered by Re E, spinor columns per branch, u the
-    cell gauge.  The k grid is uniform of period L, so the momenta k - 2 pi j/a
-    of all folds are one uniform grid of period L N_t from N_t - 1 zones below k_0."""
+    """(q, evals, spinors, u, convergence): q_ij = -k_i + 2 pi j/a, the eigenpairs of
+    h(q) (n_k, N_t, 2) by Re E, u the cell gauge.  The momenta k - 2 pi j/a of all
+    folds are one uniform grid of period L N_t from N_t - 1 zones below k_0."""
     nt, a = params.sites_per_turn, params.pitch
     n, period = len(k_grid), _zone_period(k_grid, a)
     u, table = chain_table(params, m_cut, hermitian_only)
@@ -122,38 +142,7 @@ def _folds(params: HelixParams, k_grid: np.ndarray, m_cut: int, hermitian_only: 
     p = k_grid[0] + (2 * np.pi / (period * a)) * np.arange(-shift, n)
     index = np.arange(n)[:, None] + shift - period * np.arange(nt)
     h, conv = _fourier_sum(table[::-1], p, a / nt)   # h(-p) sums T(-d) at p
-    if hermitian_only:
-        evals, chi = np.linalg.eigh(h[index])
-    else:
-        evals, chi = np.linalg.eig(h[index])
-        order = np.argsort(evals.real, axis=-1)
-        evals = np.take_along_axis(evals, order, axis=-1)
-        chi = np.take_along_axis(chi, order[..., None, :], axis=-1)
-    return -p[index], evals, chi, u, conv
-
-
-def _cell_vectors(params: HelixParams, k_grid: np.ndarray, q, chi, u):
-    """Cell eigenvectors (n_k, 2N_t, 2N_t), column 2j + branch, with the C2
-    rule at the invariant points, and the mask of those points."""
-    nt = params.sites_per_turn
-    # x[i, j, mu, s] = U_mu[s] e^{i q_ij b mu} / sqrt(N_t): fold j's cell frame
-    x = u * np.exp(1j * (params.pitch / nt) * q[..., None, None]
-                   * np.arange(nt)[:, None]) / np.sqrt(nt)
-    vecs = np.einsum("ijms,ijsb->imsjb", x, chi)
-    plus_minus = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    turns = k_grid * params.pitch / np.pi
-    invariant = np.abs(turns - np.rint(turns)) < 1e-12
-    for i in np.flatnonzero(invariant):
-        for j in range(nt):
-            partner = (int(np.rint(turns[i])) - j) % nt
-            if partner == j:   # h commutes with sigma_x: its eigenbasis
-                odd = np.vdot(chi[i, j, :, 0], chi[i, j, ::-1, 0]).real < 0
-                vecs[i, :, :, j] = x[i, j][..., None] * (plus_minus[:, ::-1] if odd
-                                                         else plus_minus)
-            else:              # (x_j(chi) +- x_j'(sigma_x chi)) / sqrt(2), + for j < j'
-                mirrored = np.sign(partner - j) * x[i, partner][..., None] * chi[i, j, ::-1]
-                vecs[i, :, :, j] = (vecs[i, :, :, j] + mirrored) / np.sqrt(2.0)
-    return vecs.reshape(len(k_grid), 2 * nt, 2 * nt), invariant
+    return (-p[index],) + _eig2(h[index], hermitian_only) + (u, conv)
 
 
 def band_structure(params: HelixParams, k_grid, m_cut: int = 2000,
@@ -164,9 +153,9 @@ def band_structure(params: HelixParams, k_grid, m_cut: int = 2000,
     spinors overlap crosswise more than straight.  The k after a swap and the
     invariant points (where the C2 rule mixes folds) are flagged, except a
     swap between branches degenerate (|E_0 - E_1| <= 1e-12 max|E|) at both k,
-    where round-off alone orders them.
+    where round-off alone orders them.  The frames are written in place.
     """
-    k_grid, nt = np.asarray(k_grid, dtype=float), params.sites_per_turn
+    k_grid, nt, a = np.asarray(k_grid, dtype=float), params.sites_per_turn, params.pitch
     q, evals, chi, u, conv = _folds(params, k_grid, m_cut, hermitian_only)
     overlap = np.abs(np.einsum("ijsa,ijsb->ijab", chi[:-1].conj(), chi[1:])) ** 2
     swap = np.trace(overlap[..., ::-1], axis1=2, axis2=3) > np.trace(overlap, axis1=2, axis2=3)
@@ -174,16 +163,37 @@ def band_structure(params: HelixParams, k_grid, m_cut: int = 2000,
     flip = np.cumsum(np.concatenate([np.zeros_like(swap[:1]), swap]), axis=0) % 2
     branch = np.arange(2) ^ flip[..., None]
     evals = np.take_along_axis(evals, branch, axis=-1).reshape(len(k_grid), -1)
-    vecs, invariant = _cell_vectors(params, k_grid, q,
-                                    np.take_along_axis(chi, branch[..., None, :], axis=-1), u)
+    chi = np.take_along_axis(chi, branch[..., None, :], axis=-1)
+    # vecs[i, mu, s, j, branch] = x_ij[mu, s] chi_ij[s, branch], x_ij[mu, s] =
+    # U_mu[s] e^{i q_ij b mu} / sqrt(N_t) the cell frame of fold j, one site at a time
+    vecs = np.empty((len(k_grid), nt, 2, nt, 2), dtype=complex)
+    for mu in range(nt):
+        np.multiply(np.exp(1j * (a / nt * mu) * q)[:, None, :, None],
+                    chi.transpose(0, 2, 1, 3), out=vecs[:, mu])
+    vecs *= (u / np.sqrt(nt))[:, :, None, None]
+    plus_minus = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)   # sigma_x eigenbasis
+    turns = k_grid * a / np.pi
+    invariant = np.abs(turns - np.rint(turns)) < 1e-12
+    for i in np.flatnonzero(invariant):   # the C2 rule
+        x = u * np.exp(1j * (a / nt) * q[i, :, None, None] * np.arange(nt)[:, None]) / np.sqrt(nt)
+        for j in range(nt):
+            partner = (int(np.rint(turns[i])) - j) % nt
+            if partner == j:   # h commutes with sigma_x: its eigenbasis
+                odd = np.vdot(chi[i, j, :, 0], chi[i, j, ::-1, 0]).real < 0
+                vecs[i, :, :, j] = x[j][..., None] * plus_minus[:, ::-1 if odd else 1]
+            else:              # (x_j(chi) +- x_j'(sigma_x chi)) / sqrt(2), + for j < j'
+                mirrored = np.sign(partner - j) * x[partner][..., None] * chi[i, j, ::-1]
+                vecs[i, :, :, j] = (vecs[i, :, :, j] + mirrored) / np.sqrt(2.0)
+    vecs = vecs.reshape(len(k_grid), 2 * nt, 2 * nt)
     unsure = swap & ~(degenerate[:-1] & degenerate[1:])
     flags = np.concatenate([[False], invariant[1:] | unsure.any(axis=1)])
-    weight = np.abs(vecs) ** 2
-    sz = np.einsum("kan,a->kn", weight, spin_z_diagonal(nt)) / weight.sum(axis=1)
+    weight = np.abs(chi) ** 2   # <S_z> is the spinor's but where the C2 rule mixes folds
+    sz = ((weight[:, :, 0] - weight[:, :, 1]) / weight.sum(axis=2)).reshape(len(k_grid), -1)
+    weight = np.abs(vecs[invariant]) ** 2
+    sz[invariant] = weight.transpose(0, 2, 1) @ spin_z_diagonal(nt) / weight.sum(axis=1)
     energies = evals.real
     gammas = np.zeros_like(energies) if hermitian_only else -2.0 * evals.imag
-    return BandStructure(k=k_grid, energies=energies, gammas=gammas, sz=sz,
+    return BandStructure(k=k_grid, energies=energies, gammas=gammas, sz=sz, vectors=vecs,
                          velocities=np.gradient(energies, k_grid, axis=0),
-                         in_light_cone=np.abs(k_grid) <= K0,
-                         vectors=vecs, continuation_ambiguous=flags, m_cut=m_cut,
-                         hermitian_only=hermitian_only, convergence=conv)
+                         in_light_cone=np.abs(k_grid) <= K0, continuation_ambiguous=flags,
+                         m_cut=m_cut, hermitian_only=hermitian_only, convergence=conv)

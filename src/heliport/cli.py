@@ -5,10 +5,9 @@ Usage: heliport <mode> --config <path> [--out <dir>] [--threads <n>]
 field / check.  `run` executes whatever mode the config declares; the named
 subcommands additionally require the config to match.
 
-Thread pinning must happen before numpy is imported, so the BLAS thread
-variables are set from --threads (or the HELIPORT_THREADS environment
-variable) right after argument parsing; all engine imports live inside the
-runner functions, and each runner imports only the modules it calls.
+Threads are pinned before numpy is imported: the BLAS thread variables are
+set from --threads (or HELIPORT_THREADS) right after argument parsing, and
+each runner imports only the engine modules it calls.
 
 Runners return (products, diagnostics, exit code) and write nothing; main
 alone checks every product for non-finite numbers, then creates the output
@@ -182,11 +181,10 @@ def _run_bands(cfg, _geom):
          bands.energies.ravel(), bands.gammas.ravel(), bands.sz.ravel(),
          bands.velocities.ravel(), np.repeat(bands.in_light_cone.astype(int), n_b)])}
     diagnostics = {
-        "m_cut": bands.m_cut,
-        "coupling_convergence": _finite_or_none(bands.convergence),
+        "m_cut": bands.m_cut, "coupling_convergence": _finite_or_none(bands.convergence),
         "continuation_ambiguous_points": int(np.count_nonzero(bands.continuation_ambiguous)),
-        "min_gamma": float(bands.gammas.min()),
-        "max_gamma": float(bands.gammas.max()),
+        "continuation_ambiguous_k": bands.k[bands.continuation_ambiguous].tolist(),
+        "min_gamma": float(bands.gammas.min()), "max_gamma": float(bands.gammas.max()),
     }
     return products, diagnostics, 0
 

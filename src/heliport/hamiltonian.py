@@ -19,18 +19,17 @@ depends on d alone:
 the last separately for J and Gamma (the spin-flip entry of T(d) is the
 spin-orbit coupling that the chiral geometry induces; the line groups of
 helices, Damnjanovic and Milosevic, Line Groups in Physics, LNP 801, 2010).
-`assemble` therefore evaluates the Green's tensor for the N - 1 separations
+`assemble` evaluates the Green's tensor for the N - 1 separations
 r_d - r_0 only (_screw_tables) and gathers the Toeplitz table T[i - j]
-(_screw_gather); bloch reads the same table as the hoppings of the
-infinite helix.  An O(N) probe on the positions (constant dz, and x + iy
+(_screw_gather); bloch reads the same table as the infinite helix's
+hoppings.  An O(N) probe on the positions alone (constant dz, x + iy
 advancing by one unit-modulus factor, both within SCREW_TOL of the
-coordinate scale) selects this path; it reads the positions, not how they
-were made, so a geometry file holding a helix takes it too.  Every other
-geometry takes the pairwise N(N - 1) evaluation, the test oracle of the
-screw table.  `screw_effective` hands the gauge and the table of H_eff itself
-(T_J - i T_Gamma / 2), with its circulant spectrum and a box enclosing its
-field of values, to the matrix-free propagator, which never forms the dense
-matrices; `screw_matrix` gathers the spectral path's dense H_eff from it.
+coordinate scale) selects this path, so a geometry file holding a helix
+takes it too; every other geometry takes the pairwise N(N - 1) evaluation,
+the screw table's test oracle.  `screw_effective` hands the gauge and the
+table of H_eff (T_J - i T_Gamma / 2), with its circulant spectrum and a box
+enclosing its field of values, to the matrix-free propagator;
+`screw_matrix` gathers the dense H_eff from it.
 """
 
 from __future__ import annotations
@@ -182,11 +181,13 @@ def _screw_tables(pos: np.ndarray,
                   phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauge diagonals U (N, 2) and the screw tables T_J, T_Gamma, each
     (2N - 1, 2, 2) with T(d) at d + N - 1, from one kernel call on r_d - r_0."""
-    u = np.exp(1j * np.outer(phi, [-1.0, 1.0]))
+    n, u = len(pos), np.exp(1j * np.outer(phi, [-1.0, 1.0]))
     jb, gb = coupling_blocks(pos[1:] - pos[0])            # H_d0, d = 1..N-1
     gauge = u[1:, :, None].conj() * u[0, None, :]         # T(d) = U_d^dag H_d0 U_0
-    t_j, t_g = (np.concatenate([t[::-1].conj().transpose(0, 2, 1), t0 * np.eye(2)[None], t])
-                for t, t0 in ((gauge * jb, 0.0), (gauge * gb, GAMMA0)))
+    t_j, t_g = (np.empty((2 * n - 1, 2, 2), dtype=complex) for _ in range(2))
+    for t, h, t0 in ((t_j, jb, 0.0), (t_g, gb, GAMMA0)):   # T(-d) = T(d)^dag
+        t[n - 1] = t0 * np.eye(2)
+        np.conjugate(np.multiply(gauge, h, out=t[n:])[::-1].transpose(0, 2, 1), out=t[:n - 1])
     return u, t_j, t_g
 
 

@@ -9,21 +9,14 @@ with k_i traversing the Brillouin zone once on an open uniform grid and the
 loop closed back to k_0 (the cell-index Fourier convention makes H exactly
 periodic, so the boundary operator is the identity).  The determinant makes
 the result invariant under any per-k rephasing or unitary remixing inside
-the subset.  A nearly singular overlap (|det M| < 1e-6) signals that the
-subset is not isolated at some k and the result is flagged ill-defined.
-The biorthogonal variant runs the same loop with M^(i) = L_i^dag R_{i+1},
-where the columns of the left frame L are the conjugated rows of V^-1.
-The loop is one batched product: det(L^dag roll(R, -1)) over the k stack.
-
-zak_phases runs every band group's loop on the frames of one
-bloch.band_structure over the open grid wilson_grid, with the bands ranked
-by energy at each k.
-
-Gap detection scans all energy-ordered band splits for the widest window
-free of states across the whole grid; groups below/above that window are
-the natural Wilson-loop subsets.  When no split exceeds the threshold the
-spectrum is reported gapless and the only isolated subset is the full band
-space (whose loop is trivially 0).
+the subset; |det M| < 1e-6 at some k flags a subset that is not isolated.
+The biorthogonal variant takes M^(i) = L_i^dag R_{i+1}, the columns of the
+left frame L the conjugated rows of V^-1.  wilson_loop sums the overlaps one
+frame row at a time, copying no frame, and takes one batched det; zak_phases
+runs it for every band group on one bloch.band_structure over wilson_grid,
+the bands ranked by energy at each k, and detect_gap finds the groups: below
+and above the widest window free of states across the grid, or, gapless,
+the full band space (whose loop is trivially 0).
 """
 
 from __future__ import annotations
@@ -81,17 +74,22 @@ def detect_gap(bands: BandStructure, threshold: float = GAP_THRESHOLD) -> GapInf
                    tuple(range(split)), tuple(range(split, n_bands)))
 
 
-def wilson_loop(rights, lefts=None) -> tuple[float, float]:
-    """Phase in [-pi, pi] and minimum |det| of the overlap-product loop over frames.
-
-    rights: (n_k, dim, n_subset) eigenvector column blocks, or a sequence of
-    them, on an open k grid; the loop closes from the last frame back to the
-    first.  lefts (default: rights) are the dual frames, M^(i) = lefts_i^dag
-    rights_{i+1}.
-    """
-    rights = np.asarray(rights)
-    lefts = rights if lefts is None else np.asarray(lefts)
-    dets = np.linalg.det(lefts.conj().transpose(0, 2, 1) @ np.roll(rights, -1, axis=0))
+def wilson_loop(rights, lefts=None, columns=None) -> tuple[float, float]:
+    """Phase in [-pi, pi] and minimum |det| of the overlap-product loop over frames:
+    rights (n_k, dim, n) eigenvector column blocks, or a sequence of them, on an
+    open k grid, the loop closing from the last frame back to the first; lefts
+    (default: rights) the dual frames, M^(i) = lefts_i^dag rights_{i+1};
+    columns (n_k, s), default all n, each k's subset."""
+    rights, lefts = np.asarray(rights), np.asarray(rights if lefts is None else lefts)
+    n_k, dim, n = rights.shape
+    ks, after = np.arange(n_k), np.roll(np.arange(n_k), -1)
+    cols = (np.broadcast_to(np.arange(n), (n_k, n)) if columns is None else columns).T
+    overlaps = np.zeros((len(cols), len(cols), n_k), dtype=complex)   # [m, n, k]
+    for a in range(dim):   # M^(i)_mn = sum_a conj(L_i[a, m]) R_{i+1}[a, n]
+        right = rights[after, a, cols[:, after]]
+        for m, left in enumerate(lefts[ks, a, cols].conj()):
+            overlaps[m] += left * right
+    dets = np.linalg.det(overlaps.transpose(2, 0, 1))
     return float(-np.angle(np.prod(dets))), float(np.abs(dets).min())
 
 
@@ -119,20 +117,12 @@ def zak_phases(bands: BandStructure, band_subsets,
     rank = np.argsort(bands.energies, axis=1, kind="stable")
     # rows of V^-1 are the dual (left) frame: <l_m | r_n> = delta
     lefts = np.linalg.inv(bands.vectors).conj().transpose(0, 2, 1) if biorthogonal else None
-
     results = []
     for subset in subsets:
-        cols = rank[:, None, list(subset)]
-        duals = np.take_along_axis(lefts, cols, axis=2) if biorthogonal else None
-        raw, min_det = wilson_loop(np.take_along_axis(bands.vectors, cols, axis=2), duals)
+        raw, min_det = wilson_loop(bands.vectors, lefts, rank[:, list(subset)])
         results.append(ZakResult(
-            band_subset=subset,
-            n_k=n_k,
-            phase=np.pi if np.pi - abs(raw) <= PI_SNAP else raw,
-            residual=float(min(abs(raw), np.pi - abs(raw))),
-            min_overlap_det=min_det,
-            ill_defined=bool(min_det < DET_ILL_DEFINED),
-            hermitian_only=bands.hermitian_only,
-            biorthogonal=biorthogonal,
-        ))
+            band_subset=subset, n_k=n_k, phase=np.pi if np.pi - abs(raw) <= PI_SNAP else raw,
+            residual=float(min(abs(raw), np.pi - abs(raw))), min_overlap_det=min_det,
+            ill_defined=bool(min_det < DET_ILL_DEFINED), hermitian_only=bands.hermitian_only,
+            biorthogonal=biorthogonal))
     return results

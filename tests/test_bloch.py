@@ -287,26 +287,97 @@ def test_fourier_sum_matches_direct_sum_on_every_grid_kind(kind, n_sites_per_tur
 
 @pytest.mark.parametrize("config", ["fig3a_bands", "fig4_N6"])
 def test_cli_lattice_runs_diagonalize_only_2x2_matrices(config, tmp_path, monkeypatch):
-    shapes = []
-    for name in ("eig", "eigh"):
-        def recorded(a, *args, _inner=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(a)[-2:])
+    # the fold blocks are 2x2 and solved in closed form (bloch._eig2): no
+    # LAPACK eigensolver runs at all
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        def recorded(a, *args, _name=name, _inner=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
             return _inner(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recorded)
     assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
-    assert shapes and set(shapes) == {(2, 2)}
+    assert calls == []
 
 
 def test_band_structure_memory_stays_bounded():
     # the folded FFT holds O(N_t (n_k + m_cut)) 2x2 blocks; a direct phase sum
-    # over the folds would build an (N_t n_k, N_t m_cut) matrix, 2.1 GiB here
+    # over the folds would build an (N_t n_k, N_t m_cut) matrix, 2.1 GiB here.
+    # The frames (4.4 MiB) are the only frame-sized array: an einsum over a
+    # full x_j frame array and |vectors|^2 weights at every k peak at 13.9 MiB
     tracemalloc.start()
     try:
         band_structure(small(6), wilson_grid(PITCH, 2000), m_cut=2000, hermitian_only=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    assert peak < 9 * 2**20
+
+
+def test_zak_phases_copy_no_frames():
+    # each Wilson loop sums its (n_k, 6, 6) overlaps (1.1 MiB) one frame row at
+    # a time; a gathered, conjugated or rolled copy of a group's frames is 2.2 MiB
+    bands = band_structure(small(6), wilson_grid(PITCH, 2000), m_cut=2000, hermitian_only=True)
+    gap = detect_gap(bands)
+    tracemalloc.start()
+    try:
+        results = zak_phases(bands, [gap.lower_bands, gap.upper_bands])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(res.band_subset) for res in results] == [6, 6]
+    assert peak < 3 * 2**20
+
+
+EPS = np.finfo(float).eps
+
+
+def eig2_stack(hermitian, rng):
+    """2x2 matrices for bloch._eig2: random ones (also scaled by 1e+-150) and
+    planted hard cases, with the mask of those whose hv = lambda v has a 2-D
+    solution space to round-off (scalars and one-site-per-turn doublets)."""
+    h = rng.normal(size=(3, 400, 2, 2)) + 1j * rng.normal(size=(3, 400, 2, 2))
+    h = (h * np.array([1.0, 1e150, 1e-150])[:, None, None, None]).reshape(-1, 2, 2)
+    tiny = np.array([[0.0, 1e-300j], [-2e-300, 0.0]])   # delta = 0, |b| ~ 1e-300
+    planted = [(2.5 * np.eye(2), True), ((0.3 - 0.2j) * np.eye(2), True),
+               (0.7 * np.eye(2) + tiny, True), (tiny, False),
+               ([[1.0, 1e-9], [2e-9j, -1.0]], False),   # one candidate column cancels
+               ([[-1.0, 1e-9j], [2e-9, 1.0]], False)]
+    planted += [(h_at(small(1), q, 300, hermitian)[0], True) for q in np.linspace(-17, 17, 5)]
+    if not hermitian:   # the exceptional point has one eigenvector
+        planted.append(([[0.3 - 0.2j, 1.0], [0.0, 0.3 - 0.2j]], False))
+    matrices, two_d = zip(*planted)
+    h = np.concatenate([h, np.array(matrices, dtype=complex)])
+    if hermitian:
+        h = 0.5 * (h + h.conj().transpose(0, 2, 1))
+    return h, np.concatenate([np.zeros(len(h) - len(two_d), dtype=bool), two_d])
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_eig2_matches_lapack_on_random_and_planted_stacks(hermitian):
+    h, two_d = eig2_stack(hermitian, np.random.default_rng(11))
+    evals, vecs = bloch._eig2(h, hermitian)
+    norm = np.linalg.norm(h, 2, axis=(1, 2))
+
+    def distance(ref):   # per matrix, under the better pairing of the two roots
+        return np.minimum(np.abs(evals - ref).max(axis=1),
+                          np.abs(evals - ref[:, ::-1]).max(axis=1)) / norm
+
+    # LAPACK's own error reaches ~6 eps ||h|| on random stacks, so the 4 eps
+    # bound is to the roots m -+ sqrt(delta^2 + bc) in extended precision
+    long = h.astype(np.clongdouble)
+    m, delta = (long[:, 0, 0] + long[:, 1, 1]) / 2, (long[:, 0, 0] - long[:, 1, 1]) / 2
+    root = np.sqrt(delta * delta + long[:, 0, 1] * long[:, 1, 0])
+    assert distance(np.stack([m - root, m + root], axis=1)).max() <= 4 * EPS
+    assert distance(np.linalg.eigvals(h)).max() <= 8 * EPS
+    assert (np.diff(evals.real, axis=1) >= 0).all()
+    residual = np.linalg.norm((h @ vecs - vecs * evals[:, None, :]) / norm[:, None, None],
+                              axis=1)
+    assert residual.max() <= 8 * EPS
+    assert np.abs(np.linalg.norm(vecs, axis=1) - 1).max() <= 4 * EPS
+    assert (np.abs(np.linalg.det(vecs[two_d])) > 0.5).all()
+    if hermitian:
+        gram = vecs.conj().transpose(0, 2, 1) @ vecs
+        assert np.abs(gram - np.eye(2)).max() <= 4 * EPS
 
 
 @pytest.mark.parametrize("hermitian_only", [True, False])

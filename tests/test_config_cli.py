@@ -232,6 +232,17 @@ def test_cli_resolves_packaged_config(tmp_path):
     assert abs(rec["zak_phase"]) < 1e-6
 
 
+def test_cli_bands_manifest_lists_the_ambiguous_k(tmp_path):
+    # the closed grid's invariant points k = 0 and +pi/a are flagged (the C2
+    # rule mixes folds there); k = -pi/a starts the grid and is never flagged
+    out = tmp_path / "bands"
+    assert run_cli(["run", "--config", "fig3a_bands", "--out", out]) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    ks, edge = np.array(diag["continuation_ambiguous_k"]), np.pi / HELIX["pitch"]
+    assert len(ks) == diag["continuation_ambiguous_points"] > 0
+    assert (np.abs(ks) < 1e-9 * edge).any() and (np.abs(ks - edge) < 1e-9 * edge).any()
+
+
 def test_cli_bands_and_field_outputs(tmp_path):
     bands_cfg = write_config(tmp_path, {
         "mode": "bands",
